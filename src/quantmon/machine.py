@@ -8,8 +8,19 @@ updates are parallel single assignments reading the pre-step valuation.
 Determinism and totality are enforced syntactically at build time: the
 edges of each (state, symbol) group must enumerate the sign patterns of a
 shared atom set exactly once each (a lone edge must carry the trivial
-guard).  A seeded valuation probe double-checks the exactly-one-edge
-property.
+guard).
+
+The same pass over the edges compiles the machine to one flat form, and
+runs step only that form.  States and registers become integer ids and a
+valuation is the tuple of register values in ``registers`` order.  Each
+state's row maps a symbol to its lone edge's ``(target, update)`` or, for a
+guarded group, to a function of the values tuple giving the group's sign
+pattern plus a table from pattern to ``(target, update)``.  Each distinct
+update list becomes one tuple builder and each grammar output one function
+of the values tuple.  Their Python source is generated from register
+indices and integer literals only, never from names in the input, and is
+compiled once per distinct source text.  The source ``Edge``/``Guard``/
+``Update`` objects stay in ``edges`` for parsing, rendering and tests.
 
 Instruction sets restrict which update and guard forms a machine may use:
 
@@ -21,14 +32,14 @@ Instruction sets restrict which update and guard forms a machine may use:
 * ``extended``: anything, including outputs that divide registers.
 
 Per-state outputs are either grammar objects (``0``, ``inf``, a register,
-or a register quotient) or arbitrary callables for machines whose output
-map needs arithmetic the file grammar cannot spell (those machines cannot
-be rendered to text).
+or a register quotient) or callables ``f(values)`` of the values tuple, for
+machines whose output map needs arithmetic the file grammar cannot spell
+(those machines cannot be rendered to text).
 """
 
 import enum
+import functools
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,7 +88,10 @@ class Guard:
 
 TRUE_GUARD = Guard(())
 
-_UPDATE_KINDS = ("zero", "one", "inc", "dec", "add", "copy")
+# generated expression per update kind over the values tuple ``v``; ``t`` is
+# the target's register index and ``o`` the operand's
+_UPDATE_CODE = {"zero": "0", "one": "1", "inc": "v[{t}] + 1", "dec": "v[{t}] - 1",
+                "add": "v[{t}] + v[{o}]", "copy": "v[{o}]"}
 
 
 @dataclass(frozen=True)
@@ -87,23 +101,10 @@ class Update:
     operand: str = None
 
     def __post_init__(self):
-        if self.kind not in _UPDATE_KINDS:
+        if self.kind not in _UPDATE_CODE:
             raise MachineError(f"unknown update kind {self.kind!r}")
         if self.kind in ("add", "copy") and self.operand is None:
             raise MachineError(f"update {self.kind} needs an operand register")
-
-    def value(self, valuation):
-        if self.kind == "zero":
-            return 0
-        if self.kind == "one":
-            return 1
-        if self.kind == "inc":
-            return valuation[self.target] + 1
-        if self.kind == "dec":
-            return valuation[self.target] - 1
-        if self.kind == "add":
-            return valuation[self.target] + valuation[self.operand]
-        return valuation[self.operand]
 
     def render(self):
         rhs = {"zero": "0", "one": "1", "inc": f"{self.target}+1",
@@ -130,16 +131,6 @@ class OutputSpec:
         self.kind = kind
         self.regs = regs
 
-    def eval(self, valuation):
-        if self.kind == "zero":
-            return 0
-        if self.kind == "inf":
-            return dom.INF
-        if self.kind == "reg":
-            return valuation[self.regs[0]]
-        num, den = valuation[self.regs[0]], valuation[self.regs[1]]
-        return Fraction(num, den) if den else Fraction(0)
-
     def render(self):
         if self.kind == "zero":
             return "0"
@@ -162,20 +153,11 @@ def out_div(x, y):
     return OutputSpec("div", x, y)
 
 
-@dataclass(frozen=True)
-class Configuration:
-    state: str
-    valuation: dict
-
-    def __hash__(self):
-        return hash((self.state, tuple(sorted(self.valuation.items()))))
-
-
 _SET_UPDATES = {
     InstructionSet.COUNTER: {"zero", "inc"},
     InstructionSet.COUNTER_INC_DEC: {"zero", "inc", "dec"},
     InstructionSet.ADDER: {"one", "add", "copy"},
-    InstructionSet.EXTENDED: set(_UPDATE_KINDS),
+    InstructionSet.EXTENDED: set(_UPDATE_CODE),
 }
 
 
@@ -187,6 +169,41 @@ def _atom_allowed(atom, iset):
     if iset is InstructionSet.COUNTER:
         return not isinstance(atom.right, int) or atom.right == 0
     return not isinstance(atom.right, int)  # adder compares registers
+
+
+# the only names generated code can see
+_CODE_GLOBALS = {"__builtins__": {}, "Fraction": Fraction, "INF": dom.INF}
+
+
+@functools.lru_cache(maxsize=1024)
+def _compile(source):
+    """The function that ``source``, a lambda over the values tuple ``v``
+    written from register indices and integer literals, denotes."""
+    return eval(source, _CODE_GLOBALS)
+
+
+def _update_source(width, assigned):
+    exprs = [f"v[{i}]" for i in range(width)]
+    for t, kind, o in assigned:
+        exprs[t] = _UPDATE_CODE[kind].format(t=t, o=o)
+    return f"lambda v: ({', '.join(exprs)},)"
+
+
+def _output_source(out, rid):
+    if out.kind == "zero":
+        return "lambda v: 0"
+    if out.kind == "inf":
+        return "lambda v: INF"
+    if out.kind == "reg":
+        return f"lambda v: v[{rid[out.regs[0]]}]"
+    num, den = rid[out.regs[0]], rid[out.regs[1]]
+    return f"lambda v: Fraction(v[{num}], v[{den}]) if v[{den}] else Fraction(0)"
+
+
+def _select_source(tests):
+    """Sign pattern of a group's atom tests: bit i is set when test i holds."""
+    return "lambda v: " + " | ".join(f"({t}) << {i}" if i else f"({t})"
+                                     for i, t in enumerate(tests))
 
 
 class RegisterMachine:
@@ -202,126 +219,137 @@ class RegisterMachine:
         self.instruction_set = instruction_set
         self.output_domain = output_domain
         self.monotonicity = monotonicity
-        self._by_key = {}
-        for e in self.edges:
-            self._by_key.setdefault((e.source, e.symbol), []).append(e)
-        self._validate()
+        self._lower()
 
-    # -- validation ------------------------------------------------------
+    # -- validation and lowering -------------------------------------------
 
-    def _validate(self):
-        regs = set(self.registers)
-        if len(regs) != len(self.registers):
+    def _lower(self):
+        """Validate the machine and compile its flat form in one pass over
+        the edges: per state id a row from symbol to transition entry, and
+        per state id an output function."""
+        rid = {r: i for i, r in enumerate(self.registers)}
+        if len(rid) != len(self.registers):
             raise MachineError("duplicate register names")
-        if len(set(self.states)) != len(self.states):
+        sid = {q: i for i, q in enumerate(self.states)}
+        if len(sid) != len(self.states):
             raise MachineError("duplicate state names")
-        if self.initial not in self.states:
+        if self.initial not in sid:
             raise MachineError(f"unknown initial state {self.initial!r}")
+        symbols = set(self.alphabet)
+        outs = tuple(self._lower_output(q, rid) for q in self.states)
+        rows = [{} for _ in self.states]
+        allowed = _SET_UPDATES[self.instruction_set]
+        builders, arms, groups = {(): None}, {}, {}
         for e in self.edges:
-            if e.source not in self.states or e.target not in self.states:
+            src, dst = sid.get(e.source), sid.get(e.target)
+            if src is None or dst is None:
                 raise MachineError(f"edge {e} references unknown states")
-            if e.symbol not in self.alphabet:
+            if e.symbol not in symbols:
                 raise MachineError(f"edge {e} uses symbol outside the alphabet")
-            self._check_instructions(e, regs)
-            targets = [u.target for u in e.updates]
-            if len(set(targets)) != len(targets):
-                raise MachineError(f"edge {e.source}--{e.symbol}: register assigned twice")
-        for q in self.states:
-            if q not in self.outputs:
-                raise MachineError(f"state {q!r} has no output")
-            out = self.outputs[q]
-            if isinstance(out, OutputSpec):
-                for r in out.regs:
-                    if r not in regs:
-                        raise MachineError(f"output of {q!r} uses unknown register {r!r}")
-                if out.kind == "div" and self.instruction_set is not InstructionSet.EXTENDED:
-                    raise MachineError("dividing outputs need the extended instruction set")
-        for q in self.states:
-            for a in self.alphabet:
-                group = self._by_key.get((q, a))
-                if not group:
-                    raise MachineError(f"missing case: no edge from {q!r} on {a!r}")
-                self._check_case_split(q, a, group)
-        self._probe_determinism()
+            atoms = tuple(self._lower_atom(atom, rid) for atom in e.guard.atoms) \
+                if e.guard.atoms else ()
+            assigned = self._lower_updates(e, rid, allowed) if e.updates else ()
+            try:
+                update = builders[assigned]
+            except KeyError:
+                update = builders[assigned] = _compile(_update_source(len(rid), assigned))
+            arm = arms.get((dst, update))
+            if arm is None:
+                arm = arms[dst, update] = (dst, rows[dst], update, outs[dst])
+            groups.setdefault((src, e.symbol), []).append((e.guard, atoms, arm))
+        if len(groups) != len(rows) * len(symbols):
+            for q in self.states:
+                for a in self.alphabet:
+                    if (sid[q], a) not in groups:
+                        raise MachineError(f"missing case: no edge from {q!r} on {a!r}")
+        for (src, a), group in groups.items():
+            rows[src][a] = self._lower_group(self.states[src], a, group)
+        self._initial_id = sid[self.initial]
+        self._rows = rows
+        self._outputs = outs
 
-    def _check_instructions(self, edge, regs):
-        iset = self.instruction_set
-        for atom in edge.guard.atoms:
-            if atom.left not in regs or \
-                    (not isinstance(atom.right, int) and atom.right not in regs):
-                raise MachineError(f"guard {atom.render()} uses unknown register")
-            if not _atom_allowed(atom, iset):
-                raise MachineError(
-                    f"guard atom {atom.render()} not allowed by instruction set {iset.value}")
+    def _lower_output(self, q, rid):
+        if q not in self.outputs:
+            raise MachineError(f"state {q!r} has no output")
+        out = self.outputs[q]
+        if not isinstance(out, OutputSpec):
+            return out
+        for r in out.regs:
+            if r not in rid:
+                raise MachineError(f"output of {q!r} uses unknown register {r!r}")
+        if out.kind == "div" and self.instruction_set is not InstructionSet.EXTENDED:
+            raise MachineError("dividing outputs need the extended instruction set")
+        return _compile(_output_source(out, rid))
+
+    def _lower_atom(self, atom, rid):
+        """The atom's ``>=`` test over ``v`` and its negation flag."""
+        left = rid.get(atom.left)
+        if isinstance(atom.right, int):
+            right = f"{int(atom.right):d}"
+        else:
+            right = rid.get(atom.right)
+            right = None if right is None else f"v[{right}]"
+        if left is None or right is None:
+            raise MachineError(f"guard {atom.render()} uses unknown register")
+        if not _atom_allowed(atom, self.instruction_set):
+            raise MachineError(f"guard atom {atom.render()} not allowed by instruction "
+                               f"set {self.instruction_set.value}")
+        return f"v[{left}] >= {right}", atom.negated
+
+    def _lower_updates(self, edge, rid, allowed):
+        """The edge's updates as a sorted tuple of (target index, kind,
+        operand index)."""
+        assigned = []
         for u in edge.updates:
-            if u.target not in regs or (u.operand is not None and u.operand not in regs):
+            t = rid.get(u.target)
+            o = None if u.operand is None else rid.get(u.operand)
+            if t is None or (u.operand is not None and o is None):
                 raise MachineError(f"update {u.render()} uses unknown register")
-            if u.kind not in _SET_UPDATES[iset]:
-                raise MachineError(
-                    f"update {u.render()} not allowed by instruction set {iset.value}")
+            if u.kind not in allowed:
+                raise MachineError(f"update {u.render()} not allowed by instruction "
+                                   f"set {self.instruction_set.value}")
+            assigned.append((t, u.kind, o))
+        if len({t for t, _, _ in assigned}) != len(assigned):
+            raise MachineError(f"edge {edge.source}--{edge.symbol}: register assigned twice")
+        return tuple(sorted(assigned))
 
-    def _check_case_split(self, q, a, group):
+    @staticmethod
+    def _lower_group(q, a, group):
+        """The transition entry of the (q, a) edges: ``(None, arm)`` for a
+        lone edge, else the sign-pattern function and the arm per pattern.
+        Raises unless the guards enumerate every sign pattern of one atom
+        set exactly once, which makes exactly one edge fire."""
         if len(group) == 1:
-            if group[0].guard.atoms:
+            guard, atoms, arm = group[0]
+            if atoms:
                 raise MachineError(
                     f"single edge from {q!r} on {a!r} must carry the trivial guard; "
-                    f"got [{group[0].guard.render()}]")
-            return
-        base = {(atom.left, atom.right) for atom in group[0].guard.atoms}
-        patterns = set()
-        for e in group:
-            atoms = e.guard.atoms
-            if {(x.left, x.right) for x in atoms} != base or len(atoms) != len(base):
+                    f"got [{guard.render()}]")
+            return None, arm
+        tests = [test for test, _ in group[0][1]]
+        position = {test: i for i, test in enumerate(tests)}
+        table = [None] * (1 << len(tests))
+        for _, atoms, arm in group:
+            seen = pattern = 0
+            for test, negated in atoms:
+                i = position.get(test)
+                if i is None or seen >> i & 1:
+                    break
+                seen |= 1 << i
+                if not negated:
+                    pattern |= 1 << i
+            if len(atoms) != len(tests) or seen != len(table) - 1:
                 raise MachineError(
                     f"edges from {q!r} on {a!r} must split cases over one atom set")
-            pattern = tuple(sorted((x.left, str(x.right), x.negated) for x in atoms))
-            if pattern in patterns:
+            if table[pattern] is not None:
                 raise MachineError(f"overlapping guards from {q!r} on {a!r}")
-            patterns.add(pattern)
-        if len(patterns) != 2 ** len(base):
+            table[pattern] = arm
+        covered = len(table) - table.count(None)
+        if covered != len(table):
             raise MachineError(
                 f"guards from {q!r} on {a!r} do not cover all cases "
-                f"({len(patterns)} of {2 ** len(base)} sign patterns)")
-
-    def _probe_determinism(self):
-        rng = random.Random(7)
-        pool = (0, 1, 2, 3, 5, 10)
-        probes = [dict.fromkeys(self.registers, 0),
-                  dict.fromkeys(self.registers, 2)]
-        for _ in range(24):
-            probes.append({r: rng.choice(pool) for r in self.registers})
-        for (q, a), group in self._by_key.items():
-            if len(group) == 1:
-                continue
-            for valuation in probes:
-                hits = sum(1 for e in group if e.guard.holds(valuation))
-                if hits != 1:
-                    raise MachineError(
-                        f"guards from {q!r} on {a!r} select {hits} edges for "
-                        f"valuation {valuation}")
-
-    # -- execution ---------------------------------------------------------
-
-    def initial_configuration(self):
-        return Configuration(self.initial, dict.fromkeys(self.registers, 0))
-
-    def _fire(self, state, valuation, symbol):
-        group = self._by_key.get((state, symbol))
-        if group is None:
-            raise MachineError(f"symbol {symbol!r} is outside machine {self.name}'s alphabet")
-        for e in group:
-            if e.guard.holds(valuation):
-                new_valuation = dict(valuation)
-                for u in e.updates:
-                    new_valuation[u.target] = u.value(valuation)
-                return e.target, new_valuation
-        raise MachineError(f"no guard held from {state!r} on {symbol!r} (valuation {valuation})")
-
-    def output(self, state, valuation):
-        out = self.outputs[state]
-        if isinstance(out, OutputSpec):
-            return out.eval(valuation)
-        return out(state, valuation)
+                f"({covered} of {len(table)} sign patterns)")
+        return _compile(_select_source(tests)), tuple(table)
 
     def has_grammar_outputs(self):
         return all(isinstance(o, OutputSpec) for o in self.outputs.values())
@@ -332,32 +360,48 @@ class RegisterMachine:
 
 
 class MachineRun:
-    """Single run of a machine; one instance per trace."""
+    """Single run of a machine; one instance per trace.
+
+    ``value`` is the current output and ``config()`` the hashable
+    ``(state, values)`` configuration, with ``values`` in the machine's
+    ``registers`` order.
+    """
+
+    __slots__ = ("_m", "_state", "_row", "_values", "value")
 
     def __init__(self, machine):
         self._m = machine
-        self._state = machine.initial
-        self._valuation = dict.fromkeys(machine.registers, 0)
-        self.value = machine.output(self._state, self._valuation)
+        self._state = q = machine._initial_id
+        self._row = machine._rows[q]
+        self._values = (0,) * len(machine.registers)
+        self.value = machine._outputs[q](self._values)
 
     def step(self, symbol):
-        self._state, self._valuation = self._m._fire(self._state, self._valuation, symbol)
-        self.value = self._m.output(self._state, self._valuation)
-        return self.value
+        try:
+            select, arm = self._row[symbol]
+        except KeyError:
+            raise MachineError(f"symbol {symbol!r} is outside machine "
+                               f"{self._m.name}'s alphabet") from None
+        values = self._values
+        if select is not None:
+            arm = arm[select(values)]
+        self._state, self._row, update, out = arm
+        if update is not None:
+            self._values = values = update(values)
+        self.value = value = out(values)
+        return value
 
     def config(self):
-        return (self._state, tuple(self._valuation[r] for r in self._m.registers))
-
-    def configuration(self):
-        return Configuration(self._state, dict(self._valuation))
+        return self._m.states[self._state], self._values
 
 
 def run(machine, s):
-    """Run the machine on a finite trace; the final configuration and output."""
+    """Run the machine on a finite trace; the final ``(state, values)``
+    configuration and output."""
     r = MachineRun(machine)
     for sym in s:
         r.step(sym)
-    return r.configuration(), r.value
+    return r.config(), r.value
 
 
 def generated_verdict(machine):
@@ -566,16 +610,15 @@ def build_mavg():
     ]
     edges += [Edge("sink", a, TRUE_GUARD, (), "sink") for a in alphabet]
 
-    def out_idle(state, valuation):
-        return Fraction(valuation["total"], valuation["count"]) \
-            if valuation["count"] else Fraction(0)
+    def out_idle(values):
+        total, count, _ = values
+        return Fraction(total, count) if count else Fraction(0)
 
-    def out_pending(state, valuation):
-        return Fraction(valuation["total"] + valuation["burst"] - 1,
-                        valuation["count"] + 1)
+    def out_pending(values):
+        total, count, burst = values
+        return Fraction(total + burst - 1, count + 1)
 
-    outputs = {"idle": out_idle, "pending": out_pending,
-               "sink": lambda st, v: dom.INF}
+    outputs = {"idle": out_idle, "pending": out_pending, "sink": lambda v: dom.INF}
     return RegisterMachine("Mavg", ("total", "count", "burst"),
                            ("idle", "pending", "sink"), alphabet, "idle", edges,
                            outputs, InstructionSet.EXTENDED, dom.RATINF)
@@ -636,7 +679,7 @@ def build_finite_state_mrt(cap):
                               f"p{m}_{min(cap, n + 1)}"))
     values["sat"] = cap
     edges += [Edge("sat", a, TRUE_GUARD, (), "sat") for a in alphabet]
-    outputs = {q: (lambda st, v, c=values[q]: c) for q in states}
+    outputs = {q: (lambda v, c=values[q]: c) for q in states}
     return RegisterMachine(f"Mfin{cap}", (), tuple(states), alphabet, "i0", edges,
                            outputs, InstructionSet.EXTENDED, dom.NATINF,
                            monotonicity=Monotonicity.INCREASING)
@@ -657,11 +700,11 @@ def _status_states(k):
     return ["".join(c) for c in itertools.product("IPD", repeat=k)]
 
 
-def _kpair_output(statuses, max_reg_of):
-    def out(state, valuation, cs=statuses):
-        return tuple(dom.INF if c == "D" else valuation[max_reg_of(i + 1)]
-                     for i, c in enumerate(cs))
-    return out
+def _kpair_output(statuses, regs, max_reg_of):
+    """Output over the values tuple: each pair's max register, inf once dead."""
+    picks = ", ".join("INF" if c == "D" else f"v[{regs.index(max_reg_of(i + 1))}]"
+                      for i, c in enumerate(statuses))
+    return _compile(f"lambda v: ({picks},)")
 
 
 def build_kpair_monitor(k):
@@ -674,7 +717,7 @@ def build_kpair_monitor(k):
     outputs = {}
     for statuses in itertools.product("IPD", repeat=k):
         st = "".join(statuses)
-        outputs[st] = _kpair_output(statuses, lambda i: f"y{i}")
+        outputs[st] = _kpair_output(statuses, regs, lambda i: f"y{i}")
         for sym in alphabet:
             kind, j = _classify_server_symbol(sym, sa)
             new = list(statuses)
@@ -738,7 +781,7 @@ def _build_kpair_shared(k, max_reg_of, regs, name):
 
     for statuses in itertools.product("IPD", repeat=k):
         st = "".join(statuses)
-        outputs[st] = _kpair_output(statuses, max_reg_of)
+        outputs[st] = _kpair_output(statuses, regs, max_reg_of)
         before = _serving(statuses)
         for sym in alphabet:
             kind, j = _classify_server_symbol(sym, sa)
@@ -825,6 +868,7 @@ def build_kpair_sequential(k):
     """
     sa = server_alphabet(k)
     alphabet = sa.alphabet
+    regs = ("z", "x")
     edges = []
     outputs = {}
     states = [f"{st}_t{t}_{ph}" for st in _status_states(k)
@@ -846,7 +890,7 @@ def build_kpair_sequential(k):
         for t in range(1, k + 1):
             for ph in "wc":
                 st = state_name(statuses, t, ph)
-                outputs[st] = _kpair_output(statuses, lambda i: "z")
+                outputs[st] = _kpair_output(statuses, regs, lambda i: "z")
                 for sym in alphabet:
                     kind, j = _classify_server_symbol(sym, sa)
                     new = list(statuses)
@@ -891,9 +935,9 @@ def build_kpair_sequential(k):
                     t2 = normalize(new, t)
                     edges.append(Edge(st, sym, TRUE_GUARD, (),
                                       state_name(new, t2, "w")))
-    outputs["alldead"] = lambda state, valuation: (dom.INF,) * k
+    outputs["alldead"] = lambda v, dead=(dom.INF,) * k: dead
     edges += [Edge("alldead", a, TRUE_GUARD, (), "alldead") for a in alphabet]
-    return RegisterMachine(f"Mkseq{k}", ("z", "x"), tuple(states), alphabet,
+    return RegisterMachine(f"Mkseq{k}", regs, tuple(states), alphabet,
                            state_name(("I",) * k, 1, "w"), edges, outputs,
                            InstructionSet.COUNTER, dom.product(dom.NATINF, k),
                            monotonicity=Monotonicity.INCREASING)
@@ -1148,9 +1192,9 @@ def build_doubling_adder():
         Edge("outside", "a", TRUE_GUARD, (Update("x", "one"),), "inblock"),
         Edge("outside", "b", TRUE_GUARD, (), "outside"),
     ]
-    outputs = {"virgin": lambda st, v: 1,
-               "inblock": lambda st, v: max(2 * v["x"], 2 * v["y"]),
-               "outside": lambda st, v: 2 * v["y"]}
+    outputs = {"virgin": lambda v: 1,
+               "inblock": lambda v: 2 * max(v[0], v[1]),
+               "outside": lambda v: 2 * v[1]}
     return RegisterMachine("Madd", ("x", "y"), ("virgin", "inblock", "outside"),
                            alphabet, "virgin", edges, outputs, InstructionSet.ADDER,
                            dom.NATINF, monotonicity=Monotonicity.INCREASING)
@@ -1166,7 +1210,7 @@ def build_doubling_counter():
              (Update("c", "inc"),), "q"),
         Edge("q", "b", TRUE_GUARD, (Update("c", "zero"),), "q"),
     ]
-    outputs = {"q": lambda st, v: 2 * v["m"]}
+    outputs = {"q": lambda v: 2 * v[1]}
     return RegisterMachine("Mcount", ("c", "m"), ("q",), alphabet, "q", edges,
                            outputs, InstructionSet.COUNTER, dom.NATINF,
                            monotonicity=Monotonicity.INCREASING)

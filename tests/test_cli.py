@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -96,6 +97,16 @@ class TestRun:
             input="req\nack\nreq\nother\nack\n", capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.split() == ["0", "1", "1", "1", "2"]
+
+    def test_streaming_unknown_symbol_exits_2(self):
+        mspec = pathlib.Path(__file__).resolve().parents[1] / "demos/machines/mmax.mspec"
+        proc = subprocess.run(
+            [sys.executable, "-m", "quantmon.cli", "run", str(mspec), "--stdin"],
+            input="req\nbogus\n", capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout.splitlines() == ["0"]
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error:") and "'bogus'" in proc.stderr
 
 
 class TestEval:

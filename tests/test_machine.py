@@ -1,8 +1,11 @@
 import itertools
+import pathlib
 import random
 from fractions import Fraction
+from functools import lru_cache, partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantmon import domain as dom
 from quantmon import machine as mc
@@ -43,6 +46,17 @@ class TestValidation:
                                {"q": mc.OUT_ZERO}, mc.InstructionSet.COUNTER,
                                dom.NATINF)
 
+    def test_guards_over_different_atom_sets_rejected(self):
+        a = Alphabet(("a",))
+        xy, x0 = mc.GuardAtom("x", "y"), mc.GuardAtom("x", 0)
+        for second in ((xy.complement(), x0), (x0,), (xy.complement(), xy.complement())):
+            edges = [mc.Edge("q", "a", mc.Guard((xy,)), (), "q"),
+                     mc.Edge("q", "a", mc.Guard(second), (), "q")]
+            with pytest.raises(MachineError, match="one atom set"):
+                mc.RegisterMachine("bad", ("x", "y"), ("q",), a, "q", edges,
+                                   {"q": mc.OUT_ZERO}, mc.InstructionSet.COUNTER,
+                                   dom.NATINF)
+
     def test_counter_output_restriction(self):
         a = Alphabet(("a",))
         edges = [mc.Edge("q", "a", mc.TRUE_GUARD, (), "q")]
@@ -65,9 +79,12 @@ class TestValidation:
         for machine in (mc.build_mmax(), mc.build_kpair_monitor(2),
                         mc.build_pk_monitor(3), mc.build_doubling_adder()):
             valuation = {r: rng.randint(0, 12) for r in machine.registers}
+            groups = {}
+            for e in machine.edges:
+                groups.setdefault((e.source, e.symbol), []).append(e)
             for q in machine.states:
                 for a in machine.alphabet:
-                    group = machine._by_key[(q, a)]
+                    group = groups[(q, a)]
                     hits = sum(1 for e in group if e.guard.holds(valuation))
                     assert hits == 1
 
@@ -114,9 +131,9 @@ class TestMmax:
         assert out == dom.INF
 
     def test_empty_trace_outputs_initial(self, server):
-        cfg, out = mc.run(mc.build_mmax(), FiniteTrace((), server))
-        assert out == 0 and cfg.state == "idle"
-        assert set(cfg.valuation.values()) == {0}
+        (state, values), out = mc.run(mc.build_mmax(), FiniteTrace((), server))
+        assert out == 0 and state == "idle"
+        assert set(values) == {0}
 
     def test_exhaustive_equivalence_short(self, server):
         v = mc.generated_verdict(mc.build_mmax())
@@ -390,14 +407,14 @@ class TestDoubling:
         for machine in (mc.build_mmax(), mc.build_doubling_counter()):
             for _ in range(40):
                 s = random_finite_trace(rng, machine.alphabet, rng.randint(0, 30))
-                cfg, _ = mc.run(machine, s)
-                assert all(v <= len(s) for v in cfg.valuation.values()), machine.name
+                (_, values), _ = mc.run(machine, s)
+                assert all(v <= len(s) for v in values), machine.name
 
     def test_adder_grows_exponentially(self):
         m = mc.build_doubling_adder()
         s = parse_finite(" ".join(["a"] * 10), m.alphabet)
-        cfg, _ = mc.run(m, s)
-        assert max(cfg.valuation.values()) == 2 ** 9  # beyond any linear bound
+        (_, values), _ = mc.run(m, s)
+        assert max(values) == 2 ** 9  # beyond any linear bound
 
     def test_lasso_limits(self):
         va = mc.generated_verdict(mc.build_doubling_adder())
@@ -425,3 +442,110 @@ class TestGeneratedVerdictEquivalences:
         v = mc.generated_verdict(m)
         assert v(FiniteTrace(("a", "a"), a)) == 0
         assert eval_limsup(v, lasso((), ("a",), a), SMALL).value == 0
+
+
+DEMO_MACHINES = pathlib.Path(__file__).resolve().parents[1] / "demos" / "machines"
+
+BUILT_MACHINES = {
+    "Mmax": mc.build_mmax, "Mavg": mc.build_mavg, "Mavg2": mc.build_mavg_running,
+    **{f"Mfin{cap}": partial(mc.build_finite_state_mrt, cap) for cap in (1, 2, 3, 4)},
+    "Mkpair2": partial(mc.build_kpair_monitor, 2),
+    "Mkpair3": partial(mc.build_kpair_monitor, 3),
+    "Mkprio3": partial(mc.build_kpair_priority, 3),
+    "Mkgrp3": partial(mc.build_kpair_grouped, 3),
+    "Mkseq3": partial(mc.build_kpair_sequential, 3),
+    "Mkseq4": partial(mc.build_kpair_sequential, 4),
+    "Mpk4": partial(mc.build_pk_monitor, 4),
+    "Mpk4l2": partial(mc.build_pk_approx, 4, 2),
+    "Mpk4l3": partial(mc.build_pk_approx, 4, 3),
+    "Mbin3": partial(mc.build_binary_pk, 3),
+    "Madd": mc.build_doubling_adder, "Mcount": mc.build_doubling_counter,
+    **{name: (lambda path=DEMO_MACHINES / name: mc.load_machine(path.read_text()))
+       for name in ("mmax.mspec", "mavg.mspec")},
+}
+
+
+@lru_cache(maxsize=None)
+def _built(name):
+    """The machine and its edges grouped by (source, symbol)."""
+    machine = BUILT_MACHINES[name]()
+    groups = {}
+    for e in machine.edges:
+        groups.setdefault((e.source, e.symbol), []).append(e)
+    return machine, groups
+
+
+def _reference_update(u, valuation):
+    if u.kind in ("zero", "one"):
+        return int(u.kind == "one")
+    if u.kind == "inc":
+        return valuation[u.target] + 1
+    if u.kind == "dec":
+        return valuation[u.target] - 1
+    if u.kind == "add":
+        return valuation[u.target] + valuation[u.operand]
+    return valuation[u.operand]
+
+
+def _reference_output(machine, state, valuation):
+    out = machine.outputs[state]
+    if not isinstance(out, mc.OutputSpec):
+        return out(tuple(valuation[r] for r in machine.registers))
+    if out.kind == "zero":
+        return 0
+    if out.kind == "inf":
+        return dom.INF
+    if out.kind == "reg":
+        return valuation[out.regs[0]]
+    num, den = (valuation[r] for r in out.regs)
+    return Fraction(num, den) if den else Fraction(0)
+
+
+def reference_run(machine, groups, symbols):
+    """(value, config) after each prefix, from the source edges: the one
+    edge whose guard holds fires, its updates reading the pre-step valuation."""
+    state, valuation = machine.initial, dict.fromkeys(machine.registers, 0)
+
+    def snapshot():
+        return (_reference_output(machine, state, valuation),
+                (state, tuple(valuation[r] for r in machine.registers)))
+
+    seen = [snapshot()]
+    for sym in symbols:
+        fired = [e for e in groups[(state, sym)] if e.guard.holds(valuation)]
+        assert len(fired) == 1, (state, sym, valuation)
+        edge = fired[0]
+        updated = dict(valuation)
+        for u in edge.updates:
+            updated[u.target] = _reference_update(u, valuation)
+        state, valuation = edge.target, updated
+        seen.append(snapshot())
+    return seen
+
+
+def _traces(alphabet):
+    """Traces of length 0-60; half open on a doubled symbol (a double
+    request on the server alphabets, which reaches a sink)."""
+    sym = st.sampled_from(alphabet.symbols)
+    doubled = st.tuples(sym, st.lists(sym, max_size=58)).map(lambda p: [p[0], p[0], *p[1]])
+    return st.one_of(st.lists(sym, max_size=60), doubled)
+
+
+class TestCompiledStepper:
+    @pytest.mark.parametrize("name", sorted(BUILT_MACHINES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_interpreter(self, name, data):
+        machine, groups = _built(name)
+        symbols = data.draw(_traces(machine.alphabet))
+        run = mc.MachineRun(machine)
+        got = [(run.value, run.config())]
+        for sym in symbols:
+            got.append((run.step(sym), run.config()))
+        assert got == reference_run(machine, groups, symbols)
+        assert mc.run(machine, symbols) == got[-1][::-1]
+
+    def test_unknown_symbol_names_it(self):
+        run = mc.MachineRun(mc.build_mmax())
+        with pytest.raises(MachineError, match="'bogus'"):
+            run.step("bogus")
