@@ -15,7 +15,7 @@ from functools import cached_property
 
 from . import domain as dom
 from .errors import AcceptanceKindError, AutomatonError
-from .trace import Alphabet, all_finite_traces, all_lassos
+from .trace import Alphabet, all_finite_traces, all_lassos, read_sections
 from .verdict import (
     FunctionStepper, LimitKind, Monotonicity, VerdictFunction,
     DEFAULT_BUDGET, eval_liminf, eval_limsup,
@@ -33,6 +33,11 @@ class AcceptanceKind(enum.Enum):
 class Side(enum.Enum):
     BELOW = "below"
     ABOVE = "above"
+
+    def covers(self, d, estimate, target):
+        """Does ``estimate`` approximate ``target`` from this side in ``d``:
+        at most it from below, at least it from above?"""
+        return d.le(estimate, target) if self is Side.BELOW else d.le(target, estimate)
 
 
 class BooleanPropertyAutomaton:
@@ -253,10 +258,7 @@ def characteristic_property(P):
 
 def _state_output_verdict(P, out_fn, codomain, monotonicity, name):
     factory = lambda alphabet: FunctionStepper(P.initial, P.step, out_fn)
-    return VerdictFunction(codomain,
-                           evaluate=lambda s: out_fn(P.run_state(s)),
-                           stepper_factory=factory,
-                           monotonicity=monotonicity, name=name)
+    return VerdictFunction(codomain, factory, monotonicity, name)
 
 
 def monitor_safety(P):
@@ -497,11 +499,6 @@ class ModalityReport:
         return " ".join(parts)
 
 
-def _limit(verdict, t, side, budget):
-    fn = eval_limsup if side is Side.BELOW else eval_liminf
-    return fn(verdict, t, budget)
-
-
 def classify_modality(verdict, prop, side, suite, *, budget=DEFAULT_BUDGET,
                       existential_prefix_len=None, continuation_stems=2,
                       continuation_loops=2):
@@ -518,15 +515,15 @@ def classify_modality(verdict, prop, side, suite, *, budget=DEFAULT_BUDGET,
     # compare in the property's domain when it declares one: a coarser
     # verdict codomain (naturals vs. rationals) embeds into it
     d = getattr(prop, "codomain", None) or verdict.codomain
+    limit = eval_limsup if side is Side.BELOW else eval_liminf
     approx_witnesses, universal_witnesses, unresolved = [], [], []
     for t in suite:
-        res = _limit(verdict, t, side, budget)
+        res = limit(verdict, t, budget)
         pv = prop_fn(t)
         if not res.is_determined:
             unresolved.append(t)
             continue
-        ok_approx = d.le(res.value, pv) if side is Side.BELOW else d.le(pv, res.value)
-        if not ok_approx:
+        if not side.covers(d, res.value, pv):
             approx_witnesses.append((t, res.value, pv))
         if res.value != pv:
             universal_witnesses.append((t, res.value, pv))
@@ -542,7 +539,7 @@ def classify_modality(verdict, prop, side, suite, *, budget=DEFAULT_BUDGET,
             found = False
             for g in all_lassos(alphabet, continuation_stems, continuation_loops):
                 t = g.prepend(s)
-                res = _limit(verdict, t, side, budget)
+                res = limit(verdict, t, budget)
                 if res.is_determined and res.value == prop_fn(t):
                     found = True
                     break
@@ -654,27 +651,13 @@ def load_automaton(text):
     (state, symbol).  For safety automata the accept set lists the bad trap
     states; for co-safety automata the good trap states.
     """
-    header = {}
-    transition_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, rest = line.partition(":")
-        if sep and key in ("alphabet", "states", "initial", "accept-kind", "accept"):
-            header[key] = rest.split()
-        else:
-            transition_lines.append((lineno, line))
-    for required in ("alphabet", "states", "initial", "accept-kind"):
-        if required not in header:
-            raise AutomatonError(f"missing '{required}:' line")
+    header, transition_lines = read_sections(
+        text, ("alphabet", "states", "initial", "accept-kind"), AutomatonError, ("accept",))
     alphabet = Alphabet(tuple(header["alphabet"]))
     try:
         kind = AcceptanceKind(header["accept-kind"][0])
     except (ValueError, IndexError):
         raise AutomatonError(f"bad accept-kind {header['accept-kind']}")
-    if len(header["initial"]) != 1:
-        raise AutomatonError("initial must name exactly one state")
     transitions = {}
     for lineno, line in transition_lines:
         parts = line.split()

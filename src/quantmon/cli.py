@@ -22,10 +22,10 @@ from . import domain as dom
 from . import machine as mc
 from . import precision as pr
 from . import qprop as qp
-from .errors import QuantmonError
+from .errors import InputError, QuantmonError
 from .trace import parse_finite, parse_lasso
-from .verdict import (LimitBudget, eval_liminf, eval_limsup, verdict_csv_lines,
-                      verdict_sequence)
+from .verdict import (LimitBudget, constant_verdict, eval_liminf, eval_limsup,
+                      verdict_csv_lines, verdict_sequence)
 from .boolprop import Side
 
 
@@ -37,10 +37,19 @@ def _read(path):
         raise QuantmonError(f"cannot read {path}: {exc.strerror}")
 
 
+def _int(text, what, least):
+    if not text.isdecimal() or int(text) < least:
+        raise InputError(f"{what} must be an integer >= {least}, got {text!r}")
+    return int(text)
+
+
 def _budget(args):
+    try:
+        epsilon = Fraction(args.epsilon) if args.epsilon else Fraction(0)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"--epsilon must be a rational number, got {args.epsilon!r}") from None
     return LimitBudget(max_loop_iterations=args.budget_iters,
-                       confirm_window=args.confirm_window,
-                       epsilon=Fraction(args.epsilon) if args.epsilon else Fraction(0))
+                       confirm_window=args.confirm_window, epsilon=epsilon)
 
 
 def _emit(lines, out_path):
@@ -63,7 +72,7 @@ def _property_for(selector):
     if selector == "art":
         return qp.art_property()
     if selector.startswith("kmrt:"):
-        return qp.kpair_property(int(selector.split(":", 1)[1]))
+        return qp.kpair_property(_int(selector.split(":", 1)[1], "kmrt pair count", 1))
     if selector.startswith("disc-safe:"):
         return qp.discounted_safety_property(bp.load_automaton(_read(selector.split(":", 1)[1])))
     if selector.startswith("disc-cosafe:"):
@@ -83,20 +92,19 @@ def _verdict_for(selector):
         machine = _load_machine_file(selector.split(":", 1)[1])
         return mc.generated_verdict(machine), machine.alphabet
     if selector.startswith("const:"):
-        _, domain_name, value_text = selector.split(":", 2)
+        # values never contain ':', domain names may (prod:natinf:2)
+        domain_name, _, value_text = selector[len("const:"):].rpartition(":")
         domain = dom.parse_domain(domain_name)
-        from .verdict import constant_verdict
         return constant_verdict(domain, dom.parse_value(value_text, domain)), None
     raise QuantmonError(f"unknown verdict selector {selector!r}")
 
 
 def _suite_for(spec, alphabet, seed):
     if spec.startswith("exhaustive:"):
-        _, u, v = spec.split(":")
-        return pr.exhaustive_suite(alphabet, int(u), int(v))
+        u, _, v = spec[len("exhaustive:"):].partition(":")
+        return pr.exhaustive_suite(alphabet, _int(u, "stem bound", 0), _int(v, "loop bound", 1))
     if spec.startswith("sample:"):
-        n = int(spec.split(":", 1)[1])
-        return pr.sampled_suite(alphabet, n, seed)
+        return pr.sampled_suite(alphabet, _int(spec.split(":", 1)[1], "sample size", 1), seed)
     if spec.startswith("file:"):
         lines = [ln for ln in _read(spec.split(":", 1)[1]).splitlines()
                  if ln.split("#", 1)[0].strip()]

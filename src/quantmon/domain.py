@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .errors import (
     DomainMismatchError,
+    InputError,
     NoBoundError,
     UndefinedArithmeticError,
     UnsupportedDomainError,
@@ -378,20 +379,35 @@ def render_value(v):
     raise DomainMismatchError(f"cannot render {v!r}")
 
 
+def _top_level_parts(text):
+    """``text`` split on the commas outside any parentheses."""
+    parts, depth = [""], 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            parts.append("")
+        else:
+            parts[-1] += ch
+    return parts
+
+
 def parse_value(text, domain=None):
-    """Inverse of :func:`render_value` for scalar values."""
+    """Inverse of :func:`render_value`, nested tuples included."""
     text = text.strip()
     simple = {"T": True, "F": False, "bot": BOT, "top": TOP,
               "inf": INF, "-inf": NEG_INF}
-    if text in simple:
-        v = simple[text]
-    elif "/" in text:
-        num, _, den = text.partition("/")
-        v = Fraction(int(num), int(den))
-    elif text.startswith("(") and text.endswith(")"):
-        v = tuple(parse_value(part) for part in text[1:-1].split(","))
-    else:
-        v = int(text)
+    try:
+        if text in simple:
+            v = simple[text]
+        elif text.startswith("(") and text.endswith(")"):
+            v = tuple(parse_value(part) for part in _top_level_parts(text[1:-1]))
+        elif "/" in text:
+            num, _, den = text.partition("/")
+            v = Fraction(int(num), int(den))
+        else:
+            v = int(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"cannot parse value {text!r}") from None
     if domain is not None:
         domain.check(v)
     return v

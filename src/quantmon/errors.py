@@ -5,6 +5,10 @@ class QuantmonError(Exception):
     """Base class for all library errors."""
 
 
+class InputError(QuantmonError, ValueError):
+    """A number, bound, value or spec given as input is malformed or out of range."""
+
+
 class DomainMismatchError(QuantmonError):
     """A value does not belong to the carrier of the domain it was used with."""
 

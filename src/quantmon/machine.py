@@ -46,7 +46,7 @@ from fractions import Fraction
 from . import domain as dom
 from .errors import MachineError
 from .qprop import server_alphabet
-from .trace import Alphabet
+from .trace import Alphabet, read_sections
 from .verdict import Monotonicity, VerdictFunction
 
 
@@ -406,11 +406,8 @@ def run(machine, s):
 
 def generated_verdict(machine):
     """The verdict function generated by the machine's output stream."""
-    return VerdictFunction(machine.output_domain,
-                           evaluate=lambda s: run(machine, s)[1],
-                           stepper_factory=lambda alphabet: MachineRun(machine),
-                           monotonicity=machine.monotonicity,
-                           name=machine.name)
+    return VerdictFunction(machine.output_domain, lambda alphabet: MachineRun(machine),
+                           machine.monotonicity, machine.name)
 
 
 # -- machine text format -------------------------------------------------
@@ -496,13 +493,11 @@ def _parse_edge(body, lineno):
 
 def load_machine(text, output_domain=None, name="machine"):
     """Parse the line-based machine format (see ``render_machine``)."""
-    header = {}
+    header, body = read_sections(
+        text, ("registers", "instruction-set", "states", "initial"), MachineError)
     edges = []
     outputs = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in body:
         key, sep, rest = line.partition(":")
         key = key.strip()
         if key == "edge" and sep:
@@ -512,17 +507,14 @@ def load_machine(text, output_domain=None, name="machine"):
             if not eq:
                 raise MachineError(f"line {lineno}: output line needs '='")
             outputs[state.strip()] = _parse_output(expr)
-        elif key in ("registers", "states", "initial", "instruction-set") and sep:
-            header[key] = rest.split()
         else:
             raise MachineError(f"line {lineno}: cannot parse {line!r}")
-    for required in ("registers", "instruction-set", "states", "initial"):
-        if required not in header:
-            raise MachineError(f"missing '{required}:' line")
     try:
         iset = InstructionSet(header["instruction-set"][0])
     except (ValueError, IndexError):
         raise MachineError(f"unknown instruction set {header['instruction-set']}")
+    if not edges:
+        raise MachineError("machine has no 'edge:' lines")
     symbols = []
     for e in edges:
         if e.symbol not in symbols:

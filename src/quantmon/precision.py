@@ -11,9 +11,8 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from . import domain as dom
 from .boolprop import Side
-from .errors import UnsupportedDomainError
+from .errors import InputError, UnsupportedDomainError
 from .trace import all_lassos, random_lasso
 from .verdict import DEFAULT_BUDGET, eval_liminf, eval_limsup
 
@@ -33,7 +32,7 @@ class LassoSuite:
 
     def __post_init__(self):
         if not self.traces:
-            raise ValueError("suite must be non-empty")
+            raise InputError("suite must be non-empty")
         first = self.traces[0].alphabet
         if any(t.alphabet != first for t in self.traces):
             raise ValueError("suite traces must share an alphabet")
@@ -47,9 +46,6 @@ class LassoSuite:
 
     def __len__(self):
         return len(self.traces)
-
-    def extended(self, extras):
-        return LassoSuite(self.traces + tuple(extras), self.provenance + "+explicit")
 
 
 def exhaustive_suite(alphabet, max_stem=2, max_loop=3):
@@ -99,8 +95,53 @@ class PrecisionReport:
 
 
 def _limits(verdict, suite, side, budget):
+    """The verdict's limit row: its limsup (below) or liminf (above) on
+    every suite trace."""
     fn = eval_limsup if side is Side.BELOW else eval_liminf
     return [fn(verdict, t, budget) for t in suite]
+
+
+def _check_codomains(v1, v2):
+    if v1.codomain != v2.codomain:
+        raise UnsupportedDomainError(
+            f"cannot compare verdicts over {v1.codomain.name} and {v2.codomain.name}")
+
+
+def _classify(d, suite, side, lim1, lim2):
+    """The precision report of the first limit row against the second."""
+    rows, unresolved = [], []
+    strict = [None, None]  # first trace where v1 (resp. v2) is strictly closer
+    fails = [None, None]   # first trace where v1 (resp. v2) fails to dominate
+    for t, r1, r2 in zip(suite, lim1, lim2):
+        if not (r1.is_determined and r2.is_determined):
+            relation = "unresolved"
+            unresolved.append(t)
+        elif r1.value == r2.value:
+            relation = "eq"
+        else:
+            # v1 dominates when v2's limit approximates v1's from the side
+            covers = (side.covers(d, r2.value, r1.value), side.covers(d, r1.value, r2.value))
+            relation = "lt" if covers[0] else "gt" if covers[1] else "incomparable"
+            if relation == "lt":
+                strict[0] = strict[0] or t
+            elif relation == "gt":
+                strict[1] = strict[1] or t
+            for k in (0, 1):
+                if not covers[k]:
+                    fails[k] = fails[k] or t
+        rows.append(TraceRow(t, r1, r2, relation))
+    witness = witness_pair = None
+    if fails[0] is not None and fails[1] is not None:
+        relation, witness_pair = PrecisionRelation.INCOMPARABLE, tuple(fails)
+    elif unresolved:
+        relation = PrecisionRelation.UNDETERMINED
+    elif fails[0] is None and strict[0] is not None:
+        relation, witness = PrecisionRelation.MORE_PRECISE, strict[0]
+    elif fails[1] is None and strict[1] is not None:
+        relation, witness = PrecisionRelation.LESS_PRECISE, strict[1]
+    else:
+        relation = PrecisionRelation.EQUALLY_PRECISE
+    return PrecisionReport(relation, side, suite, rows, witness, witness_pair, unresolved)
 
 
 def compare(v1, v2, suite, side=Side.BELOW, budget=DEFAULT_BUDGET):
@@ -111,54 +152,9 @@ def compare(v1, v2, suite, side=Side.BELOW, budget=DEFAULT_BUDGET):
     blocks equality and dominance claims (but cannot block incomparability,
     which is witnessed positively).
     """
-    if v1.codomain != v2.codomain:
-        raise UnsupportedDomainError(
-            f"cannot compare verdicts over {v1.codomain.name} and {v2.codomain.name}")
-    d = v1.codomain
-    lim1 = _limits(v1, suite, side, budget)
-    lim2 = _limits(v2, suite, side, budget)
-    rows = []
-    unresolved = []
-    fail_dom1 = fail_dom2 = None  # traces where v1 (resp. v2) fails to dominate
-    strict1 = strict2 = None
-    for t, r1, r2 in zip(suite, lim1, lim2):
-        if not (r1.is_determined and r2.is_determined):
-            rows.append(TraceRow(t, r1, r2, "unresolved"))
-            unresolved.append(t)
-            continue
-        a, b = r1.value, r2.value
-        # orient so that "dominates" means closer to the property value
-        v1_covers = d.le(b, a) if side is Side.BELOW else d.le(a, b)
-        v2_covers = d.le(a, b) if side is Side.BELOW else d.le(b, a)
-        if a == b:
-            rows.append(TraceRow(t, r1, r2, "eq"))
-            continue
-        if v1_covers:
-            rows.append(TraceRow(t, r1, r2, "lt"))
-            strict1 = strict1 or t
-        elif v2_covers:
-            rows.append(TraceRow(t, r1, r2, "gt"))
-            strict2 = strict2 or t
-        else:
-            rows.append(TraceRow(t, r1, r2, "incomparable"))
-        if not v1_covers:
-            fail_dom1 = fail_dom1 or t
-        if not v2_covers:
-            fail_dom2 = fail_dom2 or t
-    if fail_dom1 is not None and fail_dom2 is not None:
-        return PrecisionReport(PrecisionRelation.INCOMPARABLE, side, suite, rows,
-                               witness_pair=(fail_dom1, fail_dom2),
-                               unresolved=unresolved)
-    if unresolved:
-        return PrecisionReport(PrecisionRelation.UNDETERMINED, side, suite, rows,
-                               unresolved=unresolved)
-    if fail_dom1 is None and strict1 is not None:
-        return PrecisionReport(PrecisionRelation.MORE_PRECISE, side, suite, rows,
-                               witness=strict1)
-    if fail_dom2 is None and strict2 is not None:
-        return PrecisionReport(PrecisionRelation.LESS_PRECISE, side, suite, rows,
-                               witness=strict2)
-    return PrecisionReport(PrecisionRelation.EQUALLY_PRECISE, side, suite, rows)
+    _check_codomains(v1, v2)
+    return _classify(v1.codomain, suite, side, _limits(v1, suite, side, budget),
+                     _limits(v2, suite, side, budget))
 
 
 def hierarchy_experiment(family, suite, side=Side.BELOW, budget=DEFAULT_BUDGET,
@@ -166,33 +162,28 @@ def hierarchy_experiment(family, suite, side=Side.BELOW, budget=DEFAULT_BUDGET,
     """Pairwise-compare an indexed verdict family (low to high resource).
 
     ``family`` is a list of (index, verdict) with indices ascending; the
-    report list pairs each adjacent couple with compare(higher, lower).
-    When ``prop`` is given, each verdict is additionally checked to
-    approximate it on the suite (from the given side), and the returned
-    entries carry that soundness flag.
+    report list pairs each adjacent couple with the report of
+    compare(higher, lower).  Each verdict's limit row is computed once and
+    shared by both of its reports.  When ``prop`` is given, each verdict is
+    additionally checked to approximate it on the suite (from the given
+    side, over the determined limits), and the returned entries carry that
+    soundness flag.
     """
+    rows = [_limits(v, suite, side, budget) for _, v in family]
+    if prop is not None:
+        prop_fn = getattr(prop, "eval_lasso", prop)
+        values = [prop_fn(t) for t in suite]
+        sound = [all(side.covers(v.codomain, r.value, pv)
+                     for r, pv in zip(row, values) if r.is_determined)
+                 for (_, v), row in zip(family, rows)]
     results = []
-    prop_fn = getattr(prop, "eval_lasso", prop) if prop is not None else None
-    sound = {}
-    if prop_fn is not None:
-        for idx, v in family:
-            d = v.codomain
-            ok = True
-            for t in suite:
-                res = (eval_limsup if side is Side.BELOW else eval_liminf)(v, t, budget)
-                if not res.is_determined:
-                    continue
-                pv = prop_fn(t)
-                covered = d.le(res.value, pv) if side is Side.BELOW else d.le(pv, res.value)
-                if not covered:
-                    ok = False
-                    break
-            sound[idx] = ok
-    for (lo_idx, lo_v), (hi_idx, hi_v) in zip(family, family[1:]):
-        report = compare(hi_v, lo_v, suite, side, budget)
+    for i in range(1, len(family)):
+        (lo_idx, lo_v), (hi_idx, hi_v) = family[i - 1], family[i]
+        _check_codomains(hi_v, lo_v)
+        report = _classify(hi_v.codomain, suite, side, rows[i], rows[i - 1])
         entry = {"pair": (hi_idx, lo_idx), "report": report}
-        if prop_fn is not None:
-            entry["sound"] = (sound[hi_idx], sound[lo_idx])
+        if prop is not None:
+            entry["sound"] = (sound[i], sound[i - 1])
         results.append(entry)
     return results
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import domain as dom
 from .boolprop import AcceptanceKind
 from .errors import AcceptanceKindError, AutomatonError, DomainMismatchError
-from .trace import Alphabet, FiniteTrace, all_lassos, lasso, random_lasso
+from .trace import Alphabet, FiniteTrace, all_lassos, lasso, random_lasso, read_sections
 from .verdict import FunctionStepper, Monotonicity, VerdictFunction
 
 
@@ -413,20 +413,8 @@ def energy_verdict(A):
 
 def load_weighted_automaton(text):
     """Line-based weighted automaton: header lines plus ``q a -> q2 w``."""
-    header = {}
-    transition_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, rest = line.partition(":")
-        if sep and key in ("alphabet", "states", "initial"):
-            header[key] = rest.split()
-        else:
-            transition_lines.append((lineno, line))
-    for required in ("alphabet", "states", "initial"):
-        if required not in header:
-            raise AutomatonError(f"missing '{required}:' line")
+    header, transition_lines = read_sections(text, ("alphabet", "states", "initial"),
+                                             AutomatonError)
     alphabet = Alphabet(tuple(header["alphabet"]))
     transitions = {}
     for lineno, line in transition_lines:

@@ -9,7 +9,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .errors import TraceParseError
+from .errors import InputError, TraceParseError
 
 _TOKEN_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
@@ -21,12 +21,12 @@ class Alphabet:
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:
-            raise ValueError("alphabet must be non-empty")
+            raise InputError("alphabet must be non-empty")
         if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("alphabet symbols must be distinct")
+            raise InputError("alphabet symbols must be distinct")
         for s in self.symbols:
             if not _TOKEN_RE.match(s):
-                raise ValueError(f"bad alphabet token {s!r}")
+                raise InputError(f"bad alphabet token {s!r}")
 
     def __contains__(self, token):
         return token in self.symbols
@@ -157,6 +157,29 @@ def parse_finite(text, alphabet):
         raise TraceParseError("finite trace text must not contain ';'", position=seps[0])
     _check_tokens(tokens, alphabet)
     return FiniteTrace(tuple(tokens), alphabet)
+
+
+def read_sections(text, required, error, optional=()):
+    """Split a machine or automaton file, comments and blank lines dropped,
+    into its ``key: words`` header and its other ``(lineno, line)`` lines.
+    Every ``required`` key must occur and ``initial:`` must name one state,
+    or ``error`` is raised."""
+    header, body = {}, []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, rest = line.partition(":")
+        if sep and key.strip() in required + optional:
+            header[key.strip()] = rest.split()
+        else:
+            body.append((lineno, line))
+    for key in required:
+        if key not in header:
+            raise error(f"missing '{key}:' line")
+    if len(header["initial"]) != 1:
+        raise error("initial must name exactly one state")
+    return header, body
 
 
 def all_finite_traces(alphabet, max_len, min_len=0):

@@ -1,10 +1,16 @@
 """Verdict functions and their limits along lasso traces.
 
-A verdict function maps finite traces into a value domain; the monitor's
-estimate for an infinite trace is the limsup (or liminf) of the verdict
-values along its prefixes.  On a lasso ``u ; v`` the engine watches the
-verdict values produced inside consecutive loop iterations and resolves the
-limit three ways, in order of preference:
+A verdict function maps finite traces into a value domain.  It is a
+codomain plus a stepper factory: ``stepper(alphabet)`` starts a run at the
+empty prefix, whose ``step(symbol)`` returns the next ``value`` and whose
+``config()`` is a hashable run configuration or None.  Calling a verdict
+steps a fresh run over the trace.  A function of whole prefixes becomes a
+verdict through ``prefix_verdict``, which replays it on every prefix.
+
+The monitor's estimate for an infinite trace is the limsup (or liminf) of
+the verdict values along its prefixes.  On a lasso ``u ; v`` the engine
+watches the verdict values produced inside consecutive loop iterations and
+resolves the limit three ways, in order of preference:
 
 1.  *Configuration cycle* (early exit, sound): if the verdict exposes a
     hashable run configuration and the configuration at a loop boundary
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import domain as dom
-from .errors import NoBoundError, UnsupportedDomainError, InvalidFunctionError
+from .errors import InputError, InvalidFunctionError, NoBoundError, UnsupportedDomainError
 from .trace import FiniteTrace
 
 
@@ -41,17 +47,17 @@ class Monotonicity(enum.Enum):
 
 
 class _ReplayStepper:
-    """Fallback stepper: re-evaluates the verdict on each grown prefix."""
+    """Stepper of a prefix function: re-evaluates it on each grown prefix."""
 
-    def __init__(self, verdict, alphabet):
-        self._verdict = verdict
+    def __init__(self, fn, alphabet):
+        self._fn = fn
         self._alphabet = alphabet
         self._symbols = []
-        self.value = verdict(FiniteTrace((), alphabet))
+        self.value = fn(FiniteTrace((), alphabet))
 
     def step(self, symbol):
         self._symbols.append(symbol)
-        self.value = self._verdict(FiniteTrace(tuple(self._symbols), self._alphabet))
+        self.value = self._fn(FiniteTrace(tuple(self._symbols), self._alphabet))
         return self.value
 
     def config(self):
@@ -62,15 +68,14 @@ class FunctionStepper:
     """Stepper driven by a pure state-transition function.
 
     ``init`` is the start state, ``step_fn(state, symbol) -> state``, and
-    ``out_fn(state) -> value``.  States must be hashable for cycle detection;
-    pass ``hashable=False`` to opt out.
+    ``out_fn(state) -> value``.  States are the run configurations, so they
+    must be hashable.
     """
 
-    def __init__(self, init, step_fn, out_fn, hashable=True):
+    def __init__(self, init, step_fn, out_fn):
         self._state = init
         self._step_fn = step_fn
         self._out_fn = out_fn
-        self._hashable = hashable
         self.value = out_fn(init)
 
     def step(self, symbol):
@@ -79,46 +84,46 @@ class FunctionStepper:
         return self.value
 
     def config(self):
-        return self._state if self._hashable else None
+        return self._state
 
 
 class VerdictFunction:
-    """A total, deterministic map from finite traces to domain values."""
+    """A total, deterministic map from finite traces to domain values, given
+    by its codomain and a factory of steppers over an alphabet."""
 
-    def __init__(self, codomain, evaluate=None, stepper_factory=None,
+    def __init__(self, codomain, stepper_factory,
                  monotonicity=Monotonicity.UNRESTRICTED, name="v"):
-        if evaluate is None and stepper_factory is None:
-            raise ValueError("verdict needs an evaluator or a stepper factory")
         self.codomain = codomain
         self.monotonicity = monotonicity
         self.name = name
-        self._evaluate = evaluate
         self._stepper_factory = stepper_factory
 
     def __call__(self, trace):
-        if self._evaluate is not None:
-            return self._evaluate(trace)
         st = self.stepper(trace.alphabet)
         for sym in trace:
             st.step(sym)
         return st.value
 
     def stepper(self, alphabet):
-        if self._stepper_factory is not None:
-            return self._stepper_factory(alphabet)
-        return _ReplayStepper(self, alphabet)
+        """A fresh stepper at the empty prefix."""
+        return self._stepper_factory(alphabet)
 
     def __repr__(self):
         return f"<verdict {self.name} on {self.codomain.name}>"
 
 
+def prefix_verdict(codomain, fn, monotonicity=Monotonicity.UNRESTRICTED, name="v"):
+    """The verdict of a prefix function ``fn(finite_trace) -> value``.  Its
+    stepper replays ``fn`` on each prefix and exposes no configuration."""
+    return VerdictFunction(codomain, lambda alphabet: _ReplayStepper(fn, alphabet),
+                           monotonicity, name)
+
+
 def constant_verdict(codomain, value, name=None):
     codomain.check(value)
     factory = lambda alphabet: FunctionStepper((), lambda st, sym: st, lambda st: value)
-    return VerdictFunction(codomain, evaluate=lambda s: value,
-                           stepper_factory=factory,
-                           monotonicity=Monotonicity.INCREASING,
-                           name=name or f"const({dom.render_value(value)})")
+    return VerdictFunction(codomain, factory, Monotonicity.INCREASING,
+                           name or f"const({dom.render_value(value)})")
 
 
 class LimitKind(enum.Enum):
@@ -153,7 +158,7 @@ class LimitBudget:
 
     def __post_init__(self):
         if not (self.max_loop_iterations >= self.confirm_window >= 2):
-            raise ValueError("need max_loop_iterations >= confirm_window >= 2")
+            raise InputError("need max_loop_iterations >= confirm_window >= 2")
 
 
 DEFAULT_BUDGET = LimitBudget()
@@ -367,11 +372,7 @@ def _combine(v1, v2, pointwise, name, monotonicity):
         raise UnsupportedDomainError(
             f"cannot combine verdicts over {v1.codomain.name} and {v2.codomain.name}")
     factory = lambda alphabet: _PairStepper(v1.stepper(alphabet), v2.stepper(alphabet), pointwise)
-    return VerdictFunction(v1.codomain,
-                           evaluate=lambda s: pointwise(v1(s), v2(s)),
-                           stepper_factory=factory,
-                           monotonicity=monotonicity,
-                           name=name)
+    return VerdictFunction(v1.codomain, factory, monotonicity, name)
 
 
 def _joint_monotonicity(v1, v2):
@@ -462,11 +463,8 @@ def map_continuous(verdict, fn, name=None):
         def config(self):
             return self._inner.config()
 
-    return VerdictFunction(d,
-                           evaluate=lambda s: fn(verdict(s)),
-                           stepper_factory=lambda a: _MapStepper(verdict.stepper(a)),
-                           monotonicity=verdict.monotonicity,
-                           name=name or f"map({verdict.name})")
+    return VerdictFunction(d, lambda a: _MapStepper(verdict.stepper(a)),
+                           verdict.monotonicity, name or f"map({verdict.name})")
 
 
 _FLIP = {Monotonicity.INCREASING: Monotonicity.DECREASING,
@@ -475,14 +473,9 @@ _FLIP = {Monotonicity.INCREASING: Monotonicity.DECREASING,
 
 
 def complement(verdict):
-    """The same evaluator read in the inverse order of its codomain."""
-    return VerdictFunction(dom.inverse(verdict.codomain),
-                           evaluate=verdict._evaluate,
-                           stepper_factory=verdict._stepper_factory
-                           if verdict._stepper_factory is not None else
-                           (lambda a, v=verdict: _ReplayStepper(v, a)),
-                           monotonicity=_FLIP[verdict.monotonicity],
-                           name=f"compl({verdict.name})")
+    """The same verdict read in the inverse order of its codomain."""
+    return VerdictFunction(dom.inverse(verdict.codomain), verdict.stepper,
+                           _FLIP[verdict.monotonicity], f"compl({verdict.name})")
 
 
 def verdict_sequence(verdict, finite_trace):

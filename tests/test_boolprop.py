@@ -10,8 +10,8 @@ from quantmon.boolprop import AcceptanceKind, Side
 from quantmon.errors import AcceptanceKindError, AutomatonError
 from quantmon.trace import (FiniteTrace, all_finite_traces, all_lassos, lasso,
                             parse_lasso)
-from quantmon.verdict import (LimitBudget, Monotonicity, VerdictFunction,
-                              check_monotone, count_switches, eval_limsup,
+from quantmon.verdict import (LimitBudget, Monotonicity, check_monotone,
+                              count_switches, eval_limsup, prefix_verdict,
                               verdict_sequence)
 
 SMALL = LimitBudget(max_loop_iterations=48)
@@ -340,7 +340,7 @@ class TestEquivalenceConstructions:
                 return False
             return dom.BOT
 
-        v = VerdictFunction(dom.BBOT, evaluate=three_valued, name="complete")
+        v = prefix_verdict(dom.BBOT, three_valued, name="complete")
         flat = bp.smooth_bot(v)
         assert flat.codomain == dom.B
         for t in all_lassos(ab, 2, 2):
@@ -354,9 +354,9 @@ class TestEquivalenceConstructions:
         # negative-determination verdict on the F-topped domain is monotone,
         # never overshoots, and stays existential
         for P in (never_b, eventually_a, inf_often_a):
-            u = VerdictFunction(dom.BF,
-                                evaluate=lambda s, P=P: not bp.determines(P, s, "neg"),
-                                name="neg-det")
+            u = prefix_verdict(dom.BF,
+                               lambda s, P=P: not bp.determines(P, s, "neg"),
+                               name="neg-det")
             assert check_monotone(u, list(all_lassos(ab, 1, 2)), 5) is \
                 Monotonicity.INCREASING
             for t in all_lassos(ab, 2, 2):

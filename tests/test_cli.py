@@ -7,7 +7,8 @@ import pytest
 
 from quantmon import boolprop as bp
 from quantmon import machine as mc
-from quantmon.cli import main
+from quantmon import domain as dom
+from quantmon.cli import _verdict_for, main
 from quantmon.trace import Alphabet
 
 
@@ -164,6 +165,54 @@ class TestCompare:
                             pr.exhaustive_suite(machine.alphabet, 1, 2), Side.BELOW)
         expected_summary = report.relation.value
         assert json.loads(out.splitlines()[-1])["summary"] == expected_summary
+
+
+    def test_const_selector_names_product_domain(self):
+        verdict, alphabet = _verdict_for("const:prod:natinf:2:(0,0)")
+        assert alphabet is None
+        assert verdict.codomain == dom.product(dom.NATINF, 2)
+        assert verdict.stepper(None).value == (0, 0)
+
+
+class TestInputErrors:
+    """Bad input ends in exit 2 with a one-line error and no output."""
+
+    @pytest.fixture(scope="class")
+    def bad(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("bad")
+        head = "registers: x\ninstruction-set: counter\nstates: q\n"
+        (root / "no-initial.mspec").write_text(
+            head + "initial:\nedge: q a [true] -> q\noutput: q = 0\n")
+        (root / "no-edges.mspec").write_text(head + "initial: q\noutput: q = 0\n")
+        (root / "no-initial.waut").write_text(
+            "alphabet: a b\nstates: q\ninitial:\nq a -> q -3\nq b -> q 1\n")
+        (root / "empty.suite").write_text("# no lassos\n")
+        return root
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{bad}/no-initial.mspec", "{work}/fig.trace", "--finite"],
+        ["run", "{bad}/no-edges.mspec", "{work}/fig.trace", "--finite"],
+        ["eval", "energy:{bad}/no-initial.waut", "{work}/ab.lasso"],
+        ["eval", "kmrt:x", "{work}/periodic.lasso"],
+        ["eval", "kmrt:0", "{work}/periodic.lasso"],
+        ["compare", "machine:{work}/mmax.mspec", "mrt", "--suite", "exhaustive:x:1"],
+        ["compare", "machine:{work}/mmax.mspec", "mrt", "--suite", "exhaustive:1"],
+        ["compare", "machine:{work}/mmax.mspec", "mrt", "--suite", "sample:abc"],
+        ["compare", "machine:{work}/mmax.mspec", "mrt", "--suite", "file:{bad}/empty.suite"],
+        ["compare", "machine:{work}/mmax.mspec", "const:natinf:abc",
+         "--suite", "exhaustive:1:1"],
+        ["--confirm-window", "1", "compare", "machine:{work}/mmax.mspec", "mrt",
+         "--suite", "exhaustive:1:1"],
+        ["--epsilon", "abc", "compare", "machine:{work}/mmax.mspec", "mrt",
+         "--suite", "exhaustive:1:1"],
+        ["--epsilon", "1/0", "run", "{work}/mmax.mspec", "{work}/fig.lasso", "--lasso"],
+    ], ids=lambda argv: " ".join(a.split("}/")[-1] for a in argv))
+    def test_exits_2_with_one_line_error(self, workdir, bad, argv, capsys):
+        args = [a.format(work=workdir, bad=bad) for a in argv]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 class TestClassify:

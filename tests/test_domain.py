@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quantmon import domain as dom
-from quantmon.errors import (DomainMismatchError, NoBoundError,
+from quantmon.errors import (DomainMismatchError, InputError, NoBoundError,
                              UndefinedArithmeticError, UnsupportedDomainError)
 
 
@@ -154,6 +154,20 @@ class TestNamesAndRendering:
     @pytest.mark.parametrize("text", ["T", "F", "bot", "inf", "-inf", "7", "4/3"])
     def test_parse_value_round_trip(self, text):
         assert dom.render_value(dom.parse_value(text)) == text
+
+    @pytest.mark.parametrize("value,name", [
+        (((1, 2), (3, 4)), "prod:prod:natinf:2:2"),
+        (((0, dom.INF), (7, 0)), "prod:prod:natinf:2:2"),
+        ((Fraction(1, 2), dom.NEG_INF), "prod:ratinf:2"),
+    ])
+    def test_parse_value_inverts_render_on_tuples(self, value, name):
+        d = dom.parse_domain(name)
+        assert dom.parse_value(dom.render_value(value), d) == value
+
+    @pytest.mark.parametrize("text", ["abc", "1/0", "(1,", "((1,2)", "(1,x)"])
+    def test_parse_value_rejects_garbage(self, text):
+        with pytest.raises(InputError):
+            dom.parse_value(text)
 
 
 class TestArithmeticConventions:

@@ -108,6 +108,16 @@ class TestFileFormat:
         with pytest.raises(MachineError):
             mc.load_machine(bad)
 
+    @pytest.mark.parametrize("text,match", [
+        ("registers: x\ninstruction-set: counter\nstates: q\ninitial:\n"
+         "edge: q a [true] -> q\noutput: q = 0\n", "initial"),
+        ("registers: x\ninstruction-set: counter\nstates: q\ninitial: q\n"
+         "output: q = 0\n", "edge"),
+    ], ids=["empty-initial", "no-edges"])
+    def test_load_rejects_empty_initial_and_no_edges(self, text, match):
+        with pytest.raises(MachineError, match=match):
+            mc.load_machine(text)
+
     def test_output_grammar(self):
         assert mc._parse_output("0").kind == "zero"
         assert mc._parse_output("inf").kind == "inf"

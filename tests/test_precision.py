@@ -10,7 +10,8 @@ from quantmon.boolprop import Side
 from quantmon.errors import UnsupportedDomainError
 from quantmon.trace import Alphabet, parse_lasso
 from quantmon.verdict import (FunctionStepper, LimitBudget, VerdictFunction,
-                              constant_verdict, eval_limsup)
+                              constant_verdict, eval_liminf, eval_limsup,
+                              prefix_verdict)
 
 SMALL = LimitBudget(max_loop_iterations=48)
 ABC = Alphabet(("a", "b", "c"))
@@ -90,7 +91,7 @@ class TestCompare:
     def test_undetermined_blocks_dominance(self):
         a = Alphabet(("a", "b"))
         # one verdict resolves everywhere, the other never does
-        wild = VerdictFunction(dom.NATINF, evaluate=lambda s: len(s) ** 2, name="sq")
+        wild = prefix_verdict(dom.NATINF, lambda s: len(s) ** 2, name="sq")
         flat = constant_verdict(dom.NATINF, 0)
         suite = pr.LassoSuite((parse_lasso("; a", a),), "one")
         report = pr.compare(flat, wild, suite, Side.BELOW, SMALL)
@@ -130,6 +131,37 @@ class TestHierarchy:
         for entry in results:
             assert entry["report"].relation is pr.PrecisionRelation.MORE_PRECISE
             assert entry["sound"] == (True, True)
+
+    @pytest.mark.parametrize("side", [Side.BELOW, Side.ABOVE])
+    def test_one_limit_row_per_member(self, server, monkeypatch, side):
+        # m verdicts on n traces take m*n limits, and each adjacent report
+        # equals the per-pair compare
+        suite = pr.exhaustive_suite(server, 1, 2)
+        family = [(cap, mc.generated_verdict(mc.build_finite_state_mrt(cap)))
+                  for cap in (1, 2, 3)]
+        family.append((4, mc.generated_verdict(mc.build_mmax())))
+        calls = []
+        for name in ("eval_limsup", "eval_liminf"):
+            original = getattr(pr, name)
+            monkeypatch.setattr(pr, name, lambda *args, _f=original, _n=name:
+                                calls.append(_n) or _f(*args))
+        results = pr.hierarchy_experiment(family, suite, side, SMALL,
+                                          prop=qp.mrt_property())
+        want = "eval_limsup" if side is Side.BELOW else "eval_liminf"
+        assert calls == [want] * (len(family) * len(suite))
+        assert [e["pair"] for e in results] == [(2, 1), (3, 2), (4, 3)]
+        for (_, lo), (_, hi), entry in zip(family, family[1:], results):
+            assert entry["report"] == pr.compare(hi, lo, suite, side, SMALL)
+        limit = eval_limsup if side is Side.BELOW else eval_liminf
+        covers = (lambda lim, pv: lim <= pv) if side is Side.BELOW else \
+            (lambda lim, pv: pv <= lim)
+        sound = {}
+        for idx, v in family:
+            lims = [limit(v, t, SMALL) for t in suite]
+            sound[idx] = all(covers(r.value, qp.eval_mrt(t))
+                             for r, t in zip(lims, suite) if r.is_determined)
+        assert [e["sound"] for e in results] == [(sound[hi], sound[lo])
+                                                 for hi, lo in (e["pair"] for e in results)]
 
     def test_kpair_counter_budgets(self):
         # the full 2k-counter machine beats the (k+1)-counter priority scheme

@@ -7,7 +7,7 @@ import pytest
 from quantmon import boolprop as bp
 from quantmon import domain as dom
 from quantmon import qprop as qp
-from quantmon.errors import AcceptanceKindError, DomainMismatchError
+from quantmon.errors import AcceptanceKindError, AutomatonError, DomainMismatchError
 from quantmon.trace import Alphabet, FiniteTrace, all_lassos, lasso, parse_lasso
 from quantmon.verdict import eval_limsup, verdict_sequence
 
@@ -179,6 +179,12 @@ class TestEnergy:
         seq = verdict_sequence(v, t.prefix(8))
         assert all(x <= y for x, y in zip(seq, seq[1:]))
         assert eval_limsup(v, t).value == qp.eval_energy(A, t)
+
+
+    def test_load_rejects_empty_initial(self):
+        with pytest.raises(AutomatonError, match="initial"):
+            qp.load_weighted_automaton("alphabet: a b\nstates: q\ninitial:\n"
+                                       "q a -> q -3\nq b -> q 1\n")
 
 
 class TestKPair:

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quantmon import boolprop as bp
 from quantmon import domain as dom
+from quantmon import machine as mc
 from quantmon import qprop as qp
 from quantmon.errors import InvalidFunctionError, UnsupportedDomainError
 from quantmon.trace import Alphabet, FiniteTrace, lasso, parse_lasso
@@ -10,15 +13,15 @@ from quantmon.verdict import (FunctionStepper, LimitBudget, LimitKind, Monotonic
                               VerdictFunction, check_monotone, combine_max,
                               combine_min, combine_product, combine_sum, complement,
                               constant_verdict, count_switches, eval_liminf,
-                              eval_limsup, map_continuous, verdict_csv_lines,
-                              verdict_sequence)
+                              eval_limsup, map_continuous, prefix_verdict,
+                              verdict_csv_lines, verdict_sequence)
 
 A = Alphabet(("a",))
 AB = Alphabet(("a", "b"))
 
 
 def length_verdict(codomain=dom.NATINF):
-    return VerdictFunction(codomain, evaluate=lambda s: len(s), name="len")
+    return prefix_verdict(codomain, lambda s: len(s), name="len")
 
 
 def alternating_verdict():
@@ -47,37 +50,37 @@ class TestLimits:
     def test_alternating_without_configs_uses_periodic_window(self):
         # replay-based stepper exposes no configuration; period detection
         # has to resolve the two-cycle of per-iteration extrema
-        v = VerdictFunction(dom.BT, evaluate=lambda s: len(s) % 2 == 0, name="alt2")
+        v = prefix_verdict(dom.BT, lambda s: len(s) % 2 == 0, name="alt2")
         t = lasso((), ("a",), A)
         assert eval_liminf(v, t).value is False
         assert eval_limsup(v, t).value is True
 
     def test_flat_boolean_switching_is_undetermined(self):
         # infinitely switching values on the flat domain have no limit
-        v = VerdictFunction(dom.B, evaluate=lambda s: len(s) % 2 == 0, name="altB")
+        v = prefix_verdict(dom.B, lambda s: len(s) % 2 == 0, name="altB")
         res = eval_limsup(v, lasso((), ("a",), A))
         assert res.kind is LimitKind.UNDETERMINED and res.value is None
 
     def test_eventually_constant_after_long_transient(self):
-        v = VerdictFunction(dom.NATINF, evaluate=lambda s: min(len(s), 17), name="sat")
+        v = prefix_verdict(dom.NATINF, lambda s: min(len(s), 17), name="sat")
         res = eval_limsup(v, lasso((), ("a",), A))
         assert res.kind is LimitKind.EXACT and res.value == 17
 
     def test_nonlinear_growth_is_undetermined(self):
-        v = VerdictFunction(dom.NATINF, evaluate=lambda s: len(s) ** 2, name="sq")
+        v = prefix_verdict(dom.NATINF, lambda s: len(s) ** 2, name="sq")
         res = eval_limsup(v, lasso((), ("a",), A), LimitBudget(max_loop_iterations=64))
         assert res.kind is LimitKind.UNDETERMINED
 
     def test_product_divergence_extrapolates_componentwise(self):
         d = dom.product(dom.NATINF, 2)
-        v = VerdictFunction(d, evaluate=lambda s: (len(s), 3), name="pair")
+        v = prefix_verdict(d, lambda s: (len(s), 3), name="pair")
         res = eval_limsup(v, lasso((), ("a",), A))
         assert res.kind is LimitKind.DIVERGED_TO_TOP
         assert res.value == (dom.INF, 3)
 
     def test_tolerance_mode_detects_cauchy_stop(self):
-        v = VerdictFunction(dom.RATINF,
-                            evaluate=lambda s: 1 - Fraction(1, len(s) + 1), name="conv")
+        v = prefix_verdict(dom.RATINF,
+                           lambda s: 1 - Fraction(1, len(s) + 1), name="conv")
         budget = LimitBudget(epsilon=Fraction(1, 100))
         res = eval_liminf(v, lasso((), ("a",), A), budget)
         assert res.kind is LimitKind.TOLERANCE
@@ -120,7 +123,7 @@ class TestMonotonicity:
         assert check_monotone(v, [lasso((), ("a",), A)], depth=4) is Monotonicity.INCREASING
 
     def test_decreasing(self):
-        v = VerdictFunction(dom.NATINF, evaluate=lambda s: max(0, 10 - len(s)))
+        v = prefix_verdict(dom.NATINF, lambda s: max(0, 10 - len(s)))
         assert check_monotone(v, [lasso((), ("a",), A)], depth=6) is Monotonicity.DECREASING
 
 
@@ -222,6 +225,94 @@ class TestComplement:
         direct = eval_limsup(qp.mrt_verdict(), t)
         dual = eval_liminf(complement(qp.mrt_verdict()), t)
         assert direct.value == dual.value == 2
+
+
+SERVER = qp.server_alphabet(1).alphabet
+
+
+def _acks(s):
+    return sum(1 for sym in s if sym == "ack")
+
+
+def _last_answer(s):
+    # bottom until the latest event is a request or an answer
+    if not len(s) or s[len(s) - 1] == "other":
+        return dom.BOT
+    return s[len(s) - 1] == "ack"
+
+
+# operands over the server alphabet, grouped by shared codomain: machine,
+# hand-written stepper, constant and prefix-function verdicts
+NUMERIC_OPERANDS = [
+    [mc.generated_verdict(mc.build_mmax()), qp.mrt_verdict(),
+     constant_verdict(dom.NATINF, 2), constant_verdict(dom.NATINF, dom.INF),
+     prefix_verdict(dom.NATINF, _acks, name="acks")],
+    [mc.generated_verdict(mc.build_mavg()), qp.art_verdict(),
+     constant_verdict(dom.RATINF, Fraction(1, 2)), constant_verdict(dom.RATINF, 0),
+     prefix_verdict(dom.RATINF, lambda s: Fraction(len(s), 3), name="len/3")],
+]
+BOTTOMED_OPERANDS = [
+    constant_verdict(dom.BBOT, dom.BOT), constant_verdict(dom.BBOT, False),
+    prefix_verdict(dom.BBOT, _last_answer, name="last-answer"),
+    bp.monitor_reactivity(bp.ReactivityList((
+        (bp.buchi_infinitely_often(SERVER, "ack"),
+         bp.cobuchi_eventually_always(SERVER, "other")),))),
+]
+BINARY = [(combine_max, max), (combine_min, min),
+          (combine_sum, dom.value_add), (combine_product, dom.value_mul)]
+MONOTONE_MAPS = [lambda x: min(x, 3), lambda x: dom.value_add(x, x)]
+server_traces = st.lists(st.sampled_from(SERVER.symbols), max_size=30).map(
+    lambda syms: FiniteTrace(tuple(syms), SERVER))
+
+
+def _smoothed(values):
+    last, out = True, []
+    for x in values:
+        if x is not dom.BOT:
+            last = x
+        out.append(last)
+    return out
+
+
+class TestCombinatorSemantics:
+    """Each combinator's verdict sequence is the pointwise combination of its
+    operands' sequences, on random finite traces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_binary_combinators(self, data):
+        operands = data.draw(st.sampled_from(NUMERIC_OPERANDS))
+        v1, v2 = data.draw(st.sampled_from(operands)), data.draw(st.sampled_from(operands))
+        combinator, pointwise = data.draw(st.sampled_from(BINARY))
+        s = data.draw(server_traces)
+        want = [pointwise(a, b) for a, b in zip(verdict_sequence(v1, s),
+                                                verdict_sequence(v2, s))]
+        combined = combinator(v1, v2)
+        assert verdict_sequence(combined, s) == want
+        assert combined(s) == want[-1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_unary_combinators(self, data):
+        v = data.draw(st.sampled_from([v for group in NUMERIC_OPERANDS for v in group]))
+        fn = data.draw(st.sampled_from(MONOTONE_MAPS))
+        s = data.draw(server_traces)
+        values = verdict_sequence(v, s)
+        assert verdict_sequence(map_continuous(v, fn), s) == [fn(x) for x in values]
+        assert verdict_sequence(complement(v), s) == values
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(BOTTOMED_OPERANDS), server_traces)
+    def test_smooth_bot(self, v, s):
+        assert verdict_sequence(bp.smooth_bot(v), s) == _smoothed(verdict_sequence(v, s))
+
+    @settings(max_examples=50, deadline=None)
+    @given(server_traces)
+    def test_prefix_verdict_replays_its_function(self, s):
+        v = prefix_verdict(dom.NATINF, _acks)
+        want = [_acks(s.symbols[:i]) for i in range(len(s) + 1)]
+        assert verdict_sequence(v, s) == want
+        assert v(s) == want[-1]
 
 
 class TestSequencesAndCsv:
