@@ -22,6 +22,19 @@ indices and integer literals only, never from names in the input, and is
 compiled once per distinct source text.  The source ``Edge``/``Guard``/
 ``Update`` objects stay in ``edges`` for parsing, rendering and tests.
 
+The flat form also keeps, per update builder, its ``(target, kind,
+operand)`` assignments and, per sign-pattern function, its atom tests
+``(left, right, const)``.  From them ``MachineRun.accelerate`` composes
+one lasso-loop iteration symbolically.  An arm path lists per step the
+state id, the symbol and the sign pattern taken.  Along a path every
+register value, guard atom and output reads as an affine form of the
+iteration's start values: integer coefficients plus a constant.  When the
+composed update maps each register to itself plus a constant (its shift)
+or to a constant, the start of the n-th iteration along the path is
+``start + n * shift``, so each form changes by a fixed slope per iteration.
+Then each atom's sign flips at a computable iteration, and each output
+position tends to its value, to ±inf, or to a ratio of slopes.
+
 Instruction sets restrict which update and guard forms a machine may use:
 
 * ``counter``: reset/increment updates, register-to-register comparisons;
@@ -40,6 +53,7 @@ machines whose output map needs arithmetic the file grammar cannot spell
 import enum
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -200,9 +214,17 @@ def _output_source(out, rid):
     return f"lambda v: Fraction(v[{num}], v[{den}]) if v[{den}] else Fraction(0)"
 
 
+def _test_source(test):
+    """The ``>=`` test ``(left, right, const)`` over ``v``: ``v[left] >=
+    v[right]`` for a register ``right``, else ``v[left] >= const``."""
+    left, right, const = test
+    return f"v[{left}] >= " + (f"{const:d}" if right is None else f"v[{right}]")
+
+
 def _select_source(tests):
     """Sign pattern of a group's atom tests: bit i is set when test i holds."""
-    return "lambda v: " + " | ".join(f"({t}) << {i}" if i else f"({t})"
+    return "lambda v: " + " | ".join(f"({_test_source(t)}) << {i}" if i
+                                     else f"({_test_source(t)})"
                                      for i, t in enumerate(tests))
 
 
@@ -262,11 +284,14 @@ class RegisterMachine:
                 for a in self.alphabet:
                     if (sid[q], a) not in groups:
                         raise MachineError(f"missing case: no edge from {q!r} on {a!r}")
+        self._tests = {}
         for (src, a), group in groups.items():
             rows[src][a] = self._lower_group(self.states[src], a, group)
         self._initial_id = sid[self.initial]
         self._rows = rows
         self._outputs = outs
+        self._assigned = {update: assigned for assigned, update in builders.items()}
+        self._accelerable = self.has_grammar_outputs()
 
     def _lower_output(self, q, rid):
         if q not in self.outputs:
@@ -282,19 +307,17 @@ class RegisterMachine:
         return _compile(_output_source(out, rid))
 
     def _lower_atom(self, atom, rid):
-        """The atom's ``>=`` test over ``v`` and its negation flag."""
+        """The atom's ``>=`` test ``(left, right, const)`` and its negation
+        flag."""
         left = rid.get(atom.left)
-        if isinstance(atom.right, int):
-            right = f"{int(atom.right):d}"
-        else:
-            right = rid.get(atom.right)
-            right = None if right is None else f"v[{right}]"
-        if left is None or right is None:
+        constant = isinstance(atom.right, int)
+        right = None if constant else rid.get(atom.right)
+        if left is None or (right is None and not constant):
             raise MachineError(f"guard {atom.render()} uses unknown register")
         if not _atom_allowed(atom, self.instruction_set):
             raise MachineError(f"guard atom {atom.render()} not allowed by instruction "
                                f"set {self.instruction_set.value}")
-        return f"v[{left}] >= {right}", atom.negated
+        return (left, right, int(atom.right) if constant else 0), atom.negated
 
     def _lower_updates(self, edge, rid, allowed):
         """The edge's updates as a sorted tuple of (target index, kind,
@@ -313,12 +336,12 @@ class RegisterMachine:
             raise MachineError(f"edge {edge.source}--{edge.symbol}: register assigned twice")
         return tuple(sorted(assigned))
 
-    @staticmethod
-    def _lower_group(q, a, group):
+    def _lower_group(self, q, a, group):
         """The transition entry of the (q, a) edges: ``(None, arm)`` for a
         lone edge, else the sign-pattern function and the arm per pattern.
         Raises unless the guards enumerate every sign pattern of one atom
-        set exactly once, which makes exactly one edge fire."""
+        set exactly once, which makes exactly one edge fire.  Records the
+        atom tests of each sign-pattern function in ``_tests``."""
         if len(group) == 1:
             guard, atoms, arm = group[0]
             if atoms:
@@ -349,7 +372,48 @@ class RegisterMachine:
             raise MachineError(
                 f"guards from {q!r} on {a!r} do not cover all cases "
                 f"({covered} of {len(table)} sign patterns)")
-        return _compile(_select_source(tests)), tuple(table)
+        select = _compile(_select_source(tests))
+        self._tests[select] = tests
+        return select, tuple(table)
+
+    def _compose_loop(self, path):
+        """Compose the arms of ``path``, a list of ``(state id, symbol, sign
+        pattern)`` steps, over the values at the iteration's start.
+
+        Returns None unless the composed update moves every register by a
+        constant or sets it to one.  Otherwise returns ``(shift, atoms,
+        outputs)``: the per-iteration shift of each register (0 for a set
+        one), each guard atom on the path as ``(form, slope, holds)``, and
+        each step's output as its kind and the ``(form, slope)`` of the
+        registers it reads.  A form's slope is its change per iteration.
+        """
+        width = len(self.registers)
+        units = [tuple(int(i == j) for j in range(width)) + (0,) for i in range(width)]
+        forms = units
+        atoms, outputs = [], []
+        for q, sym, pattern in path:
+            select, arm = self._rows[q][sym]
+            if select is not None:
+                for i, test in enumerate(self._tests[select]):
+                    atoms.append((_test_form(forms, test), pattern >> i & 1))
+                arm = arm[pattern]
+            dst, _, update, _ = arm
+            forms = _update_forms(forms, self._assigned[update])
+            out = self.outputs[self.states[dst]]
+            outputs.append((out.kind, [forms[self.registers.index(r)] for r in out.regs]))
+        shift = []
+        for unit, form in zip(units, forms):
+            if form[:-1] == unit[:-1]:
+                shift.append(form[-1])
+            elif any(form[:-1]):
+                return None
+            else:
+                shift.append(0)
+        slope = lambda form: sum(map(operator.mul, form, shift))
+        return (tuple(shift),
+                tuple((form, slope(form), holds) for form, holds in atoms),
+                tuple((kind, tuple((form, slope(form)) for form in regs))
+                      for kind, regs in outputs))
 
     def has_grammar_outputs(self):
         return all(isinstance(o, OutputSpec) for o in self.outputs.values())
@@ -357,6 +421,63 @@ class RegisterMachine:
     def __repr__(self):
         return (f"<machine {self.name}: {len(self.registers)} registers, "
                 f"{len(self.states)} states, {self.instruction_set.value}>")
+
+
+# -- loop acceleration --------------------------------------------------------
+
+
+def _update_forms(forms, assigned):
+    """The register forms after the parallel updates ``assigned``."""
+    new = list(forms)
+    for t, kind, o in assigned:
+        form = forms[t]
+        if kind == "zero" or kind == "one":
+            new[t] = (0,) * (len(form) - 1) + (int(kind == "one"),)
+        elif kind == "inc" or kind == "dec":
+            new[t] = form[:-1] + (form[-1] + (1 if kind == "inc" else -1),)
+        elif kind == "add":
+            new[t] = tuple(map(operator.add, form, forms[o]))
+        else:
+            new[t] = forms[o]
+    return new
+
+
+def _test_form(forms, test):
+    """The form of ``left - right - const`` for the test ``(left, right,
+    const)``, which holds where it is >= 0."""
+    left, right, const = test
+    form = forms[left]
+    if right is not None:
+        form = tuple(map(operator.sub, form, forms[right]))
+    return form[:-1] + (form[-1] - const,)
+
+
+def _at(form, values):
+    return sum(map(operator.mul, form, values)) + form[-1]
+
+
+def _position_limit(output, start):
+    """The limit of one loop position's output over the iterations from
+    ``start`` on, and whether it diverges."""
+    kind, regs = output
+    if kind == "zero":
+        return 0, False
+    if kind == "inf":
+        return dom.INF, False
+    form, slope = regs[0]
+    if kind == "reg":
+        if slope:
+            return (dom.INF if slope > 0 else dom.NEG_INF), True
+        return _at(form, start), False
+    den_form, den_slope = regs[1]
+    if den_slope:
+        return Fraction(slope, den_slope), False
+    den = _at(den_form, start)
+    if not den:
+        return Fraction(0), False
+    if not slope:
+        return Fraction(_at(form, start), den), False
+    return (dom.INF if (slope > 0) == (den > 0) else dom.NEG_INF), True
 
 
 class MachineRun:
@@ -367,7 +488,7 @@ class MachineRun:
     ``registers`` order.
     """
 
-    __slots__ = ("_m", "_state", "_row", "_values", "value")
+    __slots__ = ("_m", "_state", "_row", "_values", "value", "_path")
 
     def __init__(self, machine):
         self._m = machine
@@ -375,6 +496,7 @@ class MachineRun:
         self._row = machine._rows[q]
         self._values = (0,) * len(machine.registers)
         self.value = machine._outputs[q](self._values)
+        self._path = None
 
     def step(self, symbol):
         try:
@@ -393,6 +515,55 @@ class MachineRun:
 
     def config(self):
         return self._m.states[self._state], self._values
+
+    def accelerate(self, symbols):
+        """Step one iteration of a lasso loop ``symbols`` from a loop
+        boundary; calls must come at consecutive boundaries.  Returns
+        ``(values, limits)``.
+
+        ``values`` lists the outputs after each symbol.  When this iteration
+        followed the same arm path as the one before it, and that path moves
+        each register by a constant or sets it, every guard atom on the path
+        is linear in the iteration count.  If some atom flips sign within a
+        later iteration, the run jumps to the boundary before the first such
+        iteration and ``values`` is None: the skipped iterations are finitely
+        many, so no limit needs them.  If no atom ever flips, ``limits``
+        lists per loop position the limit of its output and whether it
+        diverges; otherwise ``limits`` is None.  Machines with callable
+        outputs just step.
+        """
+        m = self._m
+        if not m._accelerable:
+            return [self.step(sym) for sym in symbols], None
+        start = self._values
+        path, values = [], []
+        for sym in symbols:
+            select = self._row.get(sym, (None,))[0]
+            path.append((self._state, sym, None if select is None else select(self._values)))
+            values.append(self.step(sym))
+        previous, self._path = self._path, path
+        form = m._compose_loop(path) if path == previous else None
+        if form is None:
+            return values, None
+        shift, atoms, outputs = form
+        # iteration n from ``start`` begins at start + n * shift; find the
+        # first n >= 1 at which an atom's sign differs from the path's
+        flip = None
+        for atom, slope, holds in atoms:
+            if holds and slope < 0:
+                n = _at(atom, start) // -slope + 1
+            elif not holds and slope > 0:
+                n = -(_at(atom, start) // slope)
+            else:
+                continue
+            flip = n if flip is None else min(flip, n)
+        if flip is None:
+            return values, [_position_limit(out, start) for out in outputs]
+        if flip > 1:
+            self._values = jumped = tuple(x + flip * c for x, c in zip(start, shift))
+            self.value = m._outputs[self._state](jumped)
+            return None, None
+        return values, None
 
 
 def run(machine, s):

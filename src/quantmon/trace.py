@@ -40,11 +40,16 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class FiniteTrace:
+    """A finite word; with ``alphabet`` None its symbols go unchecked, as
+    for steppers started without an alphabet."""
+
     symbols: tuple
     alphabet: Alphabet
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple(self.symbols))
+        if self.alphabet is None:
+            return
         for s in self.symbols:
             if s not in self.alphabet:
                 raise ValueError(f"symbol {s!r} not in alphabet")

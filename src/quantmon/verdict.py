@@ -10,21 +10,32 @@ verdict through ``prefix_verdict``, which replays it on every prefix.
 The monitor's estimate for an infinite trace is the limsup (or liminf) of
 the verdict values along its prefixes.  On a lasso ``u ; v`` the engine
 watches the verdict values produced inside consecutive loop iterations and
-resolves the limit three ways, in order of preference:
+resolves the limit four ways, in order of preference:
 
 1.  *Configuration cycle* (early exit, sound): if the verdict exposes a
     hashable run configuration and the configuration at a loop boundary
     repeats, the values inside the detected cycle recur forever, so their
     sup/inf is the exact limit.
-2.  *Stable window*: once the iteration budget is exhausted, per-iteration
+2.  *Loop acceleration* (early exit, sound): a stepper with an
+    ``accelerate(loop)`` method (a run of a register machine whose outputs
+    are all grammar outputs) steps the loop through it.  Once two
+    consecutive iterations follow the same arm path with an affine update,
+    the run jumps to the first guard flip, or, when no guard ever flips,
+    reports each loop position's closed-form limit.  Their sup/inf is the
+    limit; it is divergent when only diverging positions attain it.  A
+    position limit outside the codomain leaves the limit to the rules
+    below.  Iterations skipped by a jump are not counted as used.
+3.  *Stable window*: once the iteration budget is exhausted, per-iteration
     extrema that are identical (or periodic) over the final confirmation
-    window report an exact limit.  Counter-style machines produce
-    eventually periodic output on lassos, which this settles; for anything
-    else the window is a heuristic.
-3.  *Arithmetic escape*: final-window extrema moving by a constant nonzero
+    window report an exact limit.  This is a heuristic: it settles
+    eventually periodic output, but a transient longer than the budget
+    passes for the limit.
+4.  *Arithmetic escape*: final-window extrema moving by a constant nonzero
     step extrapolate to the domain's extremal element.
 
-Window checks deliberately wait for the full budget: early windows can
+The window rules apply only where acceleration does not: to opaque
+steppers, and to machine runs whose loop path is not affine or does not
+settle.  They deliberately wait for the full budget: early windows can
 mistake a transient (a counter still climbing toward a guard threshold)
 for settled behaviour.  Everything else is reported Undetermined, never
 guessed.
@@ -159,6 +170,8 @@ class LimitBudget:
     def __post_init__(self):
         if not (self.max_loop_iterations >= self.confirm_window >= 2):
             raise InputError("need max_loop_iterations >= confirm_window >= 2")
+        if self.epsilon < 0:
+            raise InputError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
 DEFAULT_BUDGET = LimitBudget()
@@ -254,12 +267,27 @@ def _window_tolerance(maxima, window, epsilon):
     return None
 
 
+def _accelerated(d, limits, take_sup, used):
+    """The limit from per-position output limits, or None when one falls
+    outside the codomain.  It is divergent only when no position with a
+    settled output attains it."""
+    if not all(d.contains(v) for v, _ in limits):
+        return None
+    value = (d.sup if take_sup else d.inf)([v for v, _ in limits])
+    if any(v == value and not diverges for v, diverges in limits):
+        kind = LimitKind.EXACT
+    else:
+        kind = LimitKind.DIVERGED_TO_TOP if value == d.top else LimitKind.DIVERGED_TO_BOTTOM
+    return LimitResult(value, kind, used)
+
+
 def _eval_limit(verdict, t, budget, take_sup):
     d = verdict.codomain
     st = verdict.stepper(t.alphabet)
     for sym in t.stem:
         st.step(sym)
     combine = d.sup if take_sup else d.inf
+    accelerate = getattr(st, "accelerate", None)
     window = budget.confirm_window
     maxima = []
     iteration_values = []
@@ -276,8 +304,19 @@ def _eval_limit(verdict, t, budget, take_sup):
                     return LimitResult(combine(cycle_vals), LimitKind.EXACT, k)
                 except NoBoundError:
                     return LimitResult(None, LimitKind.UNDETERMINED, k)
-            seen[cfg] = k
-        vals = [st.step(sym) for sym in t.loop]
+            seen[cfg] = len(iteration_values)
+        if accelerate is None:
+            vals = [st.step(sym) for sym in t.loop]
+        else:
+            vals, limits = accelerate(t.loop)
+            if vals is None:
+                # the run jumped ahead: what was seen before does not recur
+                maxima, iteration_values, seen = [], [], {}
+                continue
+            if limits is not None:
+                res = _accelerated(d, limits, take_sup, k + 1)
+                if res is not None:
+                    return res
         iteration_values.append(vals)
         try:
             maxima.append(combine(vals))

@@ -206,6 +206,7 @@ class TestInputErrors:
         ["--epsilon", "abc", "compare", "machine:{work}/mmax.mspec", "mrt",
          "--suite", "exhaustive:1:1"],
         ["--epsilon", "1/0", "run", "{work}/mmax.mspec", "{work}/fig.lasso", "--lasso"],
+        ["--epsilon", "-1", "compare", "mrt", "mrt", "--suite", "exhaustive:1:1"],
     ], ids=lambda argv: " ".join(a.split("}/")[-1] for a in argv))
     def test_exits_2_with_one_line_error(self, workdir, bad, argv, capsys):
         args = [a.format(work=workdir, bad=bad) for a in argv]

@@ -13,8 +13,8 @@ from quantmon import qprop as qp
 from quantmon.errors import MachineError
 from quantmon.trace import (Alphabet, FiniteTrace, all_finite_traces, all_lassos,
                             lasso, parse_finite, parse_lasso, random_finite_trace)
-from quantmon.verdict import (LimitBudget, Monotonicity, check_monotone, eval_liminf,
-                              eval_limsup, verdict_sequence)
+from quantmon.verdict import (LimitBudget, LimitKind, Monotonicity, check_monotone,
+                              complement, eval_liminf, eval_limsup, verdict_sequence)
 
 SMALL = LimitBudget(max_loop_iterations=48)
 FIG = "req ack req other ack req ack other"
@@ -559,3 +559,156 @@ class TestCompiledStepper:
         run = mc.MachineRun(mc.build_mmax())
         with pytest.raises(MachineError, match="'bogus'"):
             run.step("bogus")
+
+
+SERVER = qp.server_alphabet(1).alphabet
+MMAX = mc.generated_verdict(mc.load_machine((DEMO_MACHINES / "mmax.mspec").read_text(),
+                                            name="Mmax"))
+MAVG = mc.generated_verdict(mc.load_machine((DEMO_MACHINES / "mavg.mspec").read_text(),
+                                            name="Mavg"))
+MFIN = {cap: mc.generated_verdict(mc.build_finite_state_mrt(cap)) for cap in (1, 2, 3, 4)}
+MPK = {k: mc.generated_verdict(mc.build_pk_monitor(k)) for k in (3, 4)}
+EPSILON = LimitBudget(epsilon=Fraction(1, 1000))
+# block lengths that straddle the 1024-iteration default budget
+long_blocks = st.one_of(st.integers(0, 3), st.integers(900, 2600))
+
+
+def _words(alphabet, min_size, max_size):
+    return st.lists(st.sampled_from(alphabet.symbols), min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def server_lassos(draw):
+    """A short stem, a long run of ``other`` (which leaves a request pending
+    or a counter far behind the maximum) and a short tail, then a loop."""
+    stem = draw(_words(SERVER, 0, 6)) + ["other"] * draw(long_blocks) + draw(_words(SERVER, 0, 4))
+    return lasso(stem, draw(_words(SERVER, 1, 5)), SERVER)
+
+
+@st.composite
+def pk_lassos(draw, k):
+    """A short stem, then letter blocks ``1^c1 ... k^ck`` with c1 >= ... >= ck
+    whose margins may exceed the budget, then a loop: a loop that lowers a
+    long margin violates the ordering only after that many iterations."""
+    alphabet = mc.pk_alphabet(k)
+    margins = [draw(long_blocks) for _ in range(k - 1)]
+    last = draw(st.integers(0, 3))
+    counts = [last + sum(margins[j:]) for j in range(k - 1)] + [last]
+    blocks = [str(j + 1) for j in range(k) for _ in range(counts[j])]
+    return lasso(draw(_words(alphabet, 0, 3)) + blocks, draw(_words(alphabet, 1, 5)), alphabet)
+
+
+def _both_limits(verdict, t, budget=LimitBudget()):
+    return eval_limsup(verdict, t, budget), eval_liminf(verdict, t, budget)
+
+
+def _proven(res, truth):
+    """The limit equals the truth and was closed by acceleration, a few
+    stepped iterations in, whatever the stem or the flip point."""
+    assert res.value == truth and res.iterations_used <= 8, res
+    kind = LimitKind.DIVERGED_TO_TOP if truth == dom.INF else LimitKind.EXACT
+    assert res.kind is kind or (truth == dom.INF and res.kind is LimitKind.EXACT), res
+
+
+class TestLoopAcceleration:
+    """Limits of grammar-output machines against the ground-truth evaluators,
+    on lassos whose stems and guard flips lie past the iteration budget."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(server_lassos())
+    def test_mmax_and_finite_state_against_mrt(self, t):
+        truth = qp.eval_mrt(t)
+        for res in _both_limits(MMAX, t):
+            _proven(res, truth)
+        for cap, verdict in MFIN.items():
+            for res in _both_limits(verdict, t):
+                assert res.kind is LimitKind.EXACT and res.value == min(cap, truth), res
+
+    @settings(max_examples=150, deadline=None)
+    @given(server_lassos())
+    def test_mavg_against_art(self, t):
+        truth = qp.eval_art(t)
+        for res in _both_limits(MAVG, t) + _both_limits(MAVG, t, EPSILON):
+            _proven(res, truth)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_pk_against_eval_pk(self, k, data):
+        t = data.draw(pk_lassos(k))
+        truth = mc.eval_pk(t, k)
+        for res in _both_limits(MPK[k], t):
+            assert res.value == truth and res.kind is LimitKind.EXACT, res
+            assert res.iterations_used <= 8, res
+
+    def test_pk_violation_past_the_budget(self):
+        m = mc.build_pk_monitor(2)
+        t = parse_lasso("1 " * 1500 + "; 1 2 2", m.alphabet)
+        assert mc.eval_pk(t, 2) == 6003
+        res = eval_limsup(mc.generated_verdict(m), t)
+        assert (res.value, res.kind) == (6003, LimitKind.EXACT)
+        # two iterations on one path, the jump, the flipping iteration, and
+        # one frozen iteration whose configuration recurs
+        assert res.iterations_used == 4
+
+    @pytest.mark.parametrize("budget", [LimitBudget(), EPSILON], ids=["exact", "epsilon"])
+    def test_mavg_average_is_exact(self, budget):
+        t = parse_lasso("req other ack ; req other other ack other", SERVER)
+        assert qp.eval_art(t) == 3
+        for res in _both_limits(MAVG, t, budget):
+            assert (res.value, res.kind) == (3, LimitKind.EXACT) and res.iterations_used <= 8
+
+    def test_pending_forever_diverges(self):
+        t = parse_lasso("req ; other", SERVER)
+        res = eval_limsup(MMAX, t)
+        assert (res.value, res.kind) == (dom.INF, LimitKind.DIVERGED_TO_TOP)
+        assert res.iterations_used <= 8
+        res = eval_liminf(complement(MMAX), t)
+        assert (res.value, res.kind) == (dom.INF, LimitKind.DIVERGED_TO_BOTTOM)
+
+    def test_untracked_violation_stays_infinite(self):
+        t = parse_lasso("1 2 3 ; 4", mc.pk_alphabet(4))
+        assert mc.eval_pk(t, 4) == 5
+        res = eval_liminf(mc.generated_verdict(mc.build_pk_approx(4, 2)), t)
+        assert (res.value, res.kind) == (dom.INF, LimitKind.EXACT) and res.iterations_used <= 8
+
+    def test_flip_that_changes_a_reset(self):
+        # y counts up until x reaches 3, then is reset in every iteration;
+        # the output right after ``a`` reads y from before the reset
+        ab = Alphabet(("a", "b"))
+        edges = [mc.Edge("q", "a", mc.TRUE_GUARD, (mc.Update("x", "inc"),), "q"),
+                 mc.Edge("q", "b", mc.Guard((mc.GuardAtom("x", 3),)),
+                         (mc.Update("y", "zero"),), "q"),
+                 mc.Edge("q", "b", mc.Guard((mc.GuardAtom("x", 3, negated=True),)),
+                         (mc.Update("y", "inc"),), "q")]
+        m = mc.RegisterMachine("reset", ("x", "y"), ("q",), ab, "q", edges,
+                               {"q": mc.out_reg("y")}, mc.InstructionSet.COUNTER_INC_DEC,
+                               dom.NATINF)
+        t = lasso((), ("a", "b"), ab)
+        assert verdict_sequence(mc.generated_verdict(m), t.prefix(8)) == [0, 0, 1, 1, 2, 2, 0, 0, 0]
+        for res in _both_limits(mc.generated_verdict(m), t):
+            assert (res.value, res.kind) == (0, LimitKind.EXACT)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 2000])
+    @pytest.mark.parametrize("loop", ["a", "a a b", "b a"])
+    def test_counter_stops_at_its_bound(self, n, loop):
+        # b raises the bound y; a counts x up and stops once x reaches y,
+        # freezing x as the output: a jump past the catch-up point shows
+        ab = Alphabet(("a", "b"))
+        edges = [mc.Edge("run", "b", mc.TRUE_GUARD, (mc.Update("y", "inc"),), "run"),
+                 mc.Edge("run", "a", mc.Guard((mc.GuardAtom("x", "y"),)), (), "stop"),
+                 mc.Edge("run", "a", mc.Guard((mc.GuardAtom("x", "y", negated=True),)),
+                         (mc.Update("x", "inc"),), "run"),
+                 mc.Edge("stop", "a", mc.TRUE_GUARD, (), "stop"),
+                 mc.Edge("stop", "b", mc.TRUE_GUARD, (), "stop")]
+        m = mc.RegisterMachine("catch", ("x", "y"), ("run", "stop"), ab, "run", edges,
+                               {"run": mc.OUT_INF, "stop": mc.out_reg("x")},
+                               mc.InstructionSet.COUNTER, dom.NATINF)
+        t = parse_lasso("b " * n + "; " + loop, ab)
+        (state, _), truth = mc.run(m, t.prefix(len(t.stem) + len(t.loop) * (n + 2)))
+        assert (state == "stop") == (loop != "b a")
+        for res in _both_limits(mc.generated_verdict(m), t):
+            assert (res.value, res.kind) == (truth, LimitKind.EXACT) and res.iterations_used <= 8
+            if n == 2000 and loop != "b a":
+                # as in the Mpk2 case: the jump lands right before the flip
+                assert res.iterations_used == 4

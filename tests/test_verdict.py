@@ -7,7 +7,7 @@ from quantmon import boolprop as bp
 from quantmon import domain as dom
 from quantmon import machine as mc
 from quantmon import qprop as qp
-from quantmon.errors import InvalidFunctionError, UnsupportedDomainError
+from quantmon.errors import InputError, InvalidFunctionError, UnsupportedDomainError
 from quantmon.trace import Alphabet, FiniteTrace, lasso, parse_lasso
 from quantmon.verdict import (FunctionStepper, LimitBudget, LimitKind, Monotonicity,
                               VerdictFunction, check_monotone, combine_max,
@@ -91,6 +91,12 @@ class TestLimits:
             LimitBudget(max_loop_iterations=2, confirm_window=3)
         with pytest.raises(ValueError):
             LimitBudget(confirm_window=1)
+
+    def test_negative_epsilon_is_an_input_error(self):
+        with pytest.raises(InputError):
+            LimitBudget(epsilon=-1)
+        with pytest.raises(ValueError):
+            LimitBudget(epsilon=Fraction(-1, 1000))
 
     def test_mrt_verdict_on_figure_lasso(self, server):
         t = parse_lasso("req ack req other ack ; other", server)
@@ -305,6 +311,11 @@ class TestCombinatorSemantics:
     @given(st.sampled_from(BOTTOMED_OPERANDS), server_traces)
     def test_smooth_bot(self, v, s):
         assert verdict_sequence(bp.smooth_bot(v), s) == _smoothed(verdict_sequence(v, s))
+
+    def test_prefix_verdict_steps_without_an_alphabet(self):
+        st = prefix_verdict(dom.NATINF, len).stepper(None)
+        assert st.value == 0
+        assert [st.step(sym) for sym in ("a", "b", "a")] == [1, 2, 3]
 
     @settings(max_examples=50, deadline=None)
     @given(server_traces)
