@@ -15,7 +15,6 @@ produce byte-identical outputs.
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import boolprop as bp
 from . import domain as dom
@@ -44,12 +43,8 @@ def _int(text, what, least):
 
 
 def _budget(args):
-    try:
-        epsilon = Fraction(args.epsilon) if args.epsilon else Fraction(0)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"--epsilon must be a rational number, got {args.epsilon!r}") from None
     return LimitBudget(max_loop_iterations=args.budget_iters,
-                       confirm_window=args.confirm_window, epsilon=epsilon)
+                       confirm_window=args.confirm_window)
 
 
 def _emit(lines, out_path):
@@ -126,6 +121,8 @@ def cmd_run(args):
         return 0
     text = _read(args.trace)
     if args.lasso:
+        if args.unroll < 0:
+            raise InputError(f"--unroll must be an integer >= 0, got {args.unroll}")
         t = parse_lasso(text, machine.alphabet)
         budget = _budget(args)
         window = t.prefix(len(t.stem) + args.unroll * len(t.loop))
@@ -229,14 +226,19 @@ def cmd_demo(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end like every other bad input:
+    one ``error:`` line and exit 2.  Subparsers inherit the class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="quantmon",
-                                     description="quantitative runtime monitoring")
+    parser = _Parser(prog="quantmon", description="quantitative runtime monitoring")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--budget-iters", type=int, default=1024)
     parser.add_argument("--confirm-window", type=int, default=3)
-    parser.add_argument("--epsilon", default=None,
-                        help="numeric tolerance for limit detection (exact rational)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="replay a machine over a trace")
@@ -286,12 +288,12 @@ def _build_parser():
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run" and not args.stdin and args.trace is None:
-        parser.error("run needs a trace file (or --stdin)")
-    if args.command == "classify" and not args.obligation and args.automaton is None:
-        parser.error("classify needs an automaton file or --obligation pairs")
     try:
+        args = parser.parse_args(argv)
+        if args.command == "run" and not args.stdin and args.trace is None:
+            parser.error("run needs a trace file (or --stdin)")
+        if args.command == "classify" and not args.obligation and args.automaton is None:
+            parser.error("classify needs an automaton file or --obligation pairs")
         return args.fn(args)
     except QuantmonError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,20 +25,25 @@ resolves the limit four ways, in order of preference:
     limit; it is divergent when only diverging positions attain it.  A
     position limit outside the codomain leaves the limit to the rules
     below.  Iterations skipped by a jump are not counted as used.
-3.  *Stable window*: once the iteration budget is exhausted, per-iteration
-    extrema that are identical (or periodic) over the final confirmation
-    window report an exact limit.  This is a heuristic: it settles
-    eventually periodic output, but a transient longer than the budget
-    passes for the limit.
+3.  *Stable window*: once the iteration budget is exhausted, the extrema
+    of the final ``max_period * confirm_window`` iterations (at least
+    ``confirm_window + 1``) are folded, once; extrema that are identical
+    (or periodic) over the final confirmation window report an exact
+    limit.  This is a heuristic: it settles eventually periodic output,
+    but a transient longer than the budget passes for the limit.
 4.  *Arithmetic escape*: final-window extrema moving by a constant nonzero
-    step extrapolate to the domain's extremal element.
+    step extrapolate to the domain's extremal element.  In a product
+    domain, components equal across the window (``inf`` included) are
+    settled, and the moving ones must be finite and move by a constant
+    step.
 
 The window rules apply only where acceleration does not: to opaque
 steppers, and to machine runs whose loop path is not affine or does not
 settle.  They deliberately wait for the full budget: early windows can
 mistake a transient (a counter still climbing toward a guard threshold)
-for settled behaviour.  Everything else is reported Undetermined, never
-guessed.
+for settled behaviour.  Every value is checked against the codomain as it
+is stepped, whether or not a rule later reads it.  Everything else is
+reported Undetermined, never guessed.
 """
 
 import enum
@@ -139,7 +144,6 @@ def constant_verdict(codomain, value, name=None):
 
 class LimitKind(enum.Enum):
     EXACT = "exact"
-    TOLERANCE = "tolerance"
     DIVERGED_TO_TOP = "diverged-to-top"
     DIVERGED_TO_BOTTOM = "diverged-to-bottom"
     UNDETERMINED = "undetermined"
@@ -150,7 +154,6 @@ class LimitResult:
     value: object
     kind: LimitKind
     iterations_used: int
-    epsilon: object = None
 
     @property
     def is_determined(self):
@@ -164,14 +167,11 @@ class LimitResult:
 class LimitBudget:
     max_loop_iterations: int = 1024
     confirm_window: int = 3
-    epsilon: Fraction = Fraction(0)
     max_period: int = 6
 
     def __post_init__(self):
         if not (self.max_loop_iterations >= self.confirm_window >= 2):
             raise InputError("need max_loop_iterations >= confirm_window >= 2")
-        if self.epsilon < 0:
-            raise InputError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
 DEFAULT_BUDGET = LimitBudget()
@@ -221,29 +221,24 @@ def _window_diverged(d, maxima, window, take_sup):
     if len(tail) < window + 1 or any(m is None for m in tail):
         return None
     if isinstance(d, dom.ProductDomain):
-        if not all(isinstance(m, tuple) and all(_finite_number(c) for c in m) for m in tail):
-            return None
-        comps = []
-        moved = False
-        for i in range(d.arity):
-            col = [m[i] for m in tail]
-            diffs = [col[j + 1] - col[j] for j in range(len(col) - 1)]
-            if any(df != diffs[0] for df in diffs):
+        comps, escapes = [], []
+        for col in zip(*tail):
+            if all(c == col[0] for c in col[1:]):
+                # a settled component, which may sit at inf
+                comps.append(col[0])
+                continue
+            if not all(_finite_number(c) for c in col):
                 return None
-            if diffs[0] == 0:
-                comps.append(col[-1])
-            else:
-                lim = dom.INF if diffs[0] > 0 else dom.NEG_INF
-                if not d.inner.contains(lim):
-                    return None
-                comps.append(lim)
-                moved = True
-        if not moved:
+            lim = _extrapolate_scalar(d.inner, col)
+            if lim is None:
+                return None
+            comps.append(lim)
+            escapes.append(lim)
+        if not escapes:
             return None
-        value = tuple(comps)
-        kind = LimitKind.DIVERGED_TO_TOP if any(c == dom.INF for c in comps) \
+        kind = LimitKind.DIVERGED_TO_TOP if dom.INF in escapes \
             else LimitKind.DIVERGED_TO_BOTTOM
-        return value, kind
+        return tuple(comps), kind
     if not all(_finite_number(m) for m in tail):
         return None
     limit = _extrapolate_scalar(d, tail)
@@ -253,17 +248,6 @@ def _window_diverged(d, maxima, window, take_sup):
         return limit, LimitKind.DIVERGED_TO_TOP
     if limit == d.bottom:
         return limit, LimitKind.DIVERGED_TO_BOTTOM
-    return None
-
-
-def _window_tolerance(maxima, window, epsilon):
-    if epsilon <= 0:
-        return None
-    tail = maxima[-(window + 1):]
-    if len(tail) < window + 1 or not all(m is not None and _finite_number(m) for m in tail):
-        return None
-    if all(abs(tail[i + 1] - tail[i]) <= epsilon for i in range(len(tail) - 1)):
-        return tail[-1]
     return None
 
 
@@ -281,6 +265,13 @@ def _accelerated(d, limits, take_sup, used):
     return LimitResult(value, kind, used)
 
 
+def _extremum(combine, vals):
+    try:
+        return combine(vals)
+    except NoBoundError:
+        return None
+
+
 def _eval_limit(verdict, t, budget, take_sup):
     d = verdict.codomain
     st = verdict.stepper(t.alphabet)
@@ -288,8 +279,7 @@ def _eval_limit(verdict, t, budget, take_sup):
         st.step(sym)
     combine = d.sup if take_sup else d.inf
     accelerate = getattr(st, "accelerate", None)
-    window = budget.confirm_window
-    maxima = []
+    step, check, loop = st.step, d.check, t.loop.symbols
     iteration_values = []
     seen = {}
     for k in range(budget.max_loop_iterations):
@@ -306,30 +296,30 @@ def _eval_limit(verdict, t, budget, take_sup):
                     return LimitResult(None, LimitKind.UNDETERMINED, k)
             seen[cfg] = len(iteration_values)
         if accelerate is None:
-            vals = [st.step(sym) for sym in t.loop]
+            vals = [step(sym) for sym in loop]
         else:
-            vals, limits = accelerate(t.loop)
+            vals, limits = accelerate(loop)
             if vals is None:
                 # the run jumped ahead: what was seen before does not recur
-                maxima, iteration_values, seen = [], [], {}
+                iteration_values, seen = [], {}
                 continue
             if limits is not None:
                 res = _accelerated(d, limits, take_sup, k + 1)
                 if res is not None:
                     return res
+        # a value outside the codomain fails in the iteration that yields
+        # it, whether or not a window rule would read that iteration
+        for v in vals:
+            check(v)
         iteration_values.append(vals)
-        try:
-            maxima.append(combine(vals))
-        except NoBoundError:
-            maxima.append(None)
-        if budget.epsilon > 0:
-            m = _window_tolerance(maxima, window, budget.epsilon)
-            if m is not None:
-                return LimitResult(m, LimitKind.TOLERANCE, k + 1, epsilon=budget.epsilon)
     # Window heuristics judge only the final iterations: deciding on an
     # early window would mistake transients (a counter still climbing
     # toward saturation, a guard about to flip) for settled behaviour.
+    # Only the iterations those rules read are folded into extrema.
     used = budget.max_loop_iterations
+    window = budget.confirm_window
+    judged = max(budget.max_period * window, window + 1)
+    maxima = [_extremum(combine, vals) for vals in iteration_values[-judged:]]
     m = _window_equal(maxima, window)
     if m is not None:
         return LimitResult(m, LimitKind.EXACT, used)

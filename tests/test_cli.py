@@ -74,6 +74,14 @@ class TestRun:
         assert code == 0
         assert out.splitlines()[-2] == "limsup,diverged-to-top,inf"
 
+    def test_unroll_zero_shows_the_stem_only(self, workdir, capsys):
+        code, out, _ = run_cli(["run", workdir / "mmax.mspec", workdir / "fig.lasso",
+                                "--lasso", "--unroll", "0"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:-2] == FIG1_CSV  # the 8 stem events and the empty prefix
+        assert lines[-2:] == ["limsup,exact,2", "liminf,exact,2"]
+
     def test_missing_trace_exits_2_without_output(self, workdir, capsys):
         code, out, err = run_cli(["run", workdir / "mmax.mspec",
                                   workdir / "nope.trace", "--finite"], capsys)
@@ -207,6 +215,15 @@ class TestInputErrors:
          "--suite", "exhaustive:1:1"],
         ["--epsilon", "1/0", "run", "{work}/mmax.mspec", "{work}/fig.lasso", "--lasso"],
         ["--epsilon", "-1", "compare", "mrt", "mrt", "--suite", "exhaustive:1:1"],
+        ["--budget-iters", "abc", "compare", "machine:{work}/mmax.mspec", "mrt",
+         "--suite", "exhaustive:1:1"],
+        ["run", "{work}/mmax.mspec", "{work}/fig.lasso", "--lasso", "--unroll", "x"],
+        ["run", "{work}/mmax.mspec", "{work}/fig.lasso", "--lasso", "--unroll", "-2"],
+        ["compare", "machine:{work}/mmax.mspec", "mrt", "--suite", "exhaustive:1:1",
+         "--side", "sideways"],
+        ["run", "{work}/mmax.mspec"],
+        ["classify"],
+        [],
     ], ids=lambda argv: " ".join(a.split("}/")[-1] for a in argv))
     def test_exits_2_with_one_line_error(self, workdir, bad, argv, capsys):
         args = [a.format(work=workdir, bad=bad) for a in argv]

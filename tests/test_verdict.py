@@ -1,16 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quantmon import boolprop as bp
 from quantmon import domain as dom
 from quantmon import machine as mc
 from quantmon import qprop as qp
-from quantmon.errors import InputError, InvalidFunctionError, UnsupportedDomainError
+from quantmon import verdict as vd
+from quantmon.errors import (DomainMismatchError, InvalidFunctionError, NoBoundError,
+                             UnsupportedDomainError)
 from quantmon.trace import Alphabet, FiniteTrace, lasso, parse_lasso
-from quantmon.verdict import (FunctionStepper, LimitBudget, LimitKind, Monotonicity,
-                              VerdictFunction, check_monotone, combine_max,
+from quantmon.verdict import (FunctionStepper, LimitBudget, LimitKind, LimitResult,
+                              Monotonicity, VerdictFunction, check_monotone, combine_max,
                               combine_min, combine_product, combine_sum, complement,
                               constant_verdict, count_switches, eval_liminf,
                               eval_limsup, map_continuous, prefix_verdict,
@@ -78,25 +80,24 @@ class TestLimits:
         assert res.kind is LimitKind.DIVERGED_TO_TOP
         assert res.value == (dom.INF, 3)
 
-    def test_tolerance_mode_detects_cauchy_stop(self):
-        v = prefix_verdict(dom.RATINF,
-                           lambda s: 1 - Fraction(1, len(s) + 1), name="conv")
-        budget = LimitBudget(epsilon=Fraction(1, 100))
-        res = eval_liminf(v, lasso((), ("a",), A), budget)
-        assert res.kind is LimitKind.TOLERANCE
-        assert abs(res.value - 1) < Fraction(1, 9)
+    def test_product_escape_passes_settled_infinite_components(self):
+        # pair 2 sits at inf after its double request while pair 1's counter
+        # climbs by a constant step per iteration
+        m = mc.build_kpair_monitor(2)
+        t = parse_lasso("other other req1 req2 ; req2 ack2 req2", m.alphabet)
+        assert qp.eval_kpair_mrt(t, 2) == (dom.INF, dom.INF)
+        for evaluate in (eval_limsup, eval_liminf):
+            res = evaluate(mc.generated_verdict(m), t)
+            assert (res.value, res.kind) == ((dom.INF, dom.INF), LimitKind.DIVERGED_TO_TOP)
+        v = prefix_verdict(dom.product(dom.NATINF, 2), lambda s: (dom.INF, len(s)))
+        res = eval_limsup(v, lasso((), ("a",), A))
+        assert (res.value, res.kind) == ((dom.INF, dom.INF), LimitKind.DIVERGED_TO_TOP)
 
     def test_budget_preconditions(self):
         with pytest.raises(ValueError):
             LimitBudget(max_loop_iterations=2, confirm_window=3)
         with pytest.raises(ValueError):
             LimitBudget(confirm_window=1)
-
-    def test_negative_epsilon_is_an_input_error(self):
-        with pytest.raises(InputError):
-            LimitBudget(epsilon=-1)
-        with pytest.raises(ValueError):
-            LimitBudget(epsilon=Fraction(-1, 1000))
 
     def test_mrt_verdict_on_figure_lasso(self, server):
         t = parse_lasso("req ack req other ack ; other", server)
@@ -358,3 +359,99 @@ class TestConcurrentEvaluation:
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(lambda t: eval_limsup(v, t).value, traces))
         assert results == [eval_limsup(v, t).value for t in traces]
+
+
+def _reference_limit(verdict, t, budget, take_sup):
+    """The per-iteration fold that the budget path replaced: each loop
+    iteration's extremum is folded as it is stepped, and the window rules
+    read the whole list.  For opaque steppers (no ``accelerate``)."""
+    d = verdict.codomain
+    combine = d.sup if take_sup else d.inf
+    st = verdict.stepper(t.alphabet)
+    for sym in t.stem:
+        st.step(sym)
+    maxima, iteration_values, seen = [], [], {}
+    for k in range(budget.max_loop_iterations):
+        cfg = st.config()
+        if cfg is not None:
+            if cfg in seen:
+                cycle_vals = [v for it in iteration_values[seen[cfg]:] for v in it]
+                try:
+                    return LimitResult(combine(cycle_vals), LimitKind.EXACT, k)
+                except NoBoundError:
+                    return LimitResult(None, LimitKind.UNDETERMINED, k)
+            seen[cfg] = len(iteration_values)
+        vals = [st.step(sym) for sym in t.loop]
+        iteration_values.append(vals)
+        try:
+            maxima.append(combine(vals))
+        except NoBoundError:
+            maxima.append(None)
+    used, window = budget.max_loop_iterations, budget.confirm_window
+    m = vd._window_equal(maxima, window)
+    if m is None:
+        m = vd._window_periodic(d, maxima, window, budget.max_period, take_sup)
+    if m is not None:
+        return LimitResult(m, LimitKind.EXACT, used)
+    div = vd._window_diverged(d, maxima, window, take_sup)
+    if div is not None:
+        return LimitResult(div[0], div[1], used)
+    return LimitResult(None, LimitKind.UNDETERMINED, used)
+
+
+def _counter_mod(n):
+    # its configuration (the step count) never repeats, so only the window
+    # rules can settle it: per-iteration extrema are periodic
+    factory = lambda alphabet: FunctionStepper(0, lambda k, sym: k + 1, lambda k: k % n)
+    return VerdictFunction(dom.NATINF, factory, name=f"mod{n}")
+
+
+OPAQUE = {
+    "art": qp.art_verdict(),
+    "mrt": qp.mrt_verdict(),
+    "alternating": VerdictFunction(dom.BT, lambda alphabet: FunctionStepper(
+        True, lambda b, sym: not b, lambda b: b), name="alt"),
+    "mod6": _counter_mod(6),
+    "pair": prefix_verdict(dom.product(dom.NATINF, 2), lambda s: (
+        _acks(s), dom.INF if s.symbols.count("req") > 1 else len(s) % 2), name="pair"),
+    "bool": prefix_verdict(dom.BT, lambda s: len(s) % 3 == 0, name="len%3"),
+    "flat": prefix_verdict(dom.B, lambda s: _acks(s) % 2 == 0, name="even-acks"),
+}
+small_budgets = st.builds(LimitBudget, max_loop_iterations=st.integers(4, 40),
+                          confirm_window=st.integers(2, 4), max_period=st.integers(2, 6))
+server_lassos = st.builds(lambda stem, loop: lasso(stem, loop, SERVER),
+                          st.lists(st.sampled_from(SERVER.symbols), max_size=6),
+                          st.lists(st.sampled_from(SERVER.symbols), min_size=1, max_size=4))
+
+
+class TestBudgetPath:
+    """The budget path folds extrema once, over the judged final iterations,
+    and still checks every value as it is stepped."""
+
+    @pytest.mark.parametrize("name", sorted(OPAQUE))
+    @settings(max_examples=80, deadline=None)
+    @given(t=server_lassos, budget=small_budgets)
+    # mod6 repeats with period 6 = max_period: the window rules read all
+    # 18 judged iterations
+    @example(t=lasso((), ("other",), SERVER), budget=LimitBudget())
+    def test_matches_the_per_iteration_fold(self, name, t, budget):
+        v = OPAQUE[name]
+        assert eval_limsup(v, t, budget) == _reference_limit(v, t, budget, True)
+        assert eval_liminf(v, t, budget) == _reference_limit(v, t, budget, False)
+
+    def test_out_of_codomain_value_raises_at_its_iteration(self):
+        # -1 is no natinf value; it comes in the third of 1024 iterations,
+        # far ahead of the judged tail, and the run stops with that iteration
+        steps = []
+
+        def step(k, sym):
+            steps.append(k + 1)
+            return k + 1
+
+        factory = lambda alphabet: FunctionStepper(0, step, lambda k: -1 if k == 5 else k)
+        v = VerdictFunction(dom.NATINF, factory, name="dips")
+        for evaluate in (eval_limsup, eval_liminf):
+            steps.clear()
+            with pytest.raises(DomainMismatchError):
+                evaluate(v, lasso((), ("a", "b"), AB))
+            assert steps[-1] == 6
