@@ -226,6 +226,30 @@ def cmd_demo(args):
     return 0
 
 
+# the options before the subcommand, each taking one integer, and defaults
+_GLOBAL_OPTIONS = {"--seed": 42, "--budget-iters": 1024, "--confirm-window": 3}
+
+
+def _check_global_options(argv):
+    """Reject an unknown option before the subcommand by its name.  argparse
+    would set it aside and read its value as the subcommand, so its own
+    error would name the value instead."""
+    args = iter(argv)
+    for arg in args:
+        name, eq, _ = arg.partition("=")
+        if not name.startswith("-") or arg == "--":
+            return  # the subcommand
+        # argparse accepts prefixes of option names too
+        known = [opt for opt in (*_GLOBAL_OPTIONS, "--help")
+                 if len(name) > 2 and opt.startswith(name)]
+        if name == "-h" or known == ["--help"]:
+            return
+        if not known:
+            raise InputError(f"unrecognized arguments: {arg}")
+        if not eq:
+            next(args, None)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors end like every other bad input:
     one ``error:`` line and exit 2.  Subparsers inherit the class."""
@@ -236,9 +260,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser():
     parser = _Parser(prog="quantmon", description="quantitative runtime monitoring")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--budget-iters", type=int, default=1024)
-    parser.add_argument("--confirm-window", type=int, default=3)
+    for option, default in _GLOBAL_OPTIONS.items():
+        parser.add_argument(option, type=int, default=default)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="replay a machine over a trace")
@@ -289,6 +312,7 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     try:
+        _check_global_options(sys.argv[1:] if argv is None else argv)
         args = parser.parse_args(argv)
         if args.command == "run" and not args.stdin and args.trace is None:
             parser.error("run needs a trace file (or --stdin)")

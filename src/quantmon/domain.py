@@ -379,12 +379,12 @@ def render_value(v):
     raise DomainMismatchError(f"cannot render {v!r}")
 
 
-def _top_level_parts(text):
-    """``text`` split on the commas outside any parentheses."""
+def _top_level_parts(text, sep=","):
+    """``text`` split on the ``sep`` characters outside any parentheses."""
     parts, depth = [""], 0
     for ch in text:
         depth += (ch == "(") - (ch == ")")
-        if ch == "," and depth == 0:
+        if ch == sep and depth == 0:
             parts.append("")
         else:
             parts[-1] += ch

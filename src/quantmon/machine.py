@@ -16,11 +16,11 @@ valuation is the tuple of register values in ``registers`` order.  Each
 state's row maps a symbol to its lone edge's ``(target, update)`` or, for a
 guarded group, to a function of the values tuple giving the group's sign
 pattern plus a table from pattern to ``(target, update)``.  Each distinct
-update list becomes one tuple builder and each grammar output one function
-of the values tuple.  Their Python source is generated from register
-indices and integer literals only, never from names in the input, and is
-compiled once per distinct source text.  The source ``Edge``/``Guard``/
-``Update`` objects stay in ``edges`` for parsing, rendering and tests.
+update list becomes one tuple builder and each output one function of the
+values tuple.  Their Python source is generated from register indices and
+integer literals only, never from names in the input, and is compiled once
+per distinct source text.  The source ``Edge``/``Guard``/``Update`` objects
+stay in ``edges`` for parsing, rendering and tests.
 
 The flat form also keeps, per update builder, its ``(target, kind,
 operand)`` assignments and, per sign-pattern function, its atom tests
@@ -29,11 +29,15 @@ one lasso-loop iteration symbolically.  An arm path lists per step the
 state id, the symbol and the sign pattern taken.  Along a path every
 register value, guard atom and output reads as an affine form of the
 iteration's start values: integer coefficients plus a constant.  When the
-composed update maps each register to itself plus a constant (its shift)
-or to a constant, the start of the n-th iteration along the path is
-``start + n * shift``, so each form changes by a fixed slope per iteration.
+composed update sets some registers to constants and maps every other
+register to itself plus a constant and plus multiples of the set ones,
+then, as the iteration before took the same path, the set registers start
+every iteration at their constants, each other register moves by a fixed
+shift, and the start of the n-th iteration along the path is ``start + n *
+shift``.  So each form changes by a fixed slope per iteration.
 Then each atom's sign flips at a computable iteration, and each output
-position tends to its value, to ±inf, or to a ratio of slopes.
+position tends to its value, to ±inf, or to a ratio of slopes (taken
+through ``max`` and componentwise in a tuple).
 
 Instruction sets restrict which update and guard forms a machine may use:
 
@@ -44,16 +48,21 @@ Instruction sets restrict which update and guard forms a machine may use:
 * ``adder``: set-to-one, add-register, copy updates, register comparisons;
 * ``extended``: anything, including outputs that divide registers.
 
-Per-state outputs are either grammar objects (``0``, ``inf``, a register,
-or a register quotient) or callables ``f(values)`` of the values tuple, for
-machines whose output map needs arithmetic the file grammar cannot spell
-(those machines cannot be rendered to text).
+Per-state outputs are ``OutputSpec`` expressions in one small grammar, the
+outputs of cost register automata: ``inf``; an affine form, integer
+coefficients over registers plus an integer constant (``0``, ``y``,
+``2*m``); a quotient of two affine forms, 0 where the denominator is 0,
+which needs the extended set (``(total+burst-1)/(count+1)``); ``max(o,
+...)``; and a tuple ``(o, ...)`` of scalar outputs for product codomains.
+Every machine therefore renders to the file format, and every machine's
+loops can be composed for acceleration.
 """
 
 import enum
 import functools
 import itertools
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -136,35 +145,83 @@ class Edge:
     target: str
 
 
+@dataclass(frozen=True)
 class OutputSpec:
-    """Grammar-backed output: 0, inf, a register, or a register quotient."""
+    """An output expression over the registers, by ``kind``:
 
-    def __init__(self, kind, *regs):
-        if kind not in ("zero", "inf", "reg", "div"):
-            raise MachineError(f"unknown output kind {kind!r}")
-        self.kind = kind
-        self.regs = regs
+    * ``inf``;
+    * ``affine``: ``parts`` holds ``(register, coefficient)`` terms and the
+      value is their sum plus the integer ``const``;
+    * ``div``: ``parts`` is two affine outputs, numerator and denominator;
+      the quotient is 0 where the denominator is 0;
+    * ``max``: the largest of ``parts``;
+    * ``tuple``: ``parts`` as a tuple, for product codomains.
+
+    ``max`` and ``tuple`` take scalar outputs only, so tuples do not nest.
+    """
+
+    kind: str
+    parts: tuple = ()
+    const: int = 0
+
+    def __post_init__(self):
+        parts, kind = self.parts, self.kind
+        scalar = lambda p: isinstance(p, OutputSpec) and p.kind != "tuple"
+        if not isinstance(parts, tuple) or not _is_int(self.const) \
+                or (self.const and kind != "affine"):
+            ok = False
+        elif kind == "affine":
+            ok = all(isinstance(t, tuple) and len(t) == 2 and isinstance(t[0], str)
+                     and _is_int(t[1]) for t in parts)
+        elif kind == "div":
+            ok = len(parts) == 2 and all(scalar(p) and p.kind == "affine" for p in parts)
+        elif kind in ("max", "tuple"):
+            ok = bool(parts) and all(map(scalar, parts))
+        else:
+            ok = kind == "inf" and not parts
+        if not ok:
+            raise MachineError(f"malformed {kind!r} output")
 
     def render(self):
-        if self.kind == "zero":
-            return "0"
         if self.kind == "inf":
             return "inf"
-        if self.kind == "reg":
-            return self.regs[0]
-        return f"({self.regs[0]})/({self.regs[1]})"
+        if self.kind == "affine":
+            text = ""
+            for r, c in self.parts:
+                text += ("-" if c < 0 else "+") + ("" if abs(c) == 1 else f"{abs(c)}*") + r
+            if self.const or not text:
+                text += f"{self.const:+d}"
+            return text.removeprefix("+")
+        if self.kind == "div":
+            return "({})/({})".format(*(p.render() for p in self.parts))
+        inner = ",".join(p.render() for p in self.parts)
+        return f"max({inner})" if self.kind == "max" else f"({inner})"
 
 
-OUT_ZERO = OutputSpec("zero")
+def _is_int(c):
+    return isinstance(c, int) and not isinstance(c, bool)
+
+
 OUT_INF = OutputSpec("inf")
 
 
+def out_const(c):
+    return OutputSpec("affine", (), c)
+
+
+OUT_ZERO = out_const(0)
+
+
 def out_reg(x):
-    return OutputSpec("reg", x)
+    return OutputSpec("affine", ((x, 1),))
 
 
 def out_div(x, y):
-    return OutputSpec("div", x, y)
+    return OutputSpec("div", (out_reg(x), out_reg(y)))
+
+
+def out_tuple(*parts):
+    return OutputSpec("tuple", parts)
 
 
 _SET_UPDATES = {
@@ -186,7 +243,7 @@ def _atom_allowed(atom, iset):
 
 
 # the only names generated code can see
-_CODE_GLOBALS = {"__builtins__": {}, "Fraction": Fraction, "INF": dom.INF}
+_CODE_GLOBALS = {"__builtins__": {}, "Fraction": Fraction, "INF": dom.INF, "max": max}
 
 
 @functools.lru_cache(maxsize=1024)
@@ -204,14 +261,22 @@ def _update_source(width, assigned):
 
 
 def _output_source(out, rid):
-    if out.kind == "zero":
-        return "lambda v: 0"
+    """The expression of ``out`` over the values tuple ``v``; raises
+    KeyError for a register outside ``rid``."""
     if out.kind == "inf":
-        return "lambda v: INF"
-    if out.kind == "reg":
-        return f"lambda v: v[{rid[out.regs[0]]}]"
-    num, den = rid[out.regs[0]], rid[out.regs[1]]
-    return f"lambda v: Fraction(v[{num}], v[{den}]) if v[{den}] else Fraction(0)"
+        return "INF"
+    if out.kind == "affine":
+        terms = [f"v[{rid[r]}]" if c == 1 else f"{c:d} * v[{rid[r]}]" for r, c in out.parts]
+        if out.const or not terms:
+            terms.append(f"{out.const:d}")
+        return " + ".join(terms)
+    parts = [_output_source(p, rid) for p in out.parts]
+    if out.kind == "div":
+        num, den = parts
+        return f"Fraction({num}, {den}) if {den} else Fraction(0)"
+    if out.kind == "max":
+        return f"max({', '.join(parts)})"
+    return f"({', '.join(parts)},)"
 
 
 def _test_source(test):
@@ -258,7 +323,8 @@ class RegisterMachine:
         if self.initial not in sid:
             raise MachineError(f"unknown initial state {self.initial!r}")
         symbols = set(self.alphabet)
-        outs = tuple(self._lower_output(q, rid) for q in self.states)
+        lowered = {}
+        outs = tuple(self._lower_output(q, rid, lowered) for q in self.states)
         rows = [{} for _ in self.states]
         allowed = _SET_UPDATES[self.instruction_set]
         builders, arms, groups = {(): None}, {}, {}
@@ -290,21 +356,29 @@ class RegisterMachine:
         self._initial_id = sid[self.initial]
         self._rows = rows
         self._outputs = outs
+        self._register_ids = rid
         self._assigned = {update: assigned for assigned, update in builders.items()}
-        self._accelerable = self.has_grammar_outputs()
 
-    def _lower_output(self, q, rid):
+    def _lower_output(self, q, rid, lowered):
+        """The output function of state ``q``, shared through ``lowered``
+        with every state whose output is the same object."""
         if q not in self.outputs:
             raise MachineError(f"state {q!r} has no output")
         out = self.outputs[q]
         if not isinstance(out, OutputSpec):
-            return out
-        for r in out.regs:
-            if r not in rid:
-                raise MachineError(f"output of {q!r} uses unknown register {r!r}")
-        if out.kind == "div" and self.instruction_set is not InstructionSet.EXTENDED:
+            raise MachineError(f"output of {q!r} is not a grammar output: {out!r}")
+        if id(out) in lowered:
+            return lowered[id(out)]
+        try:
+            source = _output_source(out, rid)
+        except KeyError as exc:
+            raise MachineError(f"output of {q!r} uses unknown register {exc.args[0]!r}") \
+                from None
+        # only a quotient generates a Fraction
+        if "Fraction" in source and self.instruction_set is not InstructionSet.EXTENDED:
             raise MachineError("dividing outputs need the extended instruction set")
-        return _compile(_output_source(out, rid))
+        lowered[id(out)] = fn = _compile(f"lambda v: {source}")
+        return fn
 
     def _lower_atom(self, atom, rid):
         """The atom's ``>=`` test ``(left, right, const)`` and its negation
@@ -380,12 +454,13 @@ class RegisterMachine:
         """Compose the arms of ``path``, a list of ``(state id, symbol, sign
         pattern)`` steps, over the values at the iteration's start.
 
-        Returns None unless the composed update moves every register by a
-        constant or sets it to one.  Otherwise returns ``(shift, atoms,
-        outputs)``: the per-iteration shift of each register (0 for a set
-        one), each guard atom on the path as ``(form, slope, holds)``, and
-        each step's output as its kind and the ``(form, slope)`` of the
-        registers it reads.  A form's slope is its change per iteration.
+        Returns None unless the composed update sets every register to a
+        constant or moves it by a constant plus multiples of the registers
+        it sets.  Otherwise returns ``(shift, atoms, outputs)``: the
+        per-iteration shift of each register (0 for a set one), each guard
+        atom on the path as ``(form, slope, holds)``, and each step's output
+        composed by ``_compose_output``.  A form's slope is its change per
+        iteration.
         """
         width = len(self.registers)
         units = [tuple(int(i == j) for j in range(width)) + (0,) for i in range(width)]
@@ -399,24 +474,24 @@ class RegisterMachine:
                 arm = arm[pattern]
             dst, _, update, _ = arm
             forms = _update_forms(forms, self._assigned[update])
-            out = self.outputs[self.states[dst]]
-            outputs.append((out.kind, [forms[self.registers.index(r)] for r in out.regs]))
+            outputs.append((self.outputs[self.states[dst]], forms))
+        # a register that the path sets to a constant holds it at every
+        # iteration start, since the iteration before followed the same path
+        fixed = {j: form[-1] for j, form in enumerate(forms) if not any(form[:-1])}
         shift = []
-        for unit, form in zip(units, forms):
-            if form[:-1] == unit[:-1]:
-                shift.append(form[-1])
-            elif any(form[:-1]):
-                return None
-            else:
+        for i, form in enumerate(forms):
+            if i in fixed:
                 shift.append(0)
+            elif form[i] == 1 and all(c == 0 or j == i or j in fixed
+                                      for j, c in enumerate(form[:-1])):
+                shift.append(form[-1] + sum(form[j] * c for j, c in fixed.items()))
+            else:
+                return None
         slope = lambda form: sum(map(operator.mul, form, shift))
+        rid = self._register_ids
         return (tuple(shift),
                 tuple((form, slope(form), holds) for form, holds in atoms),
-                tuple((kind, tuple((form, slope(form)) for form in regs))
-                      for kind, regs in outputs))
-
-    def has_grammar_outputs(self):
-        return all(isinstance(o, OutputSpec) for o in self.outputs.values())
+                tuple(_compose_output(out, forms, rid, slope) for out, forms in outputs))
 
     def __repr__(self):
         return (f"<machine {self.name}: {len(self.registers)} registers, "
@@ -456,28 +531,46 @@ def _at(form, values):
     return sum(map(operator.mul, form, values)) + form[-1]
 
 
+def _compose_output(out, forms, rid, slope):
+    """``out`` read at a step whose register forms are ``forms``, as
+    ``(kind, parts)``: an affine leaf's parts are its ``(form, slope)``,
+    every other output's parts are its composed sub-outputs."""
+    if out.kind == "affine":
+        form = [0] * len(forms) + [out.const]
+        for r, c in out.parts:
+            form = [a + c * b for a, b in zip(form, forms[rid[r]])]
+        return "affine", (tuple(form), slope(form))
+    return out.kind, tuple(_compose_output(p, forms, rid, slope) for p in out.parts)
+
+
 def _position_limit(output, start):
-    """The limit of one loop position's output over the iterations from
-    ``start`` on, and whether it diverges."""
-    kind, regs = output
-    if kind == "zero":
-        return 0, False
+    """The limit of one loop position's composed output over the iterations
+    from ``start`` on, and whether it diverges; for a tuple, both
+    componentwise."""
+    kind, parts = output
     if kind == "inf":
         return dom.INF, False
-    form, slope = regs[0]
-    if kind == "reg":
+    if kind == "affine":
+        form, slope = parts
         if slope:
             return (dom.INF if slope > 0 else dom.NEG_INF), True
         return _at(form, start), False
-    den_form, den_slope = regs[1]
-    if den_slope:
-        return Fraction(slope, den_slope), False
-    den = _at(den_form, start)
-    if not den:
-        return Fraction(0), False
-    if not slope:
-        return Fraction(_at(form, start), den), False
-    return (dom.INF if (slope > 0) == (den > 0) else dom.NEG_INF), True
+    if kind == "div":
+        (_, (form, slope)), (_, (den_form, den_slope)) = parts
+        if den_slope:
+            return Fraction(slope, den_slope), False
+        den = _at(den_form, start)
+        if not den:
+            return Fraction(0), False
+        if not slope:
+            return Fraction(_at(form, start), den), False
+        return (dom.INF if (slope > 0) == (den > 0) else dom.NEG_INF), True
+    limits = [_position_limit(p, start) for p in parts]
+    if kind == "tuple":
+        return tuple(v for v, _ in limits), tuple(d for _, d in limits)
+    value = max(v for v, _ in limits)
+    # the max diverges only when every operand attaining it diverges
+    return value, all(d for v, d in limits if v == value)
 
 
 class MachineRun:
@@ -523,18 +616,16 @@ class MachineRun:
 
         ``values`` lists the outputs after each symbol.  When this iteration
         followed the same arm path as the one before it, and that path moves
-        each register by a constant or sets it, every guard atom on the path
-        is linear in the iteration count.  If some atom flips sign within a
-        later iteration, the run jumps to the boundary before the first such
-        iteration and ``values`` is None: the skipped iterations are finitely
-        many, so no limit needs them.  If no atom ever flips, ``limits``
+        each register by a fixed shift or sets it (see ``_compose_loop``),
+        every guard atom on the path is linear in the iteration count.  If
+        some atom flips sign within a later iteration, the run jumps to the
+        boundary before the first such iteration and ``values`` is None: the
+        skipped iterations are finitely many, so no limit needs them.  If no atom ever flips, ``limits``
         lists per loop position the limit of its output and whether it
-        diverges; otherwise ``limits`` is None.  Machines with callable
-        outputs just step.
+        diverges (per component for a tuple output); otherwise ``limits`` is
+        None.
         """
         m = self._m
-        if not m._accelerable:
-            return [self.step(sym) for sym in symbols], None
         start = self._values
         path, values = [], []
         for sym in symbols:
@@ -622,19 +713,42 @@ def _parse_update(text):
     return Update(target, "copy", rhs)
 
 
+# one term of an affine form: ``[sign] [coefficient *] register`` or
+# ``[sign] constant``; only the first term may omit its sign
+_TERM = re.compile(r"\s*([+-]?)\s*(?:(?:(\d+)\s*\*\s*)?([A-Za-z_][A-Za-z0-9_]*)|(\d+))\s*")
+
+
+def _parse_affine(text):
+    terms, const, pos = [], 0, 0
+    while pos < len(text) or not pos:
+        m = _TERM.match(text, pos)
+        if m is None or (pos and not m[1]) or m[3] == "inf":
+            raise MachineError(f"malformed affine output {text.strip()!r}")
+        sign = -1 if m[1] == "-" else 1
+        if m[3]:
+            terms.append((m[3], sign * int(m[2] or 1)))
+        else:
+            const += sign * int(m[4])
+        pos = m.end()
+    return OutputSpec("affine", tuple(terms), const)
+
+
 def _parse_output(text):
+    """Inverse of ``OutputSpec.render``."""
     text = text.strip()
-    if text == "0":
-        return OUT_ZERO
     if text == "inf":
         return OUT_INF
-    if "/" in text:
-        num, den = (x.strip() for x in text.split("/", 1))
-        if not (num.startswith("(") and num.endswith(")") and
-                den.startswith("(") and den.endswith(")")):
+    quotient = dom._top_level_parts(text, "/")
+    if len(quotient) > 1:
+        operands = [p.strip() for p in quotient]
+        if len(operands) != 2 or not all(p[:1] == "(" and p[-1:] == ")" for p in operands):
             raise MachineError(f"malformed dividing output {text!r}")
-        return out_div(num[1:-1].strip(), den[1:-1].strip())
-    return out_reg(text)
+        return OutputSpec("div", tuple(_parse_affine(p[1:-1]) for p in operands))
+    for kind, opening in (("max", "max("), ("tuple", "(")):
+        if text.startswith(opening) and text.endswith(")"):
+            parts = dom._top_level_parts(text[len(opening):-1])
+            return OutputSpec(kind, tuple(_parse_output(p) for p in parts))
+    return _parse_affine(text)
 
 
 def _parse_edge(body, lineno):
@@ -698,13 +812,7 @@ def load_machine(text, output_domain=None, name="machine"):
 
 
 def render_machine(machine):
-    """Inverse of ``load_machine`` for machines whose outputs fit the grammar."""
-    if not machine.has_grammar_outputs():
-        raise MachineError(f"machine {machine.name} has code outputs; not renderable")
-    for e in machine.edges:
-        for atom in e.guard.atoms:
-            if isinstance(atom.right, int) and atom.right != 0:
-                raise MachineError("constant guard thresholds are outside the file grammar")
+    """Inverse of ``load_machine``."""
     lines = [f"registers: {' '.join(machine.registers)}",
              f"instruction-set: {machine.instruction_set.value}",
              f"states: {' '.join(machine.states)}",
@@ -772,16 +880,9 @@ def build_mavg():
               Update("burst", "zero")), "idle"),
     ]
     edges += [Edge("sink", a, TRUE_GUARD, (), "sink") for a in alphabet]
-
-    def out_idle(values):
-        total, count, _ = values
-        return Fraction(total, count) if count else Fraction(0)
-
-    def out_pending(values):
-        total, count, burst = values
-        return Fraction(total + burst - 1, count + 1)
-
-    outputs = {"idle": out_idle, "pending": out_pending, "sink": lambda v: dom.INF}
+    outputs = {"idle": out_div("total", "count"),
+               "pending": _parse_output("(total+burst-1)/(count+1)"),
+               "sink": OUT_INF}
     return RegisterMachine("Mavg", ("total", "count", "burst"),
                            ("idle", "pending", "sink"), alphabet, "idle", edges,
                            outputs, InstructionSet.EXTENDED, dom.RATINF)
@@ -842,7 +943,8 @@ def build_finite_state_mrt(cap):
                               f"p{m}_{min(cap, n + 1)}"))
     values["sat"] = cap
     edges += [Edge("sat", a, TRUE_GUARD, (), "sat") for a in alphabet]
-    outputs = {q: (lambda v, c=values[q]: c) for q in states}
+    consts = [out_const(c) for c in range(cap + 1)]
+    outputs = {q: consts[values[q]] for q in states}
     return RegisterMachine(f"Mfin{cap}", (), tuple(states), alphabet, "i0", edges,
                            outputs, InstructionSet.EXTENDED, dom.NATINF,
                            monotonicity=Monotonicity.INCREASING)
@@ -863,11 +965,10 @@ def _status_states(k):
     return ["".join(c) for c in itertools.product("IPD", repeat=k)]
 
 
-def _kpair_output(statuses, regs, max_reg_of):
-    """Output over the values tuple: each pair's max register, inf once dead."""
-    picks = ", ".join("INF" if c == "D" else f"v[{regs.index(max_reg_of(i + 1))}]"
-                      for i, c in enumerate(statuses))
-    return _compile(f"lambda v: ({picks},)")
+def _kpair_output(statuses, max_reg_of):
+    """Each pair's max register, inf once the pair is dead."""
+    return out_tuple(*(OUT_INF if c == "D" else out_reg(max_reg_of(i + 1))
+                       for i, c in enumerate(statuses)))
 
 
 def build_kpair_monitor(k):
@@ -880,7 +981,7 @@ def build_kpair_monitor(k):
     outputs = {}
     for statuses in itertools.product("IPD", repeat=k):
         st = "".join(statuses)
-        outputs[st] = _kpair_output(statuses, regs, lambda i: f"y{i}")
+        outputs[st] = _kpair_output(statuses, lambda i: f"y{i}")
         for sym in alphabet:
             kind, j = _classify_server_symbol(sym, sa)
             new = list(statuses)
@@ -944,7 +1045,7 @@ def _build_kpair_shared(k, max_reg_of, regs, name):
 
     for statuses in itertools.product("IPD", repeat=k):
         st = "".join(statuses)
-        outputs[st] = _kpair_output(statuses, regs, max_reg_of)
+        outputs[st] = _kpair_output(statuses, max_reg_of)
         before = _serving(statuses)
         for sym in alphabet:
             kind, j = _classify_server_symbol(sym, sa)
@@ -1050,10 +1151,11 @@ def build_kpair_sequential(k):
         return f"{''.join(statuses)}_t{t}_{ph}"
 
     for statuses in itertools.product("IPD", repeat=k):
+        out = _kpair_output(statuses, lambda i: "z")
         for t in range(1, k + 1):
             for ph in "wc":
                 st = state_name(statuses, t, ph)
-                outputs[st] = _kpair_output(statuses, regs, lambda i: "z")
+                outputs[st] = out
                 for sym in alphabet:
                     kind, j = _classify_server_symbol(sym, sa)
                     new = list(statuses)
@@ -1098,7 +1200,7 @@ def build_kpair_sequential(k):
                     t2 = normalize(new, t)
                     edges.append(Edge(st, sym, TRUE_GUARD, (),
                                       state_name(new, t2, "w")))
-    outputs["alldead"] = lambda v, dead=(dom.INF,) * k: dead
+    outputs["alldead"] = out_tuple(*[OUT_INF] * k)
     edges += [Edge("alldead", a, TRUE_GUARD, (), "alldead") for a in alphabet]
     return RegisterMachine(f"Mkseq{k}", regs, tuple(states), alphabet,
                            state_name(("I",) * k, 1, "w"), edges, outputs,
@@ -1355,9 +1457,9 @@ def build_doubling_adder():
         Edge("outside", "a", TRUE_GUARD, (Update("x", "one"),), "inblock"),
         Edge("outside", "b", TRUE_GUARD, (), "outside"),
     ]
-    outputs = {"virgin": lambda v: 1,
-               "inblock": lambda v: 2 * max(v[0], v[1]),
-               "outside": lambda v: 2 * v[1]}
+    outputs = {"virgin": out_const(1),
+               "inblock": _parse_output("max(2*x,2*y)"),
+               "outside": _parse_output("2*y")}
     return RegisterMachine("Madd", ("x", "y"), ("virgin", "inblock", "outside"),
                            alphabet, "virgin", edges, outputs, InstructionSet.ADDER,
                            dom.NATINF, monotonicity=Monotonicity.INCREASING)
@@ -1373,7 +1475,7 @@ def build_doubling_counter():
              (Update("c", "inc"),), "q"),
         Edge("q", "b", TRUE_GUARD, (Update("c", "zero"),), "q"),
     ]
-    outputs = {"q": lambda v: 2 * v[1]}
+    outputs = {"q": _parse_output("2*m")}
     return RegisterMachine("Mcount", ("c", "m"), ("q",), alphabet, "q", edges,
                            outputs, InstructionSet.COUNTER, dom.NATINF,
                            monotonicity=Monotonicity.INCREASING)

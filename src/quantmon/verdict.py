@@ -17,13 +17,13 @@ resolves the limit four ways, in order of preference:
     repeats, the values inside the detected cycle recur forever, so their
     sup/inf is the exact limit.
 2.  *Loop acceleration* (early exit, sound): a stepper with an
-    ``accelerate(loop)`` method (a run of a register machine whose outputs
-    are all grammar outputs) steps the loop through it.  Once two
-    consecutive iterations follow the same arm path with an affine update,
-    the run jumps to the first guard flip, or, when no guard ever flips,
-    reports each loop position's closed-form limit.  Their sup/inf is the
-    limit; it is divergent when only diverging positions attain it.  A
-    position limit outside the codomain leaves the limit to the rules
+    ``accelerate(loop)`` method (a run of any register machine) steps the
+    loop through it.  Once two consecutive iterations follow the same arm
+    path with an affine update, the run jumps to the first guard flip, or,
+    when no guard ever flips, reports each loop position's closed-form
+    limit.  Their sup/inf is the limit, componentwise for tuples; it is
+    divergent when some component is attained only by diverging positions.
+    A position limit outside the codomain leaves the limit to the rules
     below.  Iterations skipped by a jump are not counted as used.
 3.  *Stable window*: once the iteration budget is exhausted, the extrema
     of the final ``max_period * confirm_window`` iterations (at least
@@ -253,15 +253,23 @@ def _window_diverged(d, maxima, window, take_sup):
 
 def _accelerated(d, limits, take_sup, used):
     """The limit from per-position output limits, or None when one falls
-    outside the codomain.  It is divergent only when no position with a
-    settled output attains it."""
+    outside the codomain.  Tuples fold componentwise.  The limit is exact
+    when a position whose output settles attains each component; otherwise
+    it diverges to the top if a component attained only by diverging
+    positions is the top's, else to the bottom."""
     if not all(d.contains(v) for v, _ in limits):
         return None
     value = (d.sup if take_sup else d.inf)([v for v, _ in limits])
-    if any(v == value and not diverges for v, diverges in limits):
+    if isinstance(value, tuple):
+        comps, tops = value, d.top or (None,) * len(value)
+    else:
+        comps, tops, limits = (value,), (d.top,), [((v,), (div,)) for v, div in limits]
+    escaped = [c == top for i, (c, top) in enumerate(zip(comps, tops))
+               if not any(v[i] == c and not div[i] for v, div in limits)]
+    if not escaped:
         kind = LimitKind.EXACT
     else:
-        kind = LimitKind.DIVERGED_TO_TOP if value == d.top else LimitKind.DIVERGED_TO_BOTTOM
+        kind = LimitKind.DIVERGED_TO_TOP if any(escaped) else LimitKind.DIVERGED_TO_BOTTOM
     return LimitResult(value, kind, used)
 
 

@@ -232,6 +232,20 @@ class TestInputErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_unknown_global_option_is_named(self, capsys):
+        # argparse alone reads the value after an unknown global option as
+        # the subcommand and names the value instead of the option
+        code, out, err = run_cli(["--epsilon", "1/1000", "compare", "mrt", "mrt",
+                                  "--suite", "exhaustive:1:1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: unrecognized arguments: --epsilon"]
+
+    def test_global_options_by_prefix_and_with_equals(self, capsys):
+        code, out, _ = run_cli(["--see", "7", "--budget-iters=64", "compare", "mrt", "mrt",
+                                "--suite", "exhaustive:1:1"], capsys)
+        assert code == 0 and out == run_cli(["compare", "mrt", "mrt", "--suite",
+                                             "exhaustive:1:1"], capsys)[1]
+
 
 class TestClassify:
     def test_safety(self, workdir, capsys):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import pathlib
 import random
@@ -65,6 +66,21 @@ class TestValidation:
                                {"q": mc.out_div("x", "y")},
                                mc.InstructionSet.COUNTER, dom.NATINF)
 
+    def test_outputs_must_be_grammar_outputs(self):
+        a = Alphabet(("a",))
+        edges = [mc.Edge("q", "a", mc.TRUE_GUARD, (), "q")]
+        for out, match in ((lambda v: 0, "not a grammar output"),
+                           (mc.out_reg("z"), "unknown register 'z'")):
+            with pytest.raises(MachineError, match=match):
+                mc.RegisterMachine("bad", ("x",), ("q",), a, "q", edges, {"q": out},
+                                   mc.InstructionSet.COUNTER, dom.NATINF)
+        for kind, parts, const in (("tuple", (mc.out_tuple(mc.OUT_INF),), 0),
+                                   ("max", (), 0), ("div", (mc.OUT_INF, mc.OUT_ZERO), 0),
+                                   ("affine", (("x", 1.5),), 0), ("inf", (), 1),
+                                   ("affine", (), True), ("sum", (), 0)):
+            with pytest.raises(MachineError, match="malformed"):
+                mc.OutputSpec(kind, parts, const)
+
     def test_counter_instruction_restriction(self):
         a = Alphabet(("a",))
         edges = [mc.Edge("q", "a", mc.TRUE_GUARD, (mc.Update("x", "dec"),), "q")]
@@ -119,15 +135,39 @@ class TestFileFormat:
             mc.load_machine(text)
 
     def test_output_grammar(self):
-        assert mc._parse_output("0").kind == "zero"
-        assert mc._parse_output("inf").kind == "inf"
-        assert mc._parse_output("x").regs == ("x",)
-        div = mc._parse_output("(t)/(n)")
-        assert div.kind == "div" and div.regs == ("t", "n")
+        """Each form parses, renders back to its text and evaluates, in
+        generated code and in the reference evaluator, to the same value."""
+        registers = ("x", "y", "t", "n", "m", "total", "burst", "count", "zero")
+        values = (3, 5, 7, 2, 4, 10, 3, 2, 0)
+        rid = {r: i for i, r in enumerate(registers)}
+        for text, value in [
+                ("0", 0), ("inf", dom.INF), ("x", 3), ("-3", -3), ("2*m", 8), ("x+x", 6),
+                ("total+burst-1", 12), ("-x+2*y-7", 0), ("(t)/(n)", Fraction(7, 2)),
+                ("(total+burst-1)/(count+1)", 4), ("(x)/(zero)", 0), ("(x)/(n-2)", 0),
+                ("max(2*x,2*y)", 10), ("max(x,(t)/(n),inf)", dom.INF),
+                ("(y,inf,x)", (5, dom.INF, 3)), ("(x)", (3,)),
+                ("(max(x,y),(t)/(n))", (5, Fraction(7, 2)))]:
+            out = mc._parse_output(text)
+            assert out.render() == text
+            assert mc._parse_output(f" {text.replace(',', ' , ')} ") == out
+            source = mc._output_source(out, rid)
+            assert mc._compile(f"lambda v: {source}")(values) == value, text
+            assert _reference_output(out, dict(zip(registers, values))) == value, text
 
-    def test_code_outputs_not_renderable(self):
-        with pytest.raises(MachineError, match="code outputs"):
-            mc.render_machine(mc.build_mavg())
+    @pytest.mark.parametrize("text", [
+        "2*", "max()", "(x)/(y)/(z)", "x*y", "1.5*x", '__import__("os")', "", "x y", "2x",
+        "x+-1", "(x)/y", "(x,y)/(z)", "((x,y),z)", "max((x,y))", "(inf)/(x)", "inf+1",
+        "()", "(x,)", "max(x", "x)", "v[0]", "lambda v: 0", "x;y",
+    ])
+    def test_malformed_outputs_rejected(self, text, monkeypatch):
+        compiled = []
+        monkeypatch.setattr(mc, "_compile", lambda source: compiled.append(source))
+        with pytest.raises(MachineError):
+            mc._parse_output(text)
+        with pytest.raises(MachineError):
+            mc.load_machine("registers: x y z\ninstruction-set: extended\nstates: q\n"
+                            f"initial: q\nedge: q a [true] -> q\noutput: q = {text}\n")
+        assert compiled == []
 
 
 class TestMmax:
@@ -497,18 +537,18 @@ def _reference_update(u, valuation):
     return valuation[u.operand]
 
 
-def _reference_output(machine, state, valuation):
-    out = machine.outputs[state]
-    if not isinstance(out, mc.OutputSpec):
-        return out(tuple(valuation[r] for r in machine.registers))
-    if out.kind == "zero":
-        return 0
+def _reference_output(out, valuation):
+    """The value of the output expression ``out`` over the name-keyed
+    valuation."""
     if out.kind == "inf":
         return dom.INF
-    if out.kind == "reg":
-        return valuation[out.regs[0]]
-    num, den = (valuation[r] for r in out.regs)
-    return Fraction(num, den) if den else Fraction(0)
+    if out.kind == "affine":
+        return sum(c * valuation[r] for r, c in out.parts) + out.const
+    parts = [_reference_output(p, valuation) for p in out.parts]
+    if out.kind == "div":
+        num, den = parts
+        return Fraction(num, den) if den else Fraction(0)
+    return max(parts) if out.kind == "max" else tuple(parts)
 
 
 def reference_run(machine, groups, symbols):
@@ -517,7 +557,7 @@ def reference_run(machine, groups, symbols):
     state, valuation = machine.initial, dict.fromkeys(machine.registers, 0)
 
     def snapshot():
-        return (_reference_output(machine, state, valuation),
+        return (_reference_output(machine.outputs[state], valuation),
                 (state, tuple(valuation[r] for r in machine.registers)))
 
     seen = [snapshot()]
@@ -561,11 +601,37 @@ class TestCompiledStepper:
             run.step("bogus")
 
 
+class TestRendering:
+    @pytest.mark.parametrize("name", sorted(BUILT_MACHINES))
+    def test_render_load_round_trip(self, name):
+        """The loaded rendering gives the same verdict after every trace of
+        length <= 6; runs that reach the same pair of configurations are
+        stepped on once, since configurations fix every later value."""
+        machine, _ = _built(name)
+        text = mc.render_machine(machine)
+        again = mc.load_machine(text, output_domain=machine.output_domain)
+        assert mc.render_machine(again) == text
+        frontier = {None: (mc.MachineRun(machine), mc.MachineRun(again))}
+        for depth in range(7):
+            reached = {}
+            for run, run_again in frontier.values():
+                assert run.value == run_again.value
+                if depth == 6:
+                    continue
+                for sym in machine.alphabet:
+                    run2, run_again2 = copy.copy(run), copy.copy(run_again)
+                    run2.step(sym)
+                    run_again2.step(sym)
+                    reached[run2.config(), run_again2.config()] = run2, run_again2
+            frontier = reached
+
+
 SERVER = qp.server_alphabet(1).alphabet
 MMAX = mc.generated_verdict(mc.load_machine((DEMO_MACHINES / "mmax.mspec").read_text(),
                                             name="Mmax"))
 MAVG = mc.generated_verdict(mc.load_machine((DEMO_MACHINES / "mavg.mspec").read_text(),
                                             name="Mavg"))
+MAVG3 = mc.generated_verdict(mc.build_mavg())
 MFIN = {cap: mc.generated_verdict(mc.build_finite_state_mrt(cap)) for cap in (1, 2, 3, 4)}
 MPK = {k: mc.generated_verdict(mc.build_pk_monitor(k)) for k in (3, 4)}
 # block lengths that straddle the 1024-iteration default budget
@@ -627,7 +693,7 @@ class TestLoopAcceleration:
     @given(server_lassos())
     def test_mavg_against_art(self, t):
         truth = qp.eval_art(t)
-        for res in _both_limits(MAVG, t):
+        for res in _both_limits(MAVG, t) + _both_limits(MAVG3, t):
             _proven(res, truth)
 
     @pytest.mark.parametrize("k", [3, 4])
@@ -687,6 +753,29 @@ class TestLoopAcceleration:
         for res in _both_limits(mc.generated_verdict(m), t):
             assert (res.value, res.kind) == (0, LimitKind.EXACT)
 
+    @pytest.mark.parametrize("text,value,kind", [
+        ("max(x,5)", dom.INF, LimitKind.DIVERGED_TO_TOP),
+        ("max(inf,x)", dom.INF, LimitKind.EXACT),
+        ("max(y,3)", 3, LimitKind.EXACT),
+        ("-x", dom.NEG_INF, LimitKind.DIVERGED_TO_BOTTOM),
+        ("(x+1)/(2*x+3)", Fraction(1, 2), LimitKind.EXACT),
+        ("(x)/(y)", 0, LimitKind.EXACT),
+        ("(x,inf)", (dom.INF, dom.INF), LimitKind.DIVERGED_TO_TOP),
+        ("(y+4,max(y,x))", (4, dom.INF), LimitKind.DIVERGED_TO_TOP),
+        ("(y+4,inf)", (4, dom.INF), LimitKind.EXACT),
+    ])
+    def test_output_forms_close_in_form(self, text, value, kind):
+        # x counts the a's while y stays 0; each form's limit is read off
+        # the loop's composition after two iterations
+        a = Alphabet(("a",))
+        out = mc._parse_output(text)
+        codomain = dom.product(dom.RATINF, 2) if out.kind == "tuple" else dom.RATINF
+        m = mc.RegisterMachine("forms", ("x", "y"), ("q",), a, "q",
+                               [mc.Edge("q", "a", mc.TRUE_GUARD, (mc.Update("x", "inc"),), "q")],
+                               {"q": out}, mc.InstructionSet.EXTENDED, codomain)
+        res = eval_limsup(mc.generated_verdict(m), lasso(("a",) * 3000, ("a",), a))
+        assert (res.value, res.kind, res.iterations_used) == (value, kind, 2)
+
     @pytest.mark.parametrize("n", [0, 1, 7, 2000])
     @pytest.mark.parametrize("loop", ["a", "a a b", "b a"])
     def test_counter_stops_at_its_bound(self, n, loop):
@@ -710,3 +799,76 @@ class TestLoopAcceleration:
             if n == 2000 and loop != "b a":
                 # as in the Mpk2 case: the jump lands right before the flip
                 assert res.iterations_used == 4
+
+
+KPAIR = {k: mc.generated_verdict(mc.build_kpair_monitor(k)) for k in (2, 3)}
+# an under-approximation per pair count: the priority and the sequential scheme
+KPAIR_BELOW = {2: mc.generated_verdict(mc.build_kpair_priority(2)),
+               3: mc.generated_verdict(mc.build_kpair_sequential(3))}
+MADD = mc.generated_verdict(mc.build_doubling_adder())
+MCOUNT = mc.generated_verdict(mc.build_doubling_counter())
+# runs long enough that a guard flip they set up lies past the 1024-iteration budget
+long_runs = st.integers(1100, 3000)
+
+
+@st.composite
+def kpair_lassos(draw, k):
+    """A short stem, a long run of ``other`` (which leaves requests pending
+    or counters far behind their maxima) and a short tail, then a loop."""
+    alphabet = qp.server_alphabet(k).alphabet
+    stem = draw(_words(alphabet, 0, 6)) + ["other"] * draw(long_runs) + draw(_words(alphabet, 0, 4))
+    return lasso(stem, draw(_words(alphabet, 1, 5)), alphabet)
+
+
+@st.composite
+def doubling_lassos(draw):
+    """A short stem, a long a-run and a short tail, then a loop."""
+    ab = mc.DOUBLING_ALPHABET
+    stem = draw(_words(ab, 0, 4)) + ["a"] * draw(long_runs) + draw(_words(ab, 0, 4))
+    return lasso(stem, draw(_words(ab, 1, 5)), ab)
+
+
+class TestTupleAndMaxOutputLimits:
+    """Limits of machines with tuple, constant and max outputs against the
+    ground-truth evaluators, on lassos whose guard flips lie past the budget."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_kpair_against_eval_kpair_mrt(self, k, data):
+        t = data.draw(kpair_lassos(k))
+        truth = qp.eval_kpair_mrt(t, k)
+        for res in _both_limits(KPAIR[k], t):
+            assert res.is_determined and res.value == truth, res
+        for res in _both_limits(KPAIR_BELOW[k], t):
+            assert res.is_determined and dom.product(dom.NATINF, k).le(res.value, truth), res
+
+    @settings(max_examples=30, deadline=None)
+    @given(doubling_lassos())
+    def test_doubling_against_eval_doubling(self, t):
+        """Mcount's limits are all settled and right.  Madd's doubling
+        register is not affine, so past a long a-run its limits may rest on
+        the window rules, which take a transient longer than the budget for
+        the limit; only the limits it settles within the budget (by a
+        configuration cycle) are compared."""
+        truth = mc.eval_doubling(t)
+        twice = dom.INF if truth == dom.INF else \
+            2 * mc.longest_a_run(t.prefix(len(t.stem) + 2 * len(t.loop)))
+        for res in _both_limits(MADD, t):
+            if res.iterations_used < LimitBudget().max_loop_iterations:
+                assert res.is_determined and res.value == truth, res
+        for res in _both_limits(MCOUNT, t):
+            assert res.is_determined and res.value == twice, res
+
+    def test_kpair_pending_request_behind_a_long_run(self):
+        # pair 1's last request is never answered; its counter catches up
+        # with the 2601 recorded before only after 1300 loop iterations
+        m = mc.build_kpair_monitor(2)
+        t = parse_lasso("req2 req1 " + "other " * 2600 + "ack1 req1 ; req2 req2", m.alphabet)
+        assert qp.eval_kpair_mrt(t, 2) == (dom.INF, dom.INF)
+        for res in _both_limits(KPAIR[2], t):
+            assert (res.value, res.kind) == ((dom.INF, dom.INF), LimitKind.DIVERGED_TO_TOP)
+        # read in the inverse order, the escaping component goes to the bottom
+        res = eval_liminf(complement(KPAIR[2]), t)
+        assert (res.value, res.kind) == ((dom.INF, dom.INF), LimitKind.DIVERGED_TO_BOTTOM)
+
