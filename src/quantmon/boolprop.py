@@ -52,31 +52,16 @@ class BooleanPropertyAutomaton:
         self.transitions = dict(transitions)
         self.kind = kind
         self.accepting = frozenset(accepting)
-        self._validate()
-
-    def _validate(self):
-        if len(set(self.states)) != len(self.states) or not self.states:
-            raise AutomatonError("states must be non-empty and distinct")
-        if self.initial not in self.states:
-            raise AutomatonError(f"initial state {self.initial!r} unknown")
+        check_transition_table(alphabet, self.states, initial, self.transitions)
         for st in self.accepting:
             if st not in self.states:
                 raise AutomatonError(f"accepting state {st!r} unknown")
-        for q in self.states:
-            for a in self.alphabet:
-                if (q, a) not in self.transitions:
-                    raise AutomatonError(f"missing transition from {q!r} on {a!r}")
-                if self.transitions[(q, a)] not in self.states:
-                    raise AutomatonError(f"transition from {q!r} on {a!r} leaves the state set")
-        if len(self.transitions) != len(self.states) * len(self.alphabet):
-            extra = set(self.transitions) - {(q, a) for q in self.states for a in self.alphabet}
-            raise AutomatonError(f"unexpected transitions {sorted(extra)}")
-        if self.kind in (AcceptanceKind.SAFETY, AcceptanceKind.COSAFETY):
+        if kind in (AcceptanceKind.SAFETY, AcceptanceKind.COSAFETY):
             for q in self.accepting:
-                for a in self.alphabet:
+                for a in alphabet:
                     if self.transitions[(q, a)] not in self.accepting:
                         raise AutomatonError(
-                            f"{self.kind.value} set must be a trap: "
+                            f"{kind.value} set must be a trap: "
                             f"{q!r} --{a}--> {self.transitions[(q, a)]!r} escapes")
 
     def step(self, state, symbol):
@@ -105,51 +90,13 @@ class BooleanPropertyAutomaton:
                 frontier.append(nxt)
         return frozenset(seen)
 
-    def _has_cycle_within(self, subset):
-        color = {}
-        for root in subset:
-            if color.get(root):
-                continue
-            stack = [(root, iter(self._succs(root, subset)))]
-            color[root] = "grey"
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if color.get(nxt) == "grey":
-                        return True
-                    if nxt not in color:
-                        color[nxt] = "grey"
-                        stack.append((nxt, iter(self._succs(nxt, subset))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = "black"
-                    stack.pop()
-        return False
-
-    def _succs(self, q, subset):
-        out = set()
-        for a in self.alphabet:
-            nxt = self.transitions[(q, a)]
-            if nxt in subset:
-                out.add(nxt)
-        return out
-
     def _on_cycle(self, q, subset):
-        if q not in subset:
-            return False
-        frontier = list(self._succs(q, subset))
-        seen = set(frontier)
-        while frontier:
-            cur = frontier.pop()
-            if cur == q:
-                return True
-            for nxt in self._succs(cur, subset):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return False
+        """Does some run inside ``subset`` leave q and come back to it?"""
+        return q in subset and any(q in self.reachable(self.transitions[(q, a)], subset)
+                                   for a in self.alphabet)
+
+    def _has_cycle_within(self, subset):
+        return any(self._on_cycle(q, subset) for q in subset)
 
     @cached_property
     def pos_states(self):
@@ -332,26 +279,32 @@ class ObligationList:
         return all(membership(s, t) or membership(c, t) for s, c in self.pairs)
 
 
+def _product(automata):
+    """Start state and step function of the synchronous product of
+    ``automata``: a tuple of their states, one per automaton, in order."""
+    # per symbol, one successor map per automaton
+    rows = {a: [{q: P.transitions[(q, a)] for q in P.states} for P in automata]
+            for a in automata[0].alphabet}
+
+    def step(states, symbol):
+        return tuple(map(dict.__getitem__, rows[symbol], states))
+
+    return tuple(P.initial for P in automata), step
+
+
 def monitor_obligation(obligation):
     """T while every conjunct is still alive: the i-th conjunct is alive when
     its safety part is not yet refuted or its co-safety part is confirmed.
     The verdict lives on the flat boolean domain and switches at most twice
     per conjunct."""
     pairs = obligation.pairs
-    neg_s = [s.neg_states for s, _ in pairs]
-    pos_c = [c.pos_states for _, c in pairs]
+    init, step = _product([P for pair in pairs for P in pair])
+    alive = [(s.neg_states, c.pos_states) for s, c in pairs]
 
     def out(states):
-        half = len(pairs)
-        return all(states[i] not in neg_s[i] or states[half + i] in pos_c[i]
-                   for i in range(half))
+        return all(q_s not in neg or q_c in pos
+                   for (neg, pos), q_s, q_c in zip(alive, states[0::2], states[1::2]))
 
-    def step(states, symbol):
-        half = len(pairs)
-        return tuple(pairs[i][0].step(states[i], symbol) for i in range(half)) + \
-            tuple(pairs[i][1].step(states[half + i], symbol) for i in range(half))
-
-    init = tuple(s.initial for s, _ in pairs) + tuple(c.initial for _, c in pairs)
     factory = lambda alphabet: FunctionStepper(init, step, out)
     return VerdictFunction(dom.B, stepper_factory=factory,
                            monotonicity=Monotonicity.UNRESTRICTED,
@@ -398,6 +351,7 @@ def monitor_reactivity(reactivity):
     """
     pairs = reactivity.pairs
     k = len(pairs)
+    init, product_step = _product([P for pair in pairs for P in pair])
     acc_r = [r.accepting for r, _ in pairs]
     pos_r = [r.pos_states for r, _ in pairs]
     neg_r = [r.neg_states for r, _ in pairs]
@@ -405,15 +359,10 @@ def monitor_reactivity(reactivity):
     pos_p = [p.pos_states for _, p in pairs]
     neg_p = [p.neg_states for _, p in pairs]
 
-    def init():
-        return (tuple(r.initial for r, _ in pairs),
-                tuple(p.initial for _, p in pairs),
-                (_RESP,) * k, (False,) * k, True)
-
     def step(state, symbol):
-        r_states, p_states, phases, fired, _ = state
-        r_states = tuple(pairs[i][0].step(r_states[i], symbol) for i in range(k))
-        p_states = tuple(pairs[i][1].step(p_states[i], symbol) for i in range(k))
+        states, phases, fired, _ = state
+        states = product_step(states, symbol)
+        r_states, p_states = states[0::2], states[1::2]
         phases = list(phases)
         fired = list(fired)
         for i in range(k):
@@ -430,10 +379,11 @@ def monitor_reactivity(reactivity):
             emitted_t = True
         else:
             emitted_t = False
-        return (r_states, p_states, tuple(phases), tuple(fired), emitted_t)
+        return (states, tuple(phases), tuple(fired), emitted_t)
 
     def out(state):
-        _r_states, p_states, phases, _fired, emitted_t = state
+        states, phases, _fired, emitted_t = state
+        p_states = states[1::2]
         if any(phases[i] == _PERS and p_states[i] in neg_p[i] for i in range(k)):
             return False  # some conjunct is refuted for every continuation
         if emitted_t:
@@ -442,7 +392,8 @@ def monitor_reactivity(reactivity):
             return False
         return dom.BOT
 
-    factory = lambda alphabet: FunctionStepper(init(), step, out)
+    start = (init, (_RESP,) * k, (False,) * k, True)
+    factory = lambda alphabet: FunctionStepper(start, step, out)
     return VerdictFunction(dom.BBOT, stepper_factory=factory,
                            monotonicity=Monotonicity.UNRESTRICTED,
                            name=f"reactivity-monitor(k={k})")
@@ -640,7 +591,52 @@ def random_obligation_list(rng, alphabet, k):
         for _ in range(k)))
 
 
-# -- file format --------------------------------------------------------
+# -- transition tables and the file format --------------------------------
+
+
+def check_transition_table(alphabet, states, initial, transitions, target=lambda entry: entry):
+    """Reject a table that is not total and deterministic on ``states`` x
+    ``alphabet`` or that leaves the state set; ``target`` reads the successor
+    out of a table entry."""
+    if len(set(states)) != len(states) or not states:
+        raise AutomatonError("states must be non-empty and distinct")
+    if initial not in states:
+        raise AutomatonError(f"initial state {initial!r} unknown")
+    for q in states:
+        for a in alphabet:
+            if (q, a) not in transitions:
+                raise AutomatonError(f"missing transition from {q!r} on {a!r}")
+            if target(transitions[(q, a)]) not in states:
+                raise AutomatonError(f"transition from {q!r} on {a!r} leaves the state set")
+    if len(transitions) != len(states) * len(alphabet):
+        extra = set(transitions) - {(q, a) for q in states for a in alphabet}
+        raise AutomatonError(f"unexpected transitions {sorted(extra)}")
+
+
+def read_transition_table(text, rhs, entry, required=(), optional=()):
+    """Parse an automaton file into its header, alphabet and transition table.
+
+    Besides ``alphabet:``, ``states:``, ``initial:`` and the ``required``
+    and ``optional`` header keys, every line is ``q a -> rhs``, at most one
+    per (q, a); ``entry`` turns the words of ``rhs`` into the table entry and
+    raises ValueError when they do not fit.
+    """
+    header, lines = read_sections(text, ("alphabet", "states", "initial") + required,
+                                  AutomatonError, optional)
+    transitions = {}
+    for lineno, line in lines:
+        parts = line.split()
+        try:
+            if len(parts) != 3 + len(rhs.split()) or parts[2] != "->":
+                raise ValueError
+            value = entry(*parts[3:])
+        except ValueError:
+            raise AutomatonError(f"line {lineno}: expected 'q a -> {rhs}', got {line!r}")
+        if (parts[0], parts[1]) in transitions:
+            raise AutomatonError(f"line {lineno}: duplicate transition for "
+                                 f"({parts[0]}, {parts[1]})")
+        transitions[(parts[0], parts[1])] = value
+    return header, Alphabet(tuple(header["alphabet"])), transitions
 
 
 def load_automaton(text):
@@ -651,22 +647,12 @@ def load_automaton(text):
     (state, symbol).  For safety automata the accept set lists the bad trap
     states; for co-safety automata the good trap states.
     """
-    header, transition_lines = read_sections(
-        text, ("alphabet", "states", "initial", "accept-kind"), AutomatonError, ("accept",))
-    alphabet = Alphabet(tuple(header["alphabet"]))
+    header, alphabet, transitions = read_transition_table(
+        text, "q2", lambda q2: q2, ("accept-kind",), ("accept",))
     try:
         kind = AcceptanceKind(header["accept-kind"][0])
     except (ValueError, IndexError):
         raise AutomatonError(f"bad accept-kind {header['accept-kind']}")
-    transitions = {}
-    for lineno, line in transition_lines:
-        parts = line.split()
-        if len(parts) != 4 or parts[2] != "->":
-            raise AutomatonError(f"line {lineno}: expected 'q a -> q2', got {line!r}")
-        q, a, _, q2 = parts
-        if (q, a) in transitions:
-            raise AutomatonError(f"line {lineno}: duplicate transition for ({q}, {a})")
-        transitions[(q, a)] = q2
     return BooleanPropertyAutomaton(alphabet, tuple(header["states"]),
                                     header["initial"][0], transitions, kind,
                                     set(header.get("accept", ())))

@@ -23,8 +23,8 @@ from . import precision as pr
 from . import qprop as qp
 from .errors import InputError, QuantmonError
 from .trace import parse_finite, parse_lasso
-from .verdict import (LimitBudget, constant_verdict, eval_liminf, eval_limsup,
-                      verdict_csv_lines, verdict_sequence)
+from .verdict import (LimitBudget, constant_verdict, count_switches, eval_liminf,
+                      eval_limsup, verdict_csv_lines, verdict_sequence)
 from .boolprop import Side
 
 
@@ -186,7 +186,7 @@ def cmd_classify(args):
         worst = 0
         for t in suite:
             seq = verdict_sequence(monitor, t.prefix(len(t.stem) + 4 * len(t.loop)))
-            worst = max(worst, sum(1 for x, y in zip(seq, seq[1:]) if x != y))
+            worst = max(worst, count_switches(seq))
         report = bp.classify_modality(monitor, obligation.membership, Side.BELOW,
                                       suite, budget=budget)
         print(f"obligation k={obligation.k}")

@@ -806,6 +806,9 @@ def load_machine(text, output_domain=None, name="machine"):
             symbols.append(e.symbol)
     if output_domain is None:
         output_domain = dom.RATINF if iset is InstructionSet.EXTENDED else dom.NATINF
+        tuples = [o for o in outputs.values() if o.kind == "tuple"]
+        if tuples:
+            output_domain = dom.product(output_domain, len(tuples[0].parts))
     return RegisterMachine(name, tuple(header["registers"]), tuple(header["states"]),
                            Alphabet(tuple(symbols)), header["initial"][0], edges,
                            outputs, iset, output_domain)

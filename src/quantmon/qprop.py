@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import domain as dom
-from .boolprop import AcceptanceKind
+from .boolprop import AcceptanceKind, check_transition_table, read_transition_table
 from .errors import AcceptanceKindError, AutomatonError, DomainMismatchError
-from .trace import Alphabet, FiniteTrace, all_lassos, lasso, random_lasso, read_sections
+from .trace import Alphabet, all_lassos, lasso, random_lasso
 from .verdict import FunctionStepper, Monotonicity, VerdictFunction
 
 
@@ -207,25 +207,34 @@ def eval_kpair_mrt(t, k):
 # -- discounted safety and co-safety ------------------------------------
 
 
-def _first_hit(P, t, targets):
-    """1-based index of the first prefix of ``t`` whose state is in targets,
-    scanning stem plus |Q| loop unrollings; None if never."""
-    q = P.run_state(FiniteTrace((), t.alphabet))
+def _first_hit(P, symbols, targets):
+    """The length of the shortest prefix of ``symbols`` whose run ends in the
+    trap ``targets``, and the state it ends in; (None, the final state) when
+    no prefix does."""
+    q, table = P.initial, P.transitions
     if q in targets:
-        return 0
-    idx = 0
-    for sym in t.stem:
-        idx += 1
-        q = P.step(q, sym)
+        return 0, q
+    for n, sym in enumerate(symbols, start=1):
+        q = table[(q, sym)]
         if q in targets:
-            return idx
-    for _ in range(len(P.states)):
-        for sym in t.loop:
-            idx += 1
-            q = P.step(q, sym)
-            if q in targets:
-                return idx
-    return None
+            return n, q
+    return None, q
+
+
+def _refuted_value(n):
+    """1 - 2^-n for a first refutation at prefix length n; 1 when never."""
+    return Fraction(1) if n is None else Fraction(2 ** n - 1, 2 ** n)
+
+
+def _confirmed_value(n):
+    """2^-n for a first confirmation at prefix length n; 0 when never."""
+    return Fraction(0) if n is None else Fraction(1, 2 ** n)
+
+
+def _lasso_hit(P, t, targets):
+    """First hit of ``targets`` on the lasso: the run of the stem plus |Q|
+    loop unrollings reaches every state that the lasso's run ever does."""
+    return _first_hit(P, t.stem.symbols + t.loop.symbols * len(P.states), targets)[0]
 
 
 def eval_discounted_safety(P, t):
@@ -233,20 +242,14 @@ def eval_discounted_safety(P, t):
     shortest refuting prefix length n."""
     if P.kind is not AcceptanceKind.SAFETY:
         raise AcceptanceKindError("discounted safety needs a safety automaton")
-    n = _first_hit(P, t, P.neg_states)
-    if n is None:
-        return Fraction(1)
-    return 1 - Fraction(1, 2 ** n)
+    return _refuted_value(_lasso_hit(P, t, P.neg_states))
 
 
 def eval_discounted_cosafety(P, t):
     """2^-n for the shortest confirming prefix length n, 0 when never."""
     if P.kind is not AcceptanceKind.COSAFETY:
         raise AcceptanceKindError("discounted co-safety needs a co-safety automaton")
-    n = _first_hit(P, t, P.pos_states)
-    if n is None:
-        return Fraction(0)
-    return Fraction(1, 2 ** n)
+    return _confirmed_value(_lasso_hit(P, t, P.pos_states))
 
 
 def _shortest_distance(P, q, targets):
@@ -292,54 +295,16 @@ def _longest_avoidance(P, q, targets):
     return depth(q) if q in avoid else 0
 
 
-def _disc_run_info(P, s, targets):
-    q = P.initial
-    hit = 0 if q in targets else None
-    for i, sym in enumerate(s, start=1):
-        q = P.step(q, sym)
-        if hit is None and q in targets:
-            hit = i
-    return q, hit
-
-
-def _disc_safety_nu(P, s):
-    q, hit = _disc_run_info(P, s, P.neg_states)
-    if hit is not None:
-        return 1 - Fraction(1, 2 ** hit)
-    latest = _longest_avoidance(P, q, P.neg_states)
-    if latest is None:
-        return Fraction(1)
-    return 1 - Fraction(1, 2 ** (len(s) + latest))
-
-
-def _disc_safety_mu(P, s):
-    q, hit = _disc_run_info(P, s, P.neg_states)
-    if hit is not None:
-        return 1 - Fraction(1, 2 ** hit)
-    d = _shortest_distance(P, q, P.neg_states)
-    if d is None:
-        return Fraction(1)
-    return 1 - Fraction(1, 2 ** (len(s) + d))
-
-
-def _disc_cosafety_nu(P, s):
-    q, hit = _disc_run_info(P, s, P.pos_states)
-    if hit is not None:
-        return Fraction(1, 2 ** hit)
-    d = _shortest_distance(P, q, P.pos_states)
-    if d is None:
-        return Fraction(0)
-    return Fraction(1, 2 ** (len(s) + d))
-
-
-def _disc_cosafety_mu(P, s):
-    q, hit = _disc_run_info(P, s, P.pos_states)
-    if hit is not None:
-        return Fraction(1, 2 ** hit)
-    latest = _longest_avoidance(P, q, P.pos_states)
-    if latest is None:
-        return Fraction(0)
-    return Fraction(1, 2 ** (len(s) + latest))
+def _discounted_at(P, s, targets, value, continue_by):
+    """The sup or inf of a discounted value over the continuations of ``s``:
+    the value of the first hit of ``targets`` within ``s``, or else of the
+    hit ``continue_by`` more steps later, ``_shortest_distance`` for the
+    earliest and ``_longest_avoidance`` for the latest (None: never)."""
+    n, q = _first_hit(P, s, targets)
+    if n is None:
+        d = continue_by(P, q, targets)
+        n = None if d is None else len(s) + d
+    return value(n)
 
 
 # -- energy --------------------------------------------------------------
@@ -353,15 +318,11 @@ class WeightedAutomaton:
         self.states = tuple(states)
         self.initial = initial
         self.transitions = dict(transitions)
-        if self.initial not in self.states:
-            raise AutomatonError(f"initial state {initial!r} unknown")
-        for q in self.states:
-            for a in alphabet:
-                if (q, a) not in self.transitions:
-                    raise AutomatonError(f"missing weighted transition from {q!r} on {a!r}")
-                nxt, w = self.transitions[(q, a)]
-                if nxt not in self.states or not isinstance(w, int):
-                    raise AutomatonError(f"bad weighted transition ({q!r}, {a!r})")
+        check_transition_table(alphabet, self.states, initial, self.transitions,
+                               target=lambda entry: entry[0])
+        for (q, a), (_, w) in self.transitions.items():
+            if not isinstance(w, int):
+                raise AutomatonError(f"bad weighted transition ({q!r}, {a!r})")
 
     def step(self, state, symbol):
         return self.transitions[(state, symbol)]
@@ -413,19 +374,8 @@ def energy_verdict(A):
 
 def load_weighted_automaton(text):
     """Line-based weighted automaton: header lines plus ``q a -> q2 w``."""
-    header, transition_lines = read_sections(text, ("alphabet", "states", "initial"),
-                                             AutomatonError)
-    alphabet = Alphabet(tuple(header["alphabet"]))
-    transitions = {}
-    for lineno, line in transition_lines:
-        parts = line.split()
-        if len(parts) != 5 or parts[2] != "->":
-            raise AutomatonError(f"line {lineno}: expected 'q a -> q2 w', got {line!r}")
-        q, a, _, q2, w = parts
-        try:
-            transitions[(q, a)] = (q2, int(w))
-        except ValueError:
-            raise AutomatonError(f"line {lineno}: weight must be an integer")
+    header, alphabet, transitions = read_transition_table(
+        text, "q2 w", lambda q2, w: (q2, int(w)))
     return WeightedAutomaton(alphabet, tuple(header["states"]), header["initial"][0],
                              transitions)
 
@@ -529,16 +479,20 @@ def discounted_safety_property(P):
     return QuantitativeProperty("disc-safe", dom.RATINF,
                                 lambda t: eval_discounted_safety(P, t),
                                 alphabet=P.alphabet,
-                                nu_at=lambda s: _disc_safety_nu(P, s),
-                                mu_at=lambda s: _disc_safety_mu(P, s))
+                                nu_at=lambda s: _discounted_at(
+                                    P, s, P.neg_states, _refuted_value, _longest_avoidance),
+                                mu_at=lambda s: _discounted_at(
+                                    P, s, P.neg_states, _refuted_value, _shortest_distance))
 
 
 def discounted_cosafety_property(P):
     return QuantitativeProperty("disc-cosafe", dom.RATINF,
                                 lambda t: eval_discounted_cosafety(P, t),
                                 alphabet=P.alphabet,
-                                nu_at=lambda s: _disc_cosafety_nu(P, s),
-                                mu_at=lambda s: _disc_cosafety_mu(P, s))
+                                nu_at=lambda s: _discounted_at(
+                                    P, s, P.pos_states, _confirmed_value, _shortest_distance),
+                                mu_at=lambda s: _discounted_at(
+                                    P, s, P.pos_states, _confirmed_value, _longest_avoidance))
 
 
 def energy_property(A):

@@ -50,8 +50,8 @@ class FiniteTrace:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if self.alphabet is None:
             return
-        for s in self.symbols:
-            if s not in self.alphabet:
+        for s in dict.fromkeys(self.symbols):
+            if s not in self.alphabet.symbols:
                 raise ValueError(f"symbol {s!r} not in alphabet")
 
     def __len__(self):
@@ -96,8 +96,9 @@ class LassoTrace:
 
     def prefix(self, i):
         """The length-i finite prefix of the infinite trace."""
-        syms = [self.symbol_at(j) for j in range(i)]
-        return FiniteTrace(tuple(syms), self.alphabet)
+        stem, loop = self.stem.symbols, self.loop.symbols
+        unrollings = max(0, -(-(i - len(stem)) // len(loop)))
+        return FiniteTrace((stem + loop * unrollings)[:i], self.alphabet)
 
     def symbols(self):
         """Infinite iterator over the trace's symbols."""

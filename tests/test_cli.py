@@ -64,6 +64,18 @@ class TestRun:
         assert lines[-2] == "limsup,exact,2"
         assert lines[-1] == "liminf,exact,2"
 
+    def test_tuple_output_machine_gets_a_product_domain(self, capsys, tmp_path):
+        # a rendered k-pair machine names no domain; its tuple outputs need prod:natinf:2
+        machine, trace = tmp_path / "kpair2.mspec", tmp_path / "kpair2.lasso"
+        machine.write_text(mc.render_machine(mc.build_kpair_monitor(2)))
+        trace.write_text("req1 other ack1 ; other\n")
+        code, out, _ = run_cli(["run", machine, trace, "--lasso"], capsys)
+        assert code == 0
+        assert out.splitlines()[-3:] == ["6,6,(2,0)", "limsup,exact,(2,0)",
+                                         "liminf,exact,(2,0)"]
+        assert out == run_cli(["run", machine, trace, "--lasso",
+                               "--domain", "prod:natinf:2"], capsys)[1]
+
     def test_budget_flags_respected(self, workdir, capsys, tmp_path):
         # a pending-forever lasso diverges; a tiny budget is enough to see it
         path = tmp_path / "pending.lasso"
@@ -194,6 +206,10 @@ class TestInputErrors:
         (root / "no-edges.mspec").write_text(head + "initial: q\noutput: q = 0\n")
         (root / "no-initial.waut").write_text(
             "alphabet: a b\nstates: q\ninitial:\nq a -> q -3\nq b -> q 1\n")
+        (root / "duplicate.waut").write_text(
+            "alphabet: a b\nstates: q\ninitial: q\nq a -> q -3\nq b -> q 1\nq a -> q 5\n")
+        (root / "foreign.waut").write_text(
+            "alphabet: a b\nstates: q\ninitial: q\nq a -> q -3\nq b -> q 1\nq c -> q 7\n")
         (root / "empty.suite").write_text("# no lassos\n")
         return root
 
@@ -201,6 +217,8 @@ class TestInputErrors:
         ["run", "{bad}/no-initial.mspec", "{work}/fig.trace", "--finite"],
         ["run", "{bad}/no-edges.mspec", "{work}/fig.trace", "--finite"],
         ["eval", "energy:{bad}/no-initial.waut", "{work}/ab.lasso"],
+        ["eval", "energy:{bad}/duplicate.waut", "{work}/ab.lasso"],
+        ["eval", "energy:{bad}/foreign.waut", "{work}/ab.lasso"],
         ["eval", "kmrt:x", "{work}/periodic.lasso"],
         ["eval", "kmrt:0", "{work}/periodic.lasso"],
         ["compare", "machine:{work}/mmax.mspec", "mrt", "--suite", "exhaustive:x:1"],

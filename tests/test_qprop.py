@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -8,7 +9,8 @@ from quantmon import boolprop as bp
 from quantmon import domain as dom
 from quantmon import qprop as qp
 from quantmon.errors import AcceptanceKindError, AutomatonError, DomainMismatchError
-from quantmon.trace import Alphabet, FiniteTrace, all_lassos, lasso, parse_lasso
+from quantmon.trace import (Alphabet, FiniteTrace, all_finite_traces, all_lassos, lasso,
+                            parse_lasso)
 from quantmon.verdict import eval_limsup, verdict_sequence
 
 FIG_TRACE = "req ack req other ack req ack other"
@@ -123,6 +125,25 @@ class TestDiscounted:
         with pytest.raises(AcceptanceKindError):
             qp.eval_discounted_cosafety(never_b, t)
 
+    def test_closed_forms_match_the_bounded_search(self, never_b, eventually_a, ab):
+        """nu_at/mu_at against the sup/inf over every lasso continuation with
+        stem and loop up to 3, which reaches every hit of these automata."""
+        rng = random.Random(5)
+        safeties = [never_b] + [bp.random_safety_automaton(rng, ab) for _ in range(15)]
+        cosafeties = [eventually_a] + [bp.random_cosafety_automaton(rng, ab)
+                                       for _ in range(15)]
+        search = qp.LassoSearchBudget(max_stem=3, max_loop=3)
+        properties = [qp.discounted_safety_property(P) for P in safeties] + \
+            [qp.discounted_cosafety_property(P) for P in cosafeties]
+        checked = 0
+        for p in properties:
+            bounded = dataclasses.replace(p, nu_at=None, mu_at=None)
+            for s in all_finite_traces(ab, 3):
+                assert p.nu_at(s) == qp.nu(bounded, s, search), (p.name, s.symbols)
+                assert p.mu_at(s) == qp.mu(bounded, s, search), (p.name, s.symbols)
+                checked += 1
+        assert checked == 480
+
     def test_values_live_in_unit_interval(self, never_b, ab):
         for t in all_lassos(ab, 2, 2):
             v = qp.eval_discounted_safety(never_b, t)
@@ -185,6 +206,16 @@ class TestEnergy:
         with pytest.raises(AutomatonError, match="initial"):
             qp.load_weighted_automaton("alphabet: a b\nstates: q\ninitial:\n"
                                        "q a -> q -3\nq b -> q 1\n")
+
+    @pytest.mark.parametrize("tail, match", [("q b -> q 1\nq a -> q 5", "duplicate"),
+                                             ("q b -> q 1\nq c -> q 7", "unexpected"),
+                                             ("q b -> q x", "expected")])
+    def test_load_rejects_duplicate_foreign_and_malformed_lines(self, tail, match):
+        head = "alphabet: a b\nstates: q\ninitial: q\nq a -> q -3\n"
+        A = qp.load_weighted_automaton(head + "q b -> q 1\n")
+        assert (A.step("q", "a"), A.step("q", "b")) == (("q", -3), ("q", 1))
+        with pytest.raises(AutomatonError, match=match):
+            qp.load_weighted_automaton(head + tail + "\n")
 
 
 class TestKPair:

@@ -100,6 +100,7 @@ class TestLassoLaws:
         ab = Alphabet(("a", "b"))
         t = lasso(u, v, ab)
         assert t.symbol_at(len(u) + m) == v[m % len(v)]
+        assert t.prefix(m).symbols == tuple(t.symbol_at(j) for j in range(m))
 
     @given(stems, loops)
     def test_render_parse_round_trip(self, u, v):
