@@ -257,6 +257,16 @@ def monitor_any_existential(P):
                                  dom.BT, Monotonicity.INCREASING, "existential-monitor")
 
 
+def _check_shared_alphabet(pairs, what):
+    """Raise AutomatonError unless every pair member reads the same symbols."""
+    first = set(pairs[0][0].alphabet)
+    for P in (P for pair in pairs for P in pair):
+        if set(P.alphabet) != first:
+            raise AutomatonError(
+                f"{what} members must share an alphabet: "
+                f"{' '.join(pairs[0][0].alphabet)} vs {' '.join(P.alphabet)}")
+
+
 @dataclass(frozen=True)
 class ObligationList:
     """Conjunction of safety-or-cosafety disjunctions (S_i or C_i)."""
@@ -270,6 +280,7 @@ class ObligationList:
                 raise AcceptanceKindError("first pair member must be a safety automaton")
             if c.kind is not AcceptanceKind.COSAFETY:
                 raise AcceptanceKindError("second pair member must be a co-safety automaton")
+        _check_shared_alphabet(self.pairs, "obligation")
 
     @property
     def k(self):
@@ -324,6 +335,7 @@ class ReactivityList:
                 raise AcceptanceKindError("first pair member must be a Buchi automaton")
             if p.kind is not AcceptanceKind.COBUCHI:
                 raise AcceptanceKindError("second pair member must be a co-Buchi automaton")
+        _check_shared_alphabet(self.pairs, "reactivity")
 
     @property
     def k(self):
@@ -459,7 +471,10 @@ def classify_modality(verdict, prop, side, suite, *, budget=DEFAULT_BUDGET,
     ``prop`` is a lasso evaluator (or an object exposing ``eval_lasso``).
     The existential check is only run when ``existential_prefix_len`` is
     given: it asks, for every finite trace up to that length, whether some
-    bounded lasso continuation reaches the property value exactly.
+    bounded lasso continuation reaches the property value exactly.  Both
+    passes request one limit per lasso through one suite memo, so lassos
+    that reach the same configuration before the same loop share one loop
+    computation.
     """
     suite = list(suite)
     prop_fn = getattr(prop, "eval_lasso", prop)
@@ -467,9 +482,10 @@ def classify_modality(verdict, prop, side, suite, *, budget=DEFAULT_BUDGET,
     # verdict codomain (naturals vs. rationals) embeds into it
     d = getattr(prop, "codomain", None) or verdict.codomain
     limit = eval_limsup if side is Side.BELOW else eval_liminf
+    memo = {}
     approx_witnesses, universal_witnesses, unresolved = [], [], []
     for t in suite:
-        res = limit(verdict, t, budget)
+        res = limit(verdict, t, budget, memo)
         pv = prop_fn(t)
         if not res.is_determined:
             unresolved.append(t)
@@ -490,7 +506,7 @@ def classify_modality(verdict, prop, side, suite, *, budget=DEFAULT_BUDGET,
             found = False
             for g in all_lassos(alphabet, continuation_stems, continuation_loops):
                 t = g.prepend(s)
-                res = limit(verdict, t, budget)
+                res = limit(verdict, t, budget, memo)
                 if res.is_determined and res.value == prop_fn(t):
                     found = True
                     break

@@ -96,9 +96,12 @@ class PrecisionReport:
 
 def _limits(verdict, suite, side, budget):
     """The verdict's limit row: its limsup (below) or liminf (above) on
-    every suite trace."""
+    every suite trace.  One limit is requested per trace, through a suite
+    memo that lives for this row, so lassos that reach the same
+    configuration before the same loop share one loop computation."""
     fn = eval_limsup if side is Side.BELOW else eval_liminf
-    return [fn(verdict, t, budget) for t in suite]
+    memo = {}
+    return [fn(verdict, t, budget, memo) for t in suite]
 
 
 def _check_codomains(v1, v2):
@@ -163,11 +166,11 @@ def hierarchy_experiment(family, suite, side=Side.BELOW, budget=DEFAULT_BUDGET,
 
     ``family`` is a list of (index, verdict) with indices ascending; the
     report list pairs each adjacent couple with the report of
-    compare(higher, lower).  Each verdict's limit row is computed once and
-    shared by both of its reports.  When ``prop`` is given, each verdict is
-    additionally checked to approximate it on the suite (from the given
-    side, over the determined limits), and the returned entries carry that
-    soundness flag.
+    compare(higher, lower).  Each verdict's limit row is computed once,
+    through its own suite memo (see ``_limits``), and shared by both of its
+    reports.  When ``prop`` is given, each verdict is additionally checked
+    to approximate it on the suite (from the given side, over the
+    determined limits), and the returned entries carry that soundness flag.
     """
     rows = [_limits(v, suite, side, budget) for _, v in family]
     if prop is not None:

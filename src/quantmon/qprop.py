@@ -419,7 +419,7 @@ def nu(p, s, search=DEFAULT_SEARCH):
     available, otherwise a bounded-search lower bound of the true sup."""
     if p.nu_at is not None:
         return p.nu_at(s)
-    values = [p.eval_lasso(g.prepend(s.symbols)) for g in _continuations(s.alphabet, search)]
+    values = [p.eval_lasso(g.prepend(s)) for g in _continuations(s.alphabet, search)]
     return p.codomain.sup(values)
 
 
@@ -428,7 +428,7 @@ def mu(p, s, search=DEFAULT_SEARCH):
     available, otherwise a bounded-search upper bound of the true inf."""
     if p.mu_at is not None:
         return p.mu_at(s)
-    values = [p.eval_lasso(g.prepend(s.symbols)) for g in _continuations(s.alphabet, search)]
+    values = [p.eval_lasso(g.prepend(s)) for g in _continuations(s.alphabet, search)]
     return p.codomain.inf(values)
 
 

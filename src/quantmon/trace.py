@@ -79,7 +79,8 @@ class LassoTrace:
     loop: FiniteTrace
 
     def __post_init__(self):
-        if self.stem.alphabet != self.loop.alphabet:
+        stem, loop = self.stem.alphabet, self.loop.alphabet
+        if stem is not loop and stem != loop:
             raise ValueError("stem and loop must share an alphabet")
         if len(self.loop) == 0:
             raise ValueError("lasso loop must be non-empty")
@@ -107,12 +108,27 @@ class LassoTrace:
             yield from self.loop
 
     def prepend(self, finite):
-        """The lasso for ``finite`` followed by this infinite trace."""
-        return LassoTrace(FiniteTrace(tuple(finite) + self.stem.symbols, self.alphabet),
-                          self.loop)
+        """The lasso for ``finite`` followed by this infinite trace.  The
+        symbols of a FiniteTrace over this alphabet were checked when it was
+        built; any other sequence is checked here."""
+        alphabet = self.alphabet
+        if isinstance(finite, FiniteTrace) and finite.alphabet == alphabet:
+            stem = _checked_trace(finite.symbols + self.stem.symbols, alphabet)
+        else:
+            stem = FiniteTrace(tuple(finite) + self.stem.symbols, alphabet)
+        return LassoTrace(stem, self.loop)
 
     def render(self):
         return (self.stem.render() + " ; " + self.loop.render()).strip()
+
+
+def _checked_trace(symbols, alphabet):
+    """The FiniteTrace of a tuple whose symbols are already known to lie in
+    ``alphabet``, built without checking them again."""
+    t = object.__new__(FiniteTrace)
+    object.__setattr__(t, "symbols", symbols)
+    object.__setattr__(t, "alphabet", alphabet)
+    return t
 
 
 def lasso(stem_symbols, loop_symbols, alphabet):
@@ -197,10 +213,10 @@ def all_finite_traces(alphabet, max_len, min_len=0):
 
 def all_lassos(alphabet, max_stem, max_loop):
     """Every lasso with |stem| <= max_stem and 1 <= |loop| <= max_loop."""
+    loops = list(all_finite_traces(alphabet, max_loop, min_len=1))
     for stem in all_finite_traces(alphabet, max_stem):
-        for loop_len in range(1, max_loop + 1):
-            for loop_syms in itertools.product(alphabet.symbols, repeat=loop_len):
-                yield LassoTrace(stem, FiniteTrace(loop_syms, alphabet))
+        for loop in loops:
+            yield LassoTrace(stem, loop)
 
 
 def random_finite_trace(rng, alphabet, length):

@@ -44,6 +44,17 @@ mistake a transient (a counter still climbing toward a guard threshold)
 for settled behaviour.  Every value is checked against the codomain as it
 is stepped, whether or not a rule later reads it.  Everything else is
 reported Undetermined, never guessed.
+
+A suite pass asks for many limits of one verdict, and many of its lassos
+lead to the same run configuration before the same loop.  The caller may
+pass a *suite memo*, a dict kept for one verdict, one side and one budget,
+to ``eval_limsup``/``eval_liminf``: the stem is still stepped, but the
+loop's limit is computed once per ``(configuration after the stem, loop)``
+and read back afterwards.  This rests on rule 1's premise: equal
+configurations have equal futures, so a deterministic stepper's limit on
+``u ; v`` depends only on its configuration after ``u`` and on ``v``.
+Acceleration state is not part of that premise, and a run has none after
+its stem.  Steppers without a configuration are never memoized.
 """
 
 import enum
@@ -280,14 +291,27 @@ def _extremum(combine, vals):
         return None
 
 
-def _eval_limit(verdict, t, budget, take_sup):
-    d = verdict.codomain
+def _eval_limit(verdict, t, budget, take_sup, memo):
     st = verdict.stepper(t.alphabet)
     for sym in t.stem:
         st.step(sym)
+    loop = t.loop.symbols
+    cfg = None if memo is None else st.config()
+    if cfg is None:
+        return _loop_limit(verdict.codomain, st, loop, budget, take_sup)
+    key = (cfg, loop)
+    res = memo.get(key)
+    if res is None:
+        res = memo[key] = _loop_limit(verdict.codomain, st, loop, budget, take_sup)
+    return res
+
+
+def _loop_limit(d, st, loop, budget, take_sup):
+    """The limit of stepper ``st``, at a loop boundary, stepping ``loop``
+    forever."""
     combine = d.sup if take_sup else d.inf
     accelerate = getattr(st, "accelerate", None)
-    step, check, loop = st.step, d.check, t.loop.symbols
+    step, check = st.step, d.check
     iteration_values = []
     seen = {}
     for k in range(budget.max_loop_iterations):
@@ -341,14 +365,25 @@ def _eval_limit(verdict, t, budget, take_sup):
     return LimitResult(None, LimitKind.UNDETERMINED, used)
 
 
-def eval_limsup(verdict, t, budget=DEFAULT_BUDGET):
-    """Limit superior of the verdict sequence along the lasso ``t``."""
-    return _eval_limit(verdict, t, budget, take_sup=True)
+def eval_limsup(verdict, t, budget=DEFAULT_BUDGET, memo=None):
+    """Limit superior of the verdict sequence along the lasso ``t``.
+
+    ``memo`` is an optional suite memo: a dict that one caller keeps for
+    one verdict, one side (limsup here) and one budget, and passes to
+    every call it makes with them.  A stepper that exposes a configuration
+    has its limit stored under ``(configuration after the stem, loop
+    symbols)`` and read back on a later call that reaches the same pair.
+    Steppers without a configuration are not memoized.  Sharing a memo
+    across verdicts, sides or budgets gives wrong answers."""
+    return _eval_limit(verdict, t, budget, True, memo)
 
 
-def eval_liminf(verdict, t, budget=DEFAULT_BUDGET):
-    """Limit inferior of the verdict sequence along the lasso ``t``."""
-    return _eval_limit(verdict, t, budget, take_sup=False)
+def eval_liminf(verdict, t, budget=DEFAULT_BUDGET, memo=None):
+    """Limit inferior of the verdict sequence along the lasso ``t``.
+
+    ``memo`` follows the contract of ``eval_limsup``'s: one dict per
+    verdict, side (liminf here) and budget."""
+    return _eval_limit(verdict, t, budget, False, memo)
 
 
 def check_monotone(verdict, suite, depth):

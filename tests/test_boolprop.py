@@ -8,8 +8,8 @@ from quantmon import domain as dom
 from quantmon import qprop as qp
 from quantmon.boolprop import AcceptanceKind, Side
 from quantmon.errors import AcceptanceKindError, AutomatonError
-from quantmon.trace import (FiniteTrace, all_finite_traces, all_lassos, lasso,
-                            parse_lasso)
+from quantmon.trace import (Alphabet, FiniteTrace, all_finite_traces, all_lassos,
+                            lasso, parse_lasso)
 from quantmon.verdict import (LimitBudget, Monotonicity, check_monotone,
                               count_switches, eval_limsup, prefix_verdict,
                               verdict_sequence)
@@ -196,6 +196,18 @@ class TestObligation:
             assert res.is_determined
             assert res.value == obligation.membership(t)
 
+    def test_members_must_share_an_alphabet(self, never_b, eventually_a, ab):
+        abc = Alphabet(("a", "b", "c"))
+        never_b_abc = bp.safety_never(abc, "b")
+        with pytest.raises(AutomatonError, match="share an alphabet"):
+            bp.ObligationList(((never_b_abc, eventually_a),))
+        with pytest.raises(AutomatonError, match="share an alphabet"):
+            bp.ObligationList(((never_b, eventually_a),
+                               (never_b_abc, bp.cosafety_eventually(abc, "a"))))
+        # the same symbols in another order are the same alphabet
+        ba = Alphabet(("b", "a"))
+        bp.ObligationList(((never_b, bp.cosafety_eventually(ba, "a")),))
+
     def test_switch_bound_on_random_obligations(self, ab):
         rng = random.Random(11)
         for _ in range(25):
@@ -262,6 +274,15 @@ class TestReactivity:
                     hit = True
                     break
             assert hit, s.symbols
+
+    def test_members_must_share_an_alphabet(self, inf_often_a, ab):
+        abc = Alphabet(("a", "b", "c"))
+        with pytest.raises(AutomatonError, match="share an alphabet"):
+            bp.ReactivityList(((inf_often_a, bp.empty_cobuchi(abc)),))
+        with pytest.raises(AutomatonError, match="share an alphabet"):
+            bp.ReactivityList(((inf_often_a, bp.empty_cobuchi(ab)),
+                               (bp.buchi_infinitely_often(abc, "a"),
+                                bp.empty_cobuchi(abc))))
 
     def test_persistence_switch_pins_output(self, ab):
         # response part dies immediately (empty Buchi); persistence part is

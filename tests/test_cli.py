@@ -250,6 +250,21 @@ class TestInputErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_obligation_pair_over_different_alphabets(self, tmp_path, capsys):
+        # a safety automaton over a b c paired with the demo co-safety
+        # automaton over a b used to end in a KeyError traceback
+        never_b = tmp_path / "never_b_abc.aut"
+        never_b.write_text(bp.render_automaton(
+            bp.safety_never(Alphabet(("a", "b", "c")), "b")))
+        eventually_a = pathlib.Path(__file__).resolve().parents[1] / \
+            "demos/automata/eventually_a.aut"
+        code, out, err = run_cli(["classify", "--obligation", f"{never_b}:{eventually_a}"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "share an alphabet" in err
+
     def test_unknown_global_option_is_named(self, capsys):
         # argparse alone reads the value after an unknown global option as
         # the subcommand and names the value instead of the option

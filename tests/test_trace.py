@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quantmon.errors import TraceParseError
-from quantmon.trace import (Alphabet, all_lassos, all_finite_traces, lasso,
-                            parse_finite, parse_lasso)
+from quantmon.trace import (Alphabet, FiniteTrace, all_lassos, all_finite_traces,
+                            lasso, parse_finite, parse_lasso)
 
 
 @pytest.fixture(scope="module")
@@ -114,12 +114,35 @@ class TestLassoLaws:
         t2 = t.prepend(("b", "b"))
         assert t2.stem.symbols == ("b", "b", "a") and t2.loop == t.loop
 
+    def test_prepend_checks_what_was_not_checked(self):
+        ab = Alphabet(("a", "b"))
+        t = lasso(("a",), ("b",), ab)
+        # a trace over the same alphabet, checked when built, and the same
+        # symbols as a raw sequence give the same lasso
+        same = FiniteTrace(("b", "b"), Alphabet(("a", "b")))
+        assert t.prepend(same) == t.prepend(("b", "b")) == t.prepend(same.symbols)
+        with pytest.raises(ValueError):
+            t.prepend(("c",))
+        with pytest.raises(ValueError):
+            t.prepend(FiniteTrace(("c",), Alphabet(("a", "c"))))
+        with pytest.raises(ValueError):
+            t.prepend(FiniteTrace(("c",), None))
+
 
 class TestEnumerationShapes:
     def test_counts(self):
         ab = Alphabet(("a", "b"))
         assert len(list(all_finite_traces(ab, 3))) == 1 + 2 + 4 + 8
         assert len(list(all_lassos(ab, 2, 3))) == 7 * (2 + 4 + 8)
+
+    def test_lasso_order(self):
+        # stems shortest first, then loops shortest first, each in
+        # lexicographic order of the alphabet
+        ab = Alphabet(("a", "b"))
+        assert [t.render() for t in all_lassos(ab, 1, 2)] == [
+            f"{stem} ; {loop}".strip()
+            for stem in ("", "a", "b")
+            for loop in ("a", "b", "a a", "a b", "b a", "b b")]
 
     def test_loop_never_empty(self):
         ab = Alphabet(("a", "b"))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from quantmon import boolprop as bp
 from quantmon import domain as dom
 from quantmon import machine as mc
+from quantmon import precision as pr
 from quantmon import qprop as qp
 from quantmon import verdict as vd
 from quantmon.errors import (DomainMismatchError, InvalidFunctionError, NoBoundError,
@@ -17,6 +19,7 @@ from quantmon.verdict import (FunctionStepper, LimitBudget, LimitKind, LimitResu
                               constant_verdict, count_switches, eval_liminf,
                               eval_limsup, map_continuous, prefix_verdict,
                               verdict_csv_lines, verdict_sequence)
+from test_machine import BUILT_MACHINES
 
 A = Alphabet(("a",))
 AB = Alphabet(("a", "b"))
@@ -455,3 +458,127 @@ class TestBudgetPath:
             with pytest.raises(DomainMismatchError):
                 evaluate(v, lasso((), ("a", "b"), AB))
             assert steps[-1] == 6
+
+
+def _machine_subject(build):
+    m = build()
+    return mc.generated_verdict(m), m.alphabet
+
+
+def _memo_subjects():
+    """Every verdict kind with a configuration, with the alphabet it reads."""
+    mmax = mc.generated_verdict(mc.build_mmax())
+    ab_automata = [(bp.monitor_safety, bp.safety_never(AB, "b")),
+                   (bp.monitor_cosafety, bp.cosafety_eventually(AB, "a")),
+                   (bp.monitor_response, bp.buchi_infinitely_often(AB, "a")),
+                   (bp.monitor_persistence, bp.cobuchi_eventually_always(AB, "a"))]
+    return {
+        **{f"machine:{name}": (lambda build=build: _machine_subject(build))
+           for name, build in BUILT_MACHINES.items()},
+        "mrt": lambda: (qp.mrt_verdict(), SERVER),
+        "art": lambda: (qp.art_verdict(), SERVER),
+        "compl(Mmax)": lambda: (complement(mmax), SERVER),
+        "max(Mfin2,Mmax)": lambda: (combine_max(
+            mc.generated_verdict(mc.build_finite_state_mrt(2)), mmax), SERVER),
+        **{monitor.__name__: (lambda monitor=monitor, P=P: (monitor(P), AB))
+           for monitor, P in ab_automata},
+        "smooth_bot": lambda: (bp.smooth_bot(BOTTOMED_OPERANDS[-1]), SERVER),
+    }
+
+
+MEMO_SUBJECTS = _memo_subjects()
+
+
+@lru_cache(maxsize=None)
+def _memo_subject(name):
+    return MEMO_SUBJECTS[name]()
+
+
+@st.composite
+def crossed_suites(draw, alphabet):
+    """A few drawn stems, each followed by each of a few drawn loops, so that
+    stems reaching one configuration meet the same loops."""
+    words = lambda lo, hi: st.lists(st.sampled_from(alphabet.symbols),
+                                    min_size=lo, max_size=hi)
+    stems = draw(st.lists(words(0, 4), min_size=1, max_size=5))
+    loops = draw(st.lists(words(1, 3), min_size=1, max_size=3))
+    return [lasso(stem, loop, alphabet) for stem in stems for loop in loops]
+
+
+def _fields(results):
+    return [(r.value, type(r.value), r.kind, r.iterations_used) for r in results]
+
+
+def _config_loop_pairs(v, suite):
+    pairs = set()
+    for t in suite:
+        st_ = v.stepper(t.alphabet)
+        for sym in t.stem:
+            st_.step(sym)
+        pairs.add((st_.config(), t.loop.symbols))
+    return pairs
+
+
+class TestSuiteMemo:
+    """A suite memo changes no answer: a memoized pass equals the memo-less
+    one field by field, and it stores one limit per distinct (configuration
+    after the stem, loop)."""
+
+    @pytest.mark.parametrize("name", sorted(MEMO_SUBJECTS))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_memoized_pass_matches_memo_less(self, name, data):
+        v, alphabet = _memo_subject(name)
+        suite = data.draw(crossed_suites(alphabet))
+        budget = data.draw(small_budgets)
+        for evaluate in (eval_limsup, eval_liminf):
+            memo = {}
+            memoized = [evaluate(v, t, budget, memo) for t in suite]
+            assert _fields(memoized) == _fields([evaluate(v, t, budget) for t in suite])
+            assert len(memo) == len(_config_loop_pairs(v, suite))
+
+    @pytest.mark.parametrize("name", ["mrt", "art", "machine:Mmax", "machine:Mavg2",
+                                      "machine:Mfin2", "compl(Mmax)"])
+    def test_exhaustive_suite_under_the_default_budget(self, name):
+        # the limsups of a compare below; art runs out the budget on 124
+        # of these lassos
+        v, _ = _memo_subject(name)
+        suite = pr.exhaustive_suite(SERVER, 2, 3)
+        memo = {}
+        memoized = [eval_limsup(v, t, vd.DEFAULT_BUDGET, memo) for t in suite]
+        assert _fields(memoized) == _fields([eval_limsup(v, t) for t in suite])
+        # the 507 lassos reach 195 distinct (configuration, loop) pairs
+        assert len(memo) == len(_config_loop_pairs(v, suite)) == 195
+
+    def test_boolean_monitors_on_exhaustive_2_2(self):
+        suite = pr.exhaustive_suite(AB, 2, 2)
+        for name in ("monitor_safety", "monitor_cosafety", "monitor_response",
+                     "monitor_persistence"):
+            v, _ = _memo_subject(name)
+            for evaluate in (eval_limsup, eval_liminf):
+                memo = {}
+                memoized = [evaluate(v, t, vd.DEFAULT_BUDGET, memo) for t in suite]
+                assert _fields(memoized) == _fields([evaluate(v, t) for t in suite])
+                assert len(memo) == len(_config_loop_pairs(v, suite)) < len(suite)
+
+    def test_prefix_verdicts_are_not_memoized(self):
+        suite = pr.exhaustive_suite(SERVER, 1, 2)
+        budget = LimitBudget(max_loop_iterations=24)
+        for v in (OPAQUE["pair"], OPAQUE["bool"], length_verdict()):
+            memo = {}
+            memoized = [eval_limsup(v, t, budget, memo) for t in suite]
+            assert memo == {}
+            assert _fields(memoized) == _fields([eval_limsup(v, t, budget) for t in suite])
+
+    def test_out_of_codomain_value_still_raises(self):
+        # -1 is no natinf value; a failed limit stores nothing, so the
+        # second lasso to reach the same configuration raises as well
+        factory = lambda alphabet: FunctionStepper(
+            0, lambda k, sym: k + 1, lambda k: -1 if k == 5 else k)
+        v = VerdictFunction(dom.NATINF, factory, name="dips")
+        for evaluate in (eval_limsup, eval_liminf):
+            memo = {}
+            for t in (lasso(("a",), ("a", "b"), AB), lasso(("b",), ("a", "b"), AB)):
+                with pytest.raises(DomainMismatchError):
+                    evaluate(v, t, vd.DEFAULT_BUDGET, memo)
+            assert memo == {}
