@@ -202,8 +202,11 @@ def cmd_classify(args):
     label, build = _CANONICAL_MONITORS[P.kind]
     monitor = build(P)
     suite = _suite_for(args.suite, P.alphabet, args.seed)
+    # the existential check extends every trace of up to 3 symbols
+    prefix_len = 3 if args.modality == "existential" else None
     report = bp.classify_modality(monitor, bp.characteristic_property(P),
-                                  Side.BELOW, suite, budget=budget)
+                                  Side.BELOW, suite, budget=budget,
+                                  existential_prefix_len=prefix_len)
     print(f"{label}-monitor: {report.summary()}")
     wanted_ok = report.universal_ok if args.modality == "universal" else (
         report.existential_ok if args.modality == "existential" else report.approximate_ok)

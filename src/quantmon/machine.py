@@ -15,29 +15,31 @@ runs step only that form.  States and registers become integer ids and a
 valuation is the tuple of register values in ``registers`` order.  Each
 state's row maps a symbol to its lone edge's ``(target, update)`` or, for a
 guarded group, to a function of the values tuple giving the group's sign
-pattern plus a table from pattern to ``(target, update)``.  Each distinct
-update list becomes one tuple builder and each output one function of the
-values tuple.  Their Python source is generated from register indices and
-integer literals only, never from names in the input, and is compiled once
-per distinct source text.  The source ``Edge``/``Guard``/``Update`` objects
+pattern plus a table from pattern to ``(target, update)``.  Updates, guard
+atoms and affine outputs share one lowered form: integer coefficients in
+``registers`` order plus a constant.  An update's form is the assigned
+value, an atom's is ``left - right`` (or ``left - const``), tested for
+``>= 0``.  Each distinct update list becomes one tuple builder and each
+output one function of the values tuple.  Their Python source is written
+from forms, never from names in the input, and is compiled once per
+distinct source text.  The source ``Edge``/``Guard``/``Update`` objects
 stay in ``edges`` for parsing, rendering and tests.
 
-The flat form also keeps, per update builder, its ``(target, kind,
-operand)`` assignments and, per sign-pattern function, its atom tests
-``(left, right, const)``.  From them ``MachineRun.accelerate`` composes
-one lasso-loop iteration symbolically.  An arm path lists per step the
-state id, the symbol and the sign pattern taken.  Along a path every
-register value, guard atom and output reads as an affine form of the
-iteration's start values: integer coefficients plus a constant.  When the
-composed update sets some registers to constants and maps every other
-register to itself plus a constant and plus multiples of the set ones,
-then, as the iteration before took the same path, the set registers start
-every iteration at their constants, each other register moves by a fixed
-shift, and the start of the n-th iteration along the path is ``start + n *
-shift``.  So each form changes by a fixed slope per iteration.
-Then each atom's sign flips at a computable iteration, and each output
-position tends to its value, to ±inf, or to a ratio of slopes (taken
-through ``max`` and componentwise in a tuple).
+The flat form also keeps the forms of each update builder and each
+sign-pattern function.  From them ``MachineRun.accelerate`` composes one
+lasso-loop iteration symbolically.  An arm path lists per step the state
+id, the symbol and the sign pattern taken.  Along a path every register
+value, guard atom and output reads as a form of the iteration's start
+values (``_compose``).  When the composed update sets some
+registers to constants and maps every other register to itself plus a
+constant and plus multiples of the set ones, then, as the iteration before
+took the same path, the set registers start every iteration at their
+constants, each other register moves by a fixed shift, and the start of
+the n-th iteration along the path is ``start + n * shift``.  So each form
+changes by a fixed slope per iteration.  Then each atom's sign flips at a
+computable iteration, and each output position tends to its value, to
+±inf, or to a ratio of slopes (taken through ``max`` and componentwise in
+a tuple).
 
 Instruction sets restrict which update and guard forms a machine may use:
 
@@ -70,7 +72,7 @@ from . import domain as dom
 from .errors import MachineError
 from .qprop import server_alphabet
 from .trace import Alphabet, read_sections
-from .verdict import Monotonicity, VerdictFunction
+from .verdict import Monotonicity, VerdictFunction, _fold
 
 
 class InstructionSet(enum.Enum):
@@ -97,6 +99,12 @@ class GuardAtom:
     def complement(self):
         return GuardAtom(self.left, self.right, not self.negated)
 
+    def difference(self):
+        """``left - right`` as an affine output, >= 0 where the atom holds."""
+        if isinstance(self.right, int):
+            return OutputSpec("affine", ((self.left, 1),), -self.right)
+        return OutputSpec("affine", ((self.left, 1), (self.right, -1)))
+
 
 @dataclass(frozen=True)
 class Guard:
@@ -111,10 +119,10 @@ class Guard:
 
 TRUE_GUARD = Guard(())
 
-# generated expression per update kind over the values tuple ``v``; ``t`` is
-# the target's register index and ``o`` the operand's
-_UPDATE_CODE = {"zero": "0", "one": "1", "inc": "v[{t}] + 1", "dec": "v[{t}] - 1",
-                "add": "v[{t}] + v[{o}]", "copy": "v[{o}]"}
+# the instructions: the new value of the target is its own value times the
+# first coefficient, plus the operand's times the second, plus the constant
+_INSTRUCTIONS = {"zero": (0, 0, 0), "one": (0, 0, 1), "inc": (1, 0, 1), "dec": (1, 0, -1),
+                 "add": (1, 1, 0), "copy": (0, 1, 0)}
 
 
 @dataclass(frozen=True)
@@ -124,16 +132,19 @@ class Update:
     operand: str = None
 
     def __post_init__(self):
-        if self.kind not in _UPDATE_CODE:
+        if self.kind not in _INSTRUCTIONS:
             raise MachineError(f"unknown update kind {self.kind!r}")
-        if self.kind in ("add", "copy") and self.operand is None:
+        if _INSTRUCTIONS[self.kind][1] and self.operand is None:
             raise MachineError(f"update {self.kind} needs an operand register")
 
+    def value(self):
+        """The assigned value as an affine output."""
+        own, other, const = _INSTRUCTIONS[self.kind]
+        terms = ((self.target, own), (self.operand, other))
+        return OutputSpec("affine", tuple((r, c) for r, c in terms if c), const)
+
     def render(self):
-        rhs = {"zero": "0", "one": "1", "inc": f"{self.target}+1",
-               "dec": f"{self.target}-1", "add": f"{self.target}+{self.operand}",
-               "copy": f"{self.operand}"}[self.kind]
-        return f"{self.target}:={rhs}"
+        return f"{self.target}:={self.value().render()}"
 
 
 @dataclass(frozen=True)
@@ -228,7 +239,7 @@ _SET_UPDATES = {
     InstructionSet.COUNTER: {"zero", "inc"},
     InstructionSet.COUNTER_INC_DEC: {"zero", "inc", "dec"},
     InstructionSet.ADDER: {"one", "add", "copy"},
-    InstructionSet.EXTENDED: set(_UPDATE_CODE),
+    InstructionSet.EXTENDED: set(_INSTRUCTIONS),
 }
 
 
@@ -253,10 +264,27 @@ def _compile(source):
     return eval(source, _CODE_GLOBALS)
 
 
+def _affine_form(out, rid):
+    """The form of the affine output ``out``; raises KeyError for a
+    register outside ``rid``."""
+    form = [0] * len(rid) + [out.const]
+    for r, c in out.parts:
+        form[rid[r]] += c
+    return tuple(form)
+
+
+def _form_source(form):
+    """The expression of ``form`` over the values tuple ``v``."""
+    terms = [f"v[{i}]" if c == 1 else f"{c:d} * v[{i}]" for i, c in enumerate(form[:-1]) if c]
+    if form[-1] or not terms:
+        terms.append(f"{form[-1]:d}")
+    return " + ".join(terms)
+
+
 def _update_source(width, assigned):
     exprs = [f"v[{i}]" for i in range(width)]
-    for t, kind, o in assigned:
-        exprs[t] = _UPDATE_CODE[kind].format(t=t, o=o)
+    for t, form in assigned:
+        exprs[t] = _form_source(form)
     return f"lambda v: ({', '.join(exprs)},)"
 
 
@@ -266,10 +294,7 @@ def _output_source(out, rid):
     if out.kind == "inf":
         return "INF"
     if out.kind == "affine":
-        terms = [f"v[{rid[r]}]" if c == 1 else f"{c:d} * v[{rid[r]}]" for r, c in out.parts]
-        if out.const or not terms:
-            terms.append(f"{out.const:d}")
-        return " + ".join(terms)
+        return _form_source(_affine_form(out, rid))
     parts = [_output_source(p, rid) for p in out.parts]
     if out.kind == "div":
         num, den = parts
@@ -279,18 +304,13 @@ def _output_source(out, rid):
     return f"({', '.join(parts)},)"
 
 
-def _test_source(test):
-    """The ``>=`` test ``(left, right, const)`` over ``v``: ``v[left] >=
-    v[right]`` for a register ``right``, else ``v[left] >= const``."""
-    left, right, const = test
-    return f"v[{left}] >= " + (f"{const:d}" if right is None else f"v[{right}]")
-
-
+@functools.lru_cache(maxsize=1024)
 def _select_source(tests):
-    """Sign pattern of a group's atom tests: bit i is set when test i holds."""
-    return "lambda v: " + " | ".join(f"({_test_source(t)}) << {i}" if i
-                                     else f"({_test_source(t)})"
-                                     for i, t in enumerate(tests))
+    """Sign pattern of a group's atom forms: bit i is set when form i is
+    >= 0, tested as its positive terms >= its negated negative ones."""
+    bits = (f"({_form_source(tuple(max(c, 0) for c in form))} >= "
+            f"{_form_source(tuple(max(-c, 0) for c in form))})" for form in tests)
+    return "lambda v: " + " | ".join(f"{b} << {i}" if i else b for i, b in enumerate(bits))
 
 
 class RegisterMachine:
@@ -322,25 +342,32 @@ class RegisterMachine:
             raise MachineError("duplicate state names")
         if self.initial not in sid:
             raise MachineError(f"unknown initial state {self.initial!r}")
+        for q in self.outputs:
+            if q not in sid:
+                raise MachineError(f"output for unknown state {q!r}")
         symbols = set(self.alphabet)
         lowered = {}
         outs = tuple(self._lower_output(q, rid, lowered) for q in self.states)
         rows = [{} for _ in self.states]
         allowed = _SET_UPDATES[self.instruction_set]
-        builders, arms, groups = {(): None}, {}, {}
+        # each distinct atom and update list is lowered once, and each
+        # update builder keeps the forms it assigns
+        tested, builders, self._assigned = {}, {(): None}, {None: ()}
+        arms, groups = {}, {}
         for e in self.edges:
             src, dst = sid.get(e.source), sid.get(e.target)
             if src is None or dst is None:
                 raise MachineError(f"edge {e} references unknown states")
             if e.symbol not in symbols:
                 raise MachineError(f"edge {e} uses symbol outside the alphabet")
-            atoms = tuple(self._lower_atom(atom, rid) for atom in e.guard.atoms) \
-                if e.guard.atoms else ()
-            assigned = self._lower_updates(e, rid, allowed) if e.updates else ()
+            atoms = tuple(tested.get(atom) or self._lower_atom(atom, rid, tested)
+                          for atom in e.guard.atoms) if e.guard.atoms else ()
             try:
-                update = builders[assigned]
+                update = builders[e.updates]
             except KeyError:
-                update = builders[assigned] = _compile(_update_source(len(rid), assigned))
+                assigned = self._lower_updates(e, rid, allowed)
+                update = builders[e.updates] = _compile(_update_source(len(rid), assigned))
+                self._assigned[update] = assigned
             arm = arms.get((dst, update))
             if arm is None:
                 arm = arms[dst, update] = (dst, rows[dst], update, outs[dst])
@@ -357,7 +384,6 @@ class RegisterMachine:
         self._rows = rows
         self._outputs = outs
         self._register_ids = rid
-        self._assigned = {update: assigned for assigned, update in builders.items()}
 
     def _lower_output(self, q, rid, lowered):
         """The output function of state ``q``, shared through ``lowered``
@@ -380,42 +406,40 @@ class RegisterMachine:
         lowered[id(out)] = fn = _compile(f"lambda v: {source}")
         return fn
 
-    def _lower_atom(self, atom, rid):
-        """The atom's ``>=`` test ``(left, right, const)`` and its negation
-        flag."""
-        left = rid.get(atom.left)
-        constant = isinstance(atom.right, int)
-        right = None if constant else rid.get(atom.right)
-        if left is None or (right is None and not constant):
-            raise MachineError(f"guard {atom.render()} uses unknown register")
+    def _lower_atom(self, atom, rid, tested):
+        """The atom's form and its negation flag, stored in ``tested``."""
+        try:
+            form = _affine_form(atom.difference(), rid)
+        except KeyError:
+            raise MachineError(f"guard {atom.render()} uses unknown register") from None
         if not _atom_allowed(atom, self.instruction_set):
             raise MachineError(f"guard atom {atom.render()} not allowed by instruction "
                                f"set {self.instruction_set.value}")
-        return (left, right, int(atom.right) if constant else 0), atom.negated
+        tested[atom] = lowered = form, atom.negated
+        return lowered
 
     def _lower_updates(self, edge, rid, allowed):
-        """The edge's updates as a sorted tuple of (target index, kind,
-        operand index)."""
+        """The edge's updates as a tuple of (target index, form of the
+        assigned value)."""
         assigned = []
         for u in edge.updates:
-            t = rid.get(u.target)
-            o = None if u.operand is None else rid.get(u.operand)
-            if t is None or (u.operand is not None and o is None):
-                raise MachineError(f"update {u.render()} uses unknown register")
+            try:
+                assigned.append((rid[u.target], _affine_form(u.value(), rid)))
+            except KeyError:
+                raise MachineError(f"update {u.render()} uses unknown register") from None
             if u.kind not in allowed:
                 raise MachineError(f"update {u.render()} not allowed by instruction "
                                    f"set {self.instruction_set.value}")
-            assigned.append((t, u.kind, o))
-        if len({t for t, _, _ in assigned}) != len(assigned):
+        if len({t for t, _ in assigned}) != len(assigned):
             raise MachineError(f"edge {edge.source}--{edge.symbol}: register assigned twice")
-        return tuple(sorted(assigned))
+        return tuple(assigned)
 
     def _lower_group(self, q, a, group):
         """The transition entry of the (q, a) edges: ``(None, arm)`` for a
         lone edge, else the sign-pattern function and the arm per pattern.
         Raises unless the guards enumerate every sign pattern of one atom
         set exactly once, which makes exactly one edge fire.  Records the
-        atom tests of each sign-pattern function in ``_tests``."""
+        atom forms of each sign-pattern function in ``_tests``."""
         if len(group) == 1:
             guard, atoms, arm = group[0]
             if atoms:
@@ -423,7 +447,7 @@ class RegisterMachine:
                     f"single edge from {q!r} on {a!r} must carry the trivial guard; "
                     f"got [{guard.render()}]")
             return None, arm
-        tests = [test for test, _ in group[0][1]]
+        tests = tuple(test for test, _ in group[0][1])
         position = {test: i for i, test in enumerate(tests)}
         table = [None] * (1 << len(tests))
         for _, atoms, arm in group:
@@ -463,17 +487,19 @@ class RegisterMachine:
         iteration.
         """
         width = len(self.registers)
-        units = [tuple(int(i == j) for j in range(width)) + (0,) for i in range(width)]
-        forms = units
+        forms = [tuple(int(i == j) for j in range(width)) + (0,) for i in range(width)]
         atoms, outputs = [], []
         for q, sym, pattern in path:
             select, arm = self._rows[q][sym]
             if select is not None:
                 for i, test in enumerate(self._tests[select]):
-                    atoms.append((_test_form(forms, test), pattern >> i & 1))
+                    atoms.append((_compose(test, forms), pattern >> i & 1))
                 arm = arm[pattern]
             dst, _, update, _ = arm
-            forms = _update_forms(forms, self._assigned[update])
+            new = list(forms)
+            for t, form in self._assigned[update]:
+                new[t] = _compose(form, forms)
+            forms = new
             outputs.append((self.outputs[self.states[dst]], forms))
         # a register that the path sets to a constant holds it at every
         # iteration start, since the iteration before followed the same path
@@ -501,30 +527,13 @@ class RegisterMachine:
 # -- loop acceleration --------------------------------------------------------
 
 
-def _update_forms(forms, assigned):
-    """The register forms after the parallel updates ``assigned``."""
-    new = list(forms)
-    for t, kind, o in assigned:
-        form = forms[t]
-        if kind == "zero" or kind == "one":
-            new[t] = (0,) * (len(form) - 1) + (int(kind == "one"),)
-        elif kind == "inc" or kind == "dec":
-            new[t] = form[:-1] + (form[-1] + (1 if kind == "inc" else -1),)
-        elif kind == "add":
-            new[t] = tuple(map(operator.add, form, forms[o]))
-        else:
-            new[t] = forms[o]
-    return new
-
-
-def _test_form(forms, test):
-    """The form of ``left - right - const`` for the test ``(left, right,
-    const)``, which holds where it is >= 0."""
-    left, right, const = test
-    form = forms[left]
-    if right is not None:
-        form = tuple(map(operator.sub, form, forms[right]))
-    return form[:-1] + (form[-1] - const,)
+def _compose(form, forms):
+    """``form`` read over ``forms``, the forms of the registers: its
+    constant plus each coefficient times its register's form."""
+    composed = [0] * (len(form) - 1) + [form[-1]]
+    for c, reg in zip(form, forms):
+        composed = [a + c * b for a, b in zip(composed, reg)]
+    return tuple(composed)
 
 
 def _at(form, values):
@@ -536,10 +545,8 @@ def _compose_output(out, forms, rid, slope):
     ``(kind, parts)``: an affine leaf's parts are its ``(form, slope)``,
     every other output's parts are its composed sub-outputs."""
     if out.kind == "affine":
-        form = [0] * len(forms) + [out.const]
-        for r, c in out.parts:
-            form = [a + c * b for a, b in zip(form, forms[rid[r]])]
-        return "affine", (tuple(form), slope(form))
+        form = _compose(_affine_form(out, rid), forms)
+        return "affine", (form, slope(form))
     return out.kind, tuple(_compose_output(p, forms, rid, slope) for p in out.parts)
 
 
@@ -568,9 +575,9 @@ def _position_limit(output, start):
     limits = [_position_limit(p, start) for p in parts]
     if kind == "tuple":
         return tuple(v for v, _ in limits), tuple(d for _, d in limits)
-    value = max(v for v, _ in limits)
     # the max diverges only when every operand attaining it diverges
-    return value, all(d for v, d in limits if v == value)
+    value, escaped = _fold(max, limits)
+    return value, bool(escaped)
 
 
 class MachineRun:
@@ -696,21 +703,26 @@ def _parse_guard(text):
 
 
 def _parse_update(text):
+    """Inverse of ``Update.render``: the right-hand side is an affine
+    output, and the update is the instruction with its form."""
     text = text.strip()
-    if ":=" not in text:
-        raise MachineError(f"malformed update {text!r}")
-    target, rhs = (x.strip() for x in text.split(":=", 1))
-    if rhs == "0":
-        return Update(target, "zero")
-    if rhs == "1":
-        return Update(target, "one")
-    if rhs == f"{target}+1":
-        return Update(target, "inc")
-    if rhs == f"{target}-1":
-        return Update(target, "dec")
-    if rhs.startswith(f"{target}+"):
-        return Update(target, "add", rhs[len(target) + 1:].strip())
-    return Update(target, "copy", rhs)
+    target, sep, rhs = text.partition(":=")
+    try:
+        # without ':=' the right-hand side is empty, so malformed
+        value = _parse_affine(rhs if sep else "")
+    except MachineError:
+        raise MachineError(f"malformed update {text!r}") from None
+    target = target.strip()
+    # the target's index is 0, and the other registers' are not
+    names = dict.fromkeys([target, *(r for r, _ in value.parts)])
+    rid = {r: i for i, r in enumerate(names)}
+    form = _affine_form(value, rid)
+    operand = next((r for r, i in rid.items() if i and form[i]), target)
+    for kind, (_, other, _) in _INSTRUCTIONS.items():
+        update = Update(target, kind, operand if other else None)
+        if _affine_form(update.value(), rid) == form:
+            return update
+    raise MachineError(f"update {text!r} is not an instruction")
 
 
 # one term of an affine form: ``[sign] [coefficient *] register`` or
@@ -789,9 +801,12 @@ def load_machine(text, output_domain=None, name="machine"):
             edges.append(_parse_edge(rest, lineno))
         elif key == "output" and sep:
             state, eq, expr = rest.partition("=")
+            state = state.strip()
             if not eq:
                 raise MachineError(f"line {lineno}: output line needs '='")
-            outputs[state.strip()] = _parse_output(expr)
+            if state in outputs:
+                raise MachineError(f"line {lineno}: second output for state {state!r}")
+            outputs[state] = _parse_output(expr)
         else:
             raise MachineError(f"line {lineno}: cannot parse {line!r}")
     try:
@@ -897,8 +912,7 @@ def build_mavg_running():
     ``rtotal`` counts every observation made while a request is open (which
     equals completed response time plus the open burst) and ``rcount``
     counts requests as they arrive, so every state outputs rtotal/rcount.
-    Generates the same verdict function as ``build_mavg`` and can be
-    rendered to the machine file format.
+    Generates the same verdict function as ``build_mavg``.
     """
     alphabet = server_alphabet(1).alphabet
     edges = [

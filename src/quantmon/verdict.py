@@ -31,11 +31,12 @@ resolves the limit four ways, in order of preference:
     (or periodic) over the final confirmation window report an exact
     limit.  This is a heuristic: it settles eventually periodic output,
     but a transient longer than the budget passes for the limit.
-4.  *Arithmetic escape*: final-window extrema moving by a constant nonzero
-    step extrapolate to the domain's extremal element.  In a product
-    domain, components equal across the window (``inf`` included) are
-    settled, and the moving ones must be finite and move by a constant
-    step.
+4.  *Arithmetic escape*: each component of the final-window extrema (a
+    scalar is its one component) either stays equal across the window,
+    ``inf`` included, and settles, or moves through finite numbers by a
+    constant nonzero step and escapes to the infinity of its direction,
+    which the domain must hold.  As in rule 2, the limit diverges to the
+    top when an escaping component is at the top, else to the bottom.
 
 The window rules apply only where acceleration does not: to opaque
 steppers, and to machine runs whose loop path is not affine or does not
@@ -192,95 +193,81 @@ def _finite_number(v):
     return dom.is_numeric(v) and v != dom.INF and v != dom.NEG_INF
 
 
-def _window_equal(maxima, window):
-    tail = maxima[-window:]
-    if len(tail) < window or any(m is None for m in tail):
-        return None
-    first = tail[0]
-    if all(m == first for m in tail[1:]):
-        return first
-    return None
-
-
-def _window_periodic(d, maxima, window, max_period, take_sup):
-    for period in range(2, max_period + 1):
+def _window_periodic(combine, maxima, window, max_period):
+    """The extremum of one period of the final maxima when they repeat with
+    a period of at most ``max_period`` over ``window`` periods; period 1 is
+    an equal window."""
+    for period in range(1, max_period + 1):
         need = period * window
         tail = maxima[-need:]
         if len(tail) < need or any(m is None for m in tail):
             continue
         if all(tail[i] == tail[i % period] for i in range(need)):
             try:
-                combine = d.sup if take_sup else d.inf
                 return combine(tail[:period])
             except NoBoundError:
                 continue
     return None
 
 
-def _extrapolate_scalar(d, tail):
-    diffs = [tail[i + 1] - tail[i] for i in range(len(tail) - 1)]
-    if any(df != diffs[0] for df in diffs) or diffs[0] == 0:
-        return None
-    limit = dom.INF if diffs[0] > 0 else dom.NEG_INF
-    if not d.contains(limit):
-        return None
-    return limit
-
-
-def _window_diverged(d, maxima, window, take_sup):
+def _window_escape(d, maxima, window):
+    """The final ``window + 1`` maxima as one ``(value, diverges)``
+    candidate, or None.  Each component (a scalar is its one component)
+    either stays equal over them, and settles there, ``inf`` included, or
+    moves through finite numbers by a constant nonzero step, and escapes to
+    the infinity of that direction if the domain holds it."""
     tail = maxima[-(window + 1):]
     if len(tail) < window + 1 or any(m is None for m in tail):
         return None
-    if isinstance(d, dom.ProductDomain):
-        comps, escapes = [], []
-        for col in zip(*tail):
-            if all(c == col[0] for c in col[1:]):
-                # a settled component, which may sit at inf
-                comps.append(col[0])
-                continue
-            if not all(_finite_number(c) for c in col):
-                return None
-            lim = _extrapolate_scalar(d.inner, col)
-            if lim is None:
-                return None
-            comps.append(lim)
-            escapes.append(lim)
-        if not escapes:
+    product = isinstance(d, dom.ProductDomain)
+    inner = d.inner if product else d
+    comps = []
+    for col in zip(*tail) if product else (tail,):
+        if all(c == col[0] for c in col[1:]):
+            comps.append((col[0], False))
+            continue
+        if not all(_finite_number(c) for c in col):
             return None
-        kind = LimitKind.DIVERGED_TO_TOP if dom.INF in escapes \
-            else LimitKind.DIVERGED_TO_BOTTOM
-        return tuple(comps), kind
-    if not all(_finite_number(m) for m in tail):
-        return None
-    limit = _extrapolate_scalar(d, tail)
-    if limit is None:
-        return None
-    if limit == d.top:
-        return limit, LimitKind.DIVERGED_TO_TOP
-    if limit == d.bottom:
-        return limit, LimitKind.DIVERGED_TO_BOTTOM
-    return None
+        steps = {b - a for a, b in zip(col, col[1:])}
+        if len(steps) != 1:
+            return None
+        limit = dom.INF if steps.pop() > 0 else dom.NEG_INF
+        if not inner.contains(limit):
+            return None
+        comps.append((limit, True))
+    value, diverges = zip(*comps)
+    return (value, diverges) if product else (value[0], diverges[0])
 
 
-def _accelerated(d, limits, take_sup, used):
-    """The limit from per-position output limits, or None when one falls
-    outside the codomain.  Tuples fold componentwise.  The limit is exact
-    when a position whose output settles attains each component; otherwise
-    it diverges to the top if a component attained only by diverging
-    positions is the top's, else to the bottom."""
-    if not all(d.contains(v) for v, _ in limits):
+def _components(x):
+    return x if isinstance(x, tuple) else (x,)
+
+
+def _fold(combine, candidates):
+    """Fold ``(value, diverges)`` candidates into their extremum and the
+    indices of its components that only diverging candidates attain.  A
+    tuple value has one ``diverges`` flag per component; a scalar is its
+    one-component case."""
+    value = combine([v for v, _ in candidates])
+    columns = [(_components(v), _components(div)) for v, div in candidates]
+    return value, [i for i, c in enumerate(_components(value))
+                   if not any(v[i] == c and not div[i] for v, div in columns)]
+
+
+def _folded_limit(d, combine, candidates, used):
+    """The limit that ``(value, diverges)`` candidates give, or None when
+    one falls outside the codomain.  It is exact when a settling candidate
+    attains each component of their extremum; otherwise it diverges to the
+    top if a component that only diverging candidates attain is the top's,
+    else to the bottom."""
+    if not all(d.contains(v) for v, _ in candidates):
         return None
-    value = (d.sup if take_sup else d.inf)([v for v, _ in limits])
-    if isinstance(value, tuple):
-        comps, tops = value, d.top or (None,) * len(value)
-    else:
-        comps, tops, limits = (value,), (d.top,), [((v,), (div,)) for v, div in limits]
-    escaped = [c == top for i, (c, top) in enumerate(zip(comps, tops))
-               if not any(v[i] == c and not div[i] for v, div in limits)]
+    value, escaped = _fold(combine, candidates)
     if not escaped:
-        kind = LimitKind.EXACT
-    else:
-        kind = LimitKind.DIVERGED_TO_TOP if any(escaped) else LimitKind.DIVERGED_TO_BOTTOM
+        return LimitResult(value, LimitKind.EXACT, used)
+    comps, tops = _components(value), _components(d.top)
+    kind = LimitKind.DIVERGED_TO_TOP if any(comps[i] == tops[i] for i in escaped) \
+        else LimitKind.DIVERGED_TO_BOTTOM
     return LimitResult(value, kind, used)
 
 
@@ -336,7 +323,7 @@ def _loop_limit(d, st, loop, budget, take_sup):
                 iteration_values, seen = [], {}
                 continue
             if limits is not None:
-                res = _accelerated(d, limits, take_sup, k + 1)
+                res = _folded_limit(d, combine, limits, k + 1)
                 if res is not None:
                     return res
         # a value outside the codomain fails in the iteration that yields
@@ -352,16 +339,12 @@ def _loop_limit(d, st, loop, budget, take_sup):
     window = budget.confirm_window
     judged = max(budget.max_period * window, window + 1)
     maxima = [_extremum(combine, vals) for vals in iteration_values[-judged:]]
-    m = _window_equal(maxima, window)
+    m = _window_periodic(combine, maxima, window, budget.max_period)
     if m is not None:
         return LimitResult(m, LimitKind.EXACT, used)
-    m = _window_periodic(d, maxima, window, budget.max_period, take_sup)
-    if m is not None:
-        return LimitResult(m, LimitKind.EXACT, used)
-    div = _window_diverged(d, maxima, window, take_sup)
-    if div is not None:
-        value, kind = div
-        return LimitResult(value, kind, used)
+    escape = _window_escape(d, maxima, window)
+    if escape is not None:
+        return _folded_limit(d, combine, [escape], used)
     return LimitResult(None, LimitKind.UNDETERMINED, used)
 
 

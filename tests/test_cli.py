@@ -38,6 +38,8 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
+
 FIG1_CSV = ["index,prefix_len,value"] + [f"{i},{i},{v}" for i, v in
                                          enumerate([0, 0, 1, 1, 1, 2, 2, 2, 2])]
 
@@ -211,11 +213,16 @@ class TestInputErrors:
         (root / "foreign.waut").write_text(
             "alphabet: a b\nstates: q\ninitial: q\nq a -> q -3\nq b -> q 1\nq c -> q 7\n")
         (root / "empty.suite").write_text("# no lassos\n")
+        mmax = (DEMOS / "machines/mmax.mspec").read_text()
+        (root / "second-output.mspec").write_text(mmax + "output: idle = x\n")
+        (root / "unknown-state-output.mspec").write_text(mmax + "output: nowhere = x\n")
         return root
 
     @pytest.mark.parametrize("argv", [
         ["run", "{bad}/no-initial.mspec", "{work}/fig.trace", "--finite"],
         ["run", "{bad}/no-edges.mspec", "{work}/fig.trace", "--finite"],
+        ["run", "{bad}/second-output.mspec", "{work}/fig.trace", "--finite"],
+        ["run", "{bad}/unknown-state-output.mspec", "{work}/fig.trace", "--finite"],
         ["eval", "energy:{bad}/no-initial.waut", "{work}/ab.lasso"],
         ["eval", "energy:{bad}/duplicate.waut", "{work}/ab.lasso"],
         ["eval", "energy:{bad}/foreign.waut", "{work}/ab.lasso"],
@@ -256,8 +263,7 @@ class TestInputErrors:
         never_b = tmp_path / "never_b_abc.aut"
         never_b.write_text(bp.render_automaton(
             bp.safety_never(Alphabet(("a", "b", "c")), "b")))
-        eventually_a = pathlib.Path(__file__).resolve().parents[1] / \
-            "demos/automata/eventually_a.aut"
+        eventually_a = DEMOS / "automata/eventually_a.aut"
         code, out, err = run_cli(["classify", "--obligation", f"{never_b}:{eventually_a}"],
                                  capsys)
         assert code == 2
@@ -292,6 +298,17 @@ class TestClassify:
         assert code == 0
         assert "classically-monitorable: False" in out
         assert "response-monitor" in out
+
+    def test_existential_modality(self, capsys):
+        # the existential check runs when it is asked for, and decides the
+        # exit code
+        code, out, _ = run_cli(["classify", DEMOS / "automata/never_b.aut",
+                                "--modality", "existential"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == ("safety-monitor: side=below approximate=pass "
+                                        "universal=pass existential=pass")
+        _, out, _ = run_cli(["classify", DEMOS / "automata/never_b.aut"], capsys)
+        assert "existential" not in out
 
     def test_obligation_switch_bound(self, workdir, capsys):
         pair = f"{workdir / 'never_b.aut'}:{workdir / 'eventually_a.aut'}"

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pathlib
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from quantmon import domain as dom
 from quantmon import machine as mc
 from quantmon import qprop as qp
+from quantmon.cli import main
 from quantmon.errors import MachineError
 from quantmon.trace import (Alphabet, FiniteTrace, all_finite_traces, all_lassos,
                             lasso, parse_finite, parse_lasso, random_finite_trace)
@@ -134,6 +136,15 @@ class TestFileFormat:
         with pytest.raises(MachineError, match=match):
             mc.load_machine(text)
 
+    @pytest.mark.parametrize("line,match", [
+        ("output: idle = x", "line 19: second output for state 'idle'"),
+        ("output: nowhere = x", "output for unknown state 'nowhere'"),
+    ], ids=["second-output", "unknown-state"])
+    def test_outputs_are_not_overridden_or_ignored(self, line, match):
+        text = (DEMO_MACHINES / "mmax.mspec").read_text() + line + "\n"
+        with pytest.raises(MachineError, match=match):
+            mc.load_machine(text)
+
     def test_output_grammar(self):
         """Each form parses, renders back to its text and evaluates, in
         generated code and in the reference evaluator, to the same value."""
@@ -168,6 +179,59 @@ class TestFileFormat:
             mc.load_machine("registers: x y z\ninstruction-set: extended\nstates: q\n"
                             f"initial: q\nedge: q a [true] -> q\noutput: q = {text}\n")
         assert compiled == []
+
+
+class TestUpdateGrammar:
+    """An update's right-hand side is an affine output that must name one of
+    the six instructions; spaces and term order are free."""
+
+    @pytest.mark.parametrize("text,kind,operand,rendered", [
+        ("x := 0", "zero", None, "x:=0"),
+        ("x := 1", "one", None, "x:=1"),
+        ("x := x + 1", "inc", None, "x:=x+1"),
+        ("x := x - 1", "dec", None, "x:=x-1"),
+        ("x := x + y", "add", "y", "x:=x+y"),
+        ("x := y + x", "add", "y", "x:=x+y"),
+        ("x := y", "copy", "y", "x:=y"),
+        ("x:=x+x", "add", "x", "x:=x+x"),  # Madd's doubling
+    ])
+    def test_parse_render_parse(self, text, kind, operand, rendered):
+        u = mc._parse_update(text)
+        assert (u.target, u.kind, u.operand) == ("x", kind, operand)
+        assert u.render() == rendered
+        assert mc._parse_update(u.render()) == u
+
+    def test_spaced_updates_load(self):
+        text = (DEMO_MACHINES / "mmax.mspec").read_text()
+        spaced = mc.load_machine(text.replace("x:=x+1, y:=y+1", "x := x + 1 , y := 1 + y"))
+        assert mc.render_machine(spaced) == text
+        added = mc.load_machine(text.replace("counter", "extended")
+                                .replace("y:=y+1", "y:=x+y"))
+        assert mc.Update("y", "add", "x") in {u for e in added.edges for u in e.updates}
+
+    @pytest.mark.parametrize("update", ["x:=y+1", "x:=2", "x:=3*x", "x:=x+1+1"])
+    def test_non_instructions_rejected(self, update):
+        with pytest.raises(MachineError, match=re.escape(f"update {update!r} is not an "
+                                                         "instruction")):
+            mc._parse_update(update)
+        text = (DEMO_MACHINES / "mmax.mspec").read_text().replace("x:=0", update)
+        with pytest.raises(MachineError, match=re.escape(repr(update))):
+            mc.load_machine(text)
+
+    @pytest.mark.parametrize("update", ["x", "x:=", "x:=x+", "x:=inf", "x:=(x)/(y)"])
+    def test_malformed_updates_rejected(self, update):
+        with pytest.raises(MachineError, match="malformed update"):
+            mc._parse_update(update)
+
+    def test_cli_exits_2_on_a_non_instruction(self, tmp_path, capsys):
+        path = tmp_path / "bad.mspec"
+        path.write_text((DEMO_MACHINES / "mmax.mspec").read_text().replace("x:=0", "x:=y+1"))
+        trace = tmp_path / "fig.trace"
+        trace.write_text(FIG + "\n")
+        assert main(["run", str(path), str(trace), "--finite"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: update 'x:=y+1' is not an instruction"]
 
 
 class TestMmax:

@@ -96,6 +96,17 @@ class TestLimits:
         res = eval_limsup(v, lasso((), ("a",), A))
         assert (res.value, res.kind) == ((dom.INF, dom.INF), LimitKind.DIVERGED_TO_TOP)
 
+    def test_escape_reads_the_inner_order_of_a_product(self):
+        # a component climbing to inf in prod:inv:natinf escapes to the
+        # bottom of its inverse order, as a scalar in inv:natinf does
+        t = lasso((), ("a",), A)
+        scalar = prefix_verdict(dom.inverse(dom.NATINF), lambda s: len(s))
+        res = eval_limsup(scalar, t)
+        assert (res.value, res.kind) == (dom.INF, LimitKind.DIVERGED_TO_BOTTOM)
+        pair = prefix_verdict(dom.product(dom.inverse(dom.NATINF), 2), lambda s: (len(s), 3))
+        res = eval_limsup(pair, t)
+        assert (res.value, res.kind) == ((dom.INF, 3), LimitKind.DIVERGED_TO_BOTTOM)
+
     def test_budget_preconditions(self):
         with pytest.raises(ValueError):
             LimitBudget(max_loop_iterations=2, confirm_window=3)
@@ -364,6 +375,84 @@ class TestConcurrentEvaluation:
         assert results == [eval_limsup(v, t).value for t in traces]
 
 
+def _finite_number(v):
+    return dom.is_numeric(v) and v != dom.INF and v != dom.NEG_INF
+
+
+# The window rules below are kept verbatim from before the engine folded
+# them into the periodic-window rule and one escape rule, so the
+# differential test compares the engine against an independent copy.
+
+def _window_equal(maxima, window):
+    tail = maxima[-window:]
+    if len(tail) < window or any(m is None for m in tail):
+        return None
+    first = tail[0]
+    if all(m == first for m in tail[1:]):
+        return first
+    return None
+
+
+def _window_periodic(d, maxima, window, max_period, take_sup):
+    for period in range(2, max_period + 1):
+        need = period * window
+        tail = maxima[-need:]
+        if len(tail) < need or any(m is None for m in tail):
+            continue
+        if all(tail[i] == tail[i % period] for i in range(need)):
+            try:
+                combine = d.sup if take_sup else d.inf
+                return combine(tail[:period])
+            except NoBoundError:
+                continue
+    return None
+
+
+def _extrapolate_scalar(d, tail):
+    diffs = [tail[i + 1] - tail[i] for i in range(len(tail) - 1)]
+    if any(df != diffs[0] for df in diffs) or diffs[0] == 0:
+        return None
+    limit = dom.INF if diffs[0] > 0 else dom.NEG_INF
+    if not d.contains(limit):
+        return None
+    return limit
+
+
+def _window_diverged(d, maxima, window, take_sup):
+    tail = maxima[-(window + 1):]
+    if len(tail) < window + 1 or any(m is None for m in tail):
+        return None
+    if isinstance(d, dom.ProductDomain):
+        comps, escapes = [], []
+        for col in zip(*tail):
+            if all(c == col[0] for c in col[1:]):
+                # a settled component, which may sit at inf
+                comps.append(col[0])
+                continue
+            if not all(_finite_number(c) for c in col):
+                return None
+            lim = _extrapolate_scalar(d.inner, col)
+            if lim is None:
+                return None
+            comps.append(lim)
+            escapes.append(lim)
+        if not escapes:
+            return None
+        kind = LimitKind.DIVERGED_TO_TOP if dom.INF in escapes \
+            else LimitKind.DIVERGED_TO_BOTTOM
+        return tuple(comps), kind
+    if not all(_finite_number(m) for m in tail):
+        return None
+    limit = _extrapolate_scalar(d, tail)
+    if limit is None:
+        return None
+    if limit == d.top:
+        return limit, LimitKind.DIVERGED_TO_TOP
+    if limit == d.bottom:
+        return limit, LimitKind.DIVERGED_TO_BOTTOM
+    return None
+
+
 def _reference_limit(verdict, t, budget, take_sup):
     """The per-iteration fold that the budget path replaced: each loop
     iteration's extremum is folded as it is stepped, and the window rules
@@ -391,12 +480,12 @@ def _reference_limit(verdict, t, budget, take_sup):
         except NoBoundError:
             maxima.append(None)
     used, window = budget.max_loop_iterations, budget.confirm_window
-    m = vd._window_equal(maxima, window)
+    m = _window_equal(maxima, window)
     if m is None:
-        m = vd._window_periodic(d, maxima, window, budget.max_period, take_sup)
+        m = _window_periodic(d, maxima, window, budget.max_period, take_sup)
     if m is not None:
         return LimitResult(m, LimitKind.EXACT, used)
-    div = vd._window_diverged(d, maxima, window, take_sup)
+    div = _window_diverged(d, maxima, window, take_sup)
     if div is not None:
         return LimitResult(div[0], div[1], used)
     return LimitResult(None, LimitKind.UNDETERMINED, used)
