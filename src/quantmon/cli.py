@@ -180,37 +180,35 @@ def cmd_classify(args):
                           bp.load_automaton(_read(c_path))))
         obligation = bp.ObligationList(tuple(pairs))
         monitor = bp.monitor_obligation(obligation)
-        alphabet = pairs[0][0].alphabet
-        suite = _suite_for(args.suite, alphabet, args.seed)
+        prop, label = obligation.membership, "modality"
+        suite = _suite_for(args.suite, pairs[0][0].alphabet, args.seed)
         bound = 2 * obligation.k
         worst = 0
         for t in suite:
             seq = verdict_sequence(monitor, t.prefix(len(t.stem) + 4 * len(t.loop)))
             worst = max(worst, count_switches(seq))
-        report = bp.classify_modality(monitor, obligation.membership, Side.BELOW,
-                                      suite, budget=budget)
+        switches_ok = worst <= bound
         print(f"obligation k={obligation.k}")
-        print(f"switches: worst={worst} bound={bound} "
-              f"{'ok' if worst <= bound else 'VIOLATED'}")
-        print(f"modality: {report.summary()}")
-        return 0 if worst <= bound and report.universal_ok else 1
-    P = bp.load_automaton(_read(args.automaton))
-    print(f"kind: {P.kind.value}")
-    print(f"states: {len(P.states)}  pos-determining: {sorted(P.pos_states)}  "
-          f"neg-determining: {sorted(P.neg_states)}")
-    print(f"classically-monitorable: {bp.classically_monitorable(P)}")
-    label, build = _CANONICAL_MONITORS[P.kind]
-    monitor = build(P)
-    suite = _suite_for(args.suite, P.alphabet, args.seed)
+        print(f"switches: worst={worst} bound={bound} {'ok' if switches_ok else 'VIOLATED'}")
+    else:
+        P = bp.load_automaton(_read(args.automaton))
+        print(f"kind: {P.kind.value}")
+        print(f"states: {len(P.states)}  pos-determining: {sorted(P.pos_states)}  "
+              f"neg-determining: {sorted(P.neg_states)}")
+        print(f"classically-monitorable: {bp.classically_monitorable(P)}")
+        name, build = _CANONICAL_MONITORS[P.kind]
+        monitor = build(P)
+        prop, label = bp.characteristic_property(P), f"{name}-monitor"
+        suite = _suite_for(args.suite, P.alphabet, args.seed)
+        switches_ok = True
     # the existential check extends every trace of up to 3 symbols
     prefix_len = 3 if args.modality == "existential" else None
-    report = bp.classify_modality(monitor, bp.characteristic_property(P),
-                                  Side.BELOW, suite, budget=budget,
+    report = bp.classify_modality(monitor, prop, Side.BELOW, suite, budget=budget,
                                   existential_prefix_len=prefix_len)
-    print(f"{label}-monitor: {report.summary()}")
+    print(f"{label}: {report.summary()}")
     wanted_ok = report.universal_ok if args.modality == "universal" else (
         report.existential_ok if args.modality == "existential" else report.approximate_ok)
-    return 0 if wanted_ok else 1
+    return 0 if switches_ok and wanted_ok else 1
 
 
 _FIG_TRACE = "req ack req other ack req ack other"

@@ -694,11 +694,12 @@ def _parse_guard(text):
             if not (part.startswith("!(") and part.endswith(")")):
                 raise MachineError(f"malformed guard atom {part!r}")
             part = part[2:-1].strip()
-        if ">=" not in part:
+        left, sep, right = (x.strip() for x in part.partition(">="))
+        # the left operand is a register, the right one a register or an integer
+        constant = _INTEGER.fullmatch(right)
+        if not (sep and _NAME.fullmatch(left) and (constant or _NAME.fullmatch(right))):
             raise MachineError(f"malformed guard atom {part!r}")
-        left, right = (x.strip() for x in part.split(">=", 1))
-        rhs = int(right) if right.lstrip("-").isdigit() else right
-        atoms.append(GuardAtom(left, rhs, negated))
+        atoms.append(GuardAtom(left, int(right) if constant else right, negated))
     return Guard(tuple(atoms))
 
 
@@ -725,9 +726,11 @@ def _parse_update(text):
     raise MachineError(f"update {text!r} is not an instruction")
 
 
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INTEGER = re.compile(r"-?\d+")
 # one term of an affine form: ``[sign] [coefficient *] register`` or
 # ``[sign] constant``; only the first term may omit its sign
-_TERM = re.compile(r"\s*([+-]?)\s*(?:(?:(\d+)\s*\*\s*)?([A-Za-z_][A-Za-z0-9_]*)|(\d+))\s*")
+_TERM = re.compile(r"\s*([+-]?)\s*(?:(?:(\d+)\s*\*\s*)?(%s)|(\d+))\s*" % _NAME.pattern)
 
 
 def _parse_affine(text):
@@ -763,10 +766,10 @@ def _parse_output(text):
     return _parse_affine(text)
 
 
-def _parse_edge(body, lineno):
+def _parse_edge(body):
     head, arrow, target = body.rpartition("->")
     if not arrow:
-        raise MachineError(f"line {lineno}: edge has no '->'")
+        raise MachineError("edge has no '->'")
     target = target.strip()
     updates = ()
     if "/" in head:
@@ -780,11 +783,11 @@ def _parse_edge(body, lineno):
         head, _, guard_part = head.partition("[")
         guard_text, bracket, trailing = guard_part.partition("]")
         if not bracket or trailing.strip():
-            raise MachineError(f"line {lineno}: malformed guard brackets")
+            raise MachineError("malformed guard brackets")
         guard = _parse_guard(guard_text)
     parts = head.split()
     if len(parts) != 2:
-        raise MachineError(f"line {lineno}: edge head must be 'state symbol'")
+        raise MachineError("edge head must be 'state symbol'")
     return Edge(parts[0], parts[1], guard, updates, target)
 
 
@@ -797,18 +800,21 @@ def load_machine(text, output_domain=None, name="machine"):
     for lineno, line in body:
         key, sep, rest = line.partition(":")
         key = key.strip()
-        if key == "edge" and sep:
-            edges.append(_parse_edge(rest, lineno))
-        elif key == "output" and sep:
-            state, eq, expr = rest.partition("=")
-            state = state.strip()
-            if not eq:
-                raise MachineError(f"line {lineno}: output line needs '='")
-            if state in outputs:
-                raise MachineError(f"line {lineno}: second output for state {state!r}")
-            outputs[state] = _parse_output(expr)
-        else:
-            raise MachineError(f"line {lineno}: cannot parse {line!r}")
+        try:
+            if key == "edge" and sep:
+                edges.append(_parse_edge(rest))
+            elif key == "output" and sep:
+                state, eq, expr = rest.partition("=")
+                state = state.strip()
+                if not eq:
+                    raise MachineError("output line needs '='")
+                if state in outputs:
+                    raise MachineError(f"second output for state {state!r}")
+                outputs[state] = _parse_output(expr)
+            else:
+                raise MachineError(f"cannot parse {line!r}")
+        except MachineError as exc:
+            raise MachineError(f"line {lineno}: {exc}") from None
     try:
         iset = InstructionSet(header["instruction-set"][0])
     except (ValueError, IndexError):
@@ -847,12 +853,33 @@ def render_machine(machine):
 # -- response-time machines ----------------------------------------------
 
 
-def _mmax_counting_edges(source, symbol, target, extra=()):
-    grow = Edge(source, symbol, Guard((GuardAtom("x", "y"),)),
-                tuple(extra) + (Update("x", "inc"), Update("y", "inc")), target)
-    keep = Edge(source, symbol, Guard((GuardAtom("x", "y", negated=True),)),
-                tuple(extra) + (Update("x", "inc"),), target)
-    return [grow, keep]
+def _max_tracking(x, m):
+    """The max-tracking gadget: two ``(atom, updates)`` cases that count x
+    and let m follow it once it has caught up.  Where m >= x before, m
+    becomes max(m, x + 1) as x becomes x + 1."""
+    return ((GuardAtom(x, m), (Update(x, "inc"), Update(m, "inc"))),
+            (GuardAtom(x, m, negated=True), (Update(x, "inc"),)))
+
+
+def _credit(x, m):
+    """The credit gadget: where m >= x, m becomes max(m, x + 1) and x
+    restarts at 0."""
+    return ((GuardAtom(x, m), (Update(m, "inc"), Update(x, "zero"))),
+            (GuardAtom(x, m, negated=True), (Update(x, "zero"),)))
+
+
+def _guarded_edges(source, symbol, target, gadgets, extra=()):
+    """The edges of one (source, symbol) pair: one per combination of a
+    case from each gadget, guarded by the cases' atoms and updating by
+    ``extra`` and then the cases' updates.  Without gadgets, one unguarded
+    edge updating by ``extra``."""
+    edges = []
+    for cases in itertools.product(*gadgets):
+        atoms = tuple(atom for atom, _ in cases)
+        updates = tuple(extra) + tuple(u for _, ups in cases for u in ups)
+        edges.append(Edge(source, symbol, Guard(atoms) if atoms else TRUE_GUARD, updates,
+                          target))
+    return edges
 
 
 def build_mmax():
@@ -870,8 +897,9 @@ def build_mmax():
         Edge("idle", "other", TRUE_GUARD, (), "idle"),
         Edge("pending", "req", TRUE_GUARD, (), "sink"),
     ]
-    edges += _mmax_counting_edges("pending", "ack", "idle")
-    edges += _mmax_counting_edges("pending", "other", "pending")
+    count = [_max_tracking("x", "y")]
+    edges += _guarded_edges("pending", "ack", "idle", count)
+    edges += _guarded_edges("pending", "other", "pending", count)
     edges += [Edge("sink", a, TRUE_GUARD, (), "sink") for a in alphabet]
     outputs = {"idle": out_reg("y"), "pending": out_reg("y"), "sink": OUT_INF}
     return RegisterMachine("Mmax", ("x", "y"), ("idle", "pending", "sink"), alphabet,
@@ -970,16 +998,22 @@ def build_finite_state_mrt(cap):
 # -- k-pair response-time machines ----------------------------------------
 
 
-def _classify_server_symbol(sym, sa):
-    if sym in sa.req_tokens:
-        return "req", sa.req_tokens.index(sym) + 1
-    if sym in sa.ack_tokens:
-        return "ack", sa.ack_tokens.index(sym) + 1
-    return "other", None
-
-
 def _status_states(k):
+    """Every pair-status string: per pair I (idle), P (pending) or D (dead)."""
     return ["".join(c) for c in itertools.product("IPD", repeat=k)]
+
+
+def _pair_steps(sa, statuses):
+    """What each symbol of the server alphabet ``sa`` does to ``statuses``:
+    ``(symbol, kind, j, new statuses)`` in alphabet order, where ``kind`` is
+    req, ack or other and ``j`` is the pair's index from 1 (None for other).
+    A req moves pair j from I to P and from P or D to D; an ack moves it from
+    P to I and leaves it as it is otherwise."""
+    for j, (req, ack) in enumerate(zip(sa.req_tokens, sa.ack_tokens), start=1):
+        head, c, tail = statuses[:j - 1], statuses[j - 1], statuses[j:]
+        yield req, "req", j, head + ("P" if c == "I" else "D") + tail
+        yield ack, "ack", j, (head + "I" + tail if c == "P" else statuses)
+    yield sa.other_token, "other", None, statuses
 
 
 def _kpair_output(statuses, max_reg_of):
@@ -990,126 +1024,63 @@ def _kpair_output(statuses, max_reg_of):
 
 def build_kpair_monitor(k):
     """Exact per-pair maxima with a dedicated (x_i, y_i) counter pair each:
-    2k counters."""
+    2k counters.  A request restarts its pair's x_i, and each pair pending
+    before a symbol and alive after it counts the symbol (an ack counts for
+    the pair it completes)."""
     sa = server_alphabet(k)
-    alphabet = sa.alphabet
     regs = [f"x{i}" for i in range(1, k + 1)] + [f"y{i}" for i in range(1, k + 1)]
+    count = [_max_tracking(f"x{i}", f"y{i}") for i in range(1, k + 1)]
+    restart = [(Update(f"x{i}", "zero"),) for i in range(1, k + 1)]
     edges = []
     outputs = {}
-    for statuses in itertools.product("IPD", repeat=k):
-        st = "".join(statuses)
-        outputs[st] = _kpair_output(statuses, lambda i: f"y{i}")
-        for sym in alphabet:
-            kind, j = _classify_server_symbol(sym, sa)
-            new = list(statuses)
-            extra = []
-            counting = [i for i in range(1, k + 1) if statuses[i - 1] == "P"]
-            if kind == "req":
-                if statuses[j - 1] == "I":
-                    new[j - 1] = "P"
-                    extra.append(Update(f"x{j}", "zero"))
-                elif statuses[j - 1] == "P":
-                    new[j - 1] = "D"
-                counting = [i for i in counting if i != j]
-            elif kind == "ack" and statuses[j - 1] == "P":
-                new[j - 1] = "I"  # the ack itself still counts for pair j
-            target = "".join(new)
-            if not counting:
-                edges.append(Edge(st, sym, TRUE_GUARD, tuple(extra), target))
-                continue
-            for bits in itertools.product((True, False), repeat=len(counting)):
-                atoms, ups = [], list(extra)
-                for i, grow in zip(counting, bits):
-                    atoms.append(GuardAtom(f"x{i}", f"y{i}", negated=not grow))
-                    ups.append(Update(f"x{i}", "inc"))
-                    if grow:
-                        ups.append(Update(f"y{i}", "inc"))
-                edges.append(Edge(st, sym, Guard(tuple(atoms)), tuple(ups), target))
-    return RegisterMachine(f"Mkpair{k}", regs, tuple(_status_states(k)), alphabet,
+    for st in _status_states(k):
+        outputs[st] = _kpair_output(st, lambda i: f"y{i}")
+        for sym, kind, j, new in _pair_steps(sa, st):
+            counting = [count[i] for i, (c, d) in enumerate(zip(st, new))
+                        if c == "P" and d != "D"]
+            extra = restart[j - 1] if kind == "req" and new[j - 1] == "P" else ()
+            edges += _guarded_edges(st, sym, new, counting, extra)
+    return RegisterMachine(f"Mkpair{k}", regs, tuple(_status_states(k)), sa.alphabet,
                            "I" * k, edges, outputs, InstructionSet.COUNTER,
                            dom.product(dom.NATINF, k),
                            monotonicity=Monotonicity.INCREASING)
 
 
-def _serving(statuses):
-    pend = [i + 1 for i, c in enumerate(statuses) if c == "P"]
-    return min(pend) if pend else None
+def _served(statuses):
+    """The served pair: the lowest-index pending one, or None."""
+    i = statuses.find("P")
+    return i + 1 if i >= 0 else None
 
 
 def _build_kpair_shared(k, max_reg_of, regs, name):
-    """Shared current-response counter x serving the lowest-index open pair;
-    completed responses fold into per-pair (or per-group) max registers."""
+    """Shared response counter x for the served pair, the lowest-index
+    pending one; completed responses fold into per-pair (or per-group) max
+    registers, ``max_reg_of(j)`` for pair j.
+
+    x counts the symbols since the served pair became served.  On a symbol
+    after which the same pair is served, x counts it and the pair's register
+    tracks max(register, x).  When the served pair changes and did not die,
+    x + 1 is credited to its register and x restarts.  Otherwise x restarts
+    without credit, unless no pair was or is served."""
     sa = server_alphabet(k)
-    alphabet = sa.alphabet
+    count = {j: _max_tracking("x", max_reg_of(j)) for j in range(1, k + 1)}
+    credit = {j: _credit("x", max_reg_of(j)) for j in range(1, k + 1)}
+    restart = (Update("x", "zero"),)
     edges = []
     outputs = {}
-
-    def count_edges(st, sym, target, serving, extra=()):
-        m = max_reg_of(serving)
-        grow = Edge(st, sym, Guard((GuardAtom("x", m),)),
-                    tuple(extra) + (Update("x", "inc"), Update(m, "inc")), target)
-        keep = Edge(st, sym, Guard((GuardAtom("x", m, negated=True),)),
-                    tuple(extra) + (Update("x", "inc"),), target)
-        return [grow, keep]
-
-    def credit_and_reset(st, sym, target, serving, extra=()):
-        m = max_reg_of(serving)
-        yes = Edge(st, sym, Guard((GuardAtom("x", m),)),
-                   tuple(extra) + (Update(m, "inc"), Update("x", "zero")), target)
-        no = Edge(st, sym, Guard((GuardAtom("x", m, negated=True),)),
-                  tuple(extra) + (Update("x", "zero"),), target)
-        return [yes, no]
-
-    for statuses in itertools.product("IPD", repeat=k):
-        st = "".join(statuses)
-        outputs[st] = _kpair_output(statuses, max_reg_of)
-        before = _serving(statuses)
-        for sym in alphabet:
-            kind, j = _classify_server_symbol(sym, sa)
-            new = list(statuses)
-            if kind == "req":
-                if statuses[j - 1] == "I":
-                    new[j - 1] = "P"
-                    target = "".join(new)
-                    if before is None or j < before:
-                        # new pair takes over the shared counter
-                        if before is None:
-                            edges.append(Edge(st, sym, TRUE_GUARD,
-                                              (Update("x", "zero"),), target))
-                        else:
-                            edges += credit_and_reset(st, sym, target, before)
-                    else:
-                        edges += count_edges(st, sym, target, before)
-                elif statuses[j - 1] == "P":
-                    new[j - 1] = "D"
-                    target = "".join(new)
-                    if j == before:
-                        # serving pair died; restart the counter for the next one
-                        edges.append(Edge(st, sym, TRUE_GUARD,
-                                          (Update("x", "zero"),), target))
-                    else:
-                        edges += count_edges(st, sym, target, before)
-                else:
-                    target = "".join(new)
-                    if before is None:
-                        edges.append(Edge(st, sym, TRUE_GUARD, (), target))
-                    else:
-                        edges += count_edges(st, sym, target, before)
-            elif kind == "ack" and statuses[j - 1] == "P" and j == before:
-                new[j - 1] = "I"
-                target = "".join(new)
-                edges += credit_and_reset(st, sym, target, j)
-            elif kind == "ack" and statuses[j - 1] == "P":
-                new[j - 1] = "I"  # completes unmeasured; the served pair counts
-                target = "".join(new)
-                edges += count_edges(st, sym, target, before)
+    for st in _status_states(k):
+        outputs[st] = _kpair_output(st, max_reg_of)
+        before = _served(st)
+        for sym, _, _, new in _pair_steps(sa, st):
+            after = _served(new)
+            if before is not None and after == before:
+                edges += _guarded_edges(st, sym, new, [count[before]])
+            elif before is not None and new[before - 1] != "D":
+                edges += _guarded_edges(st, sym, new, [credit[before]])
             else:
-                target = st
-                if before is None:
-                    edges.append(Edge(st, sym, TRUE_GUARD, (), target))
-                else:
-                    edges += count_edges(st, sym, target, before)
-    return RegisterMachine(name, regs, tuple(_status_states(k)), alphabet, "I" * k,
+                idle = before is None and after is None
+                edges.append(Edge(st, sym, TRUE_GUARD, () if idle else restart, new))
+    return RegisterMachine(name, regs, tuple(_status_states(k)), sa.alphabet, "I" * k,
                            edges, outputs, InstructionSet.COUNTER,
                            dom.product(dom.NATINF, k),
                            monotonicity=Monotonicity.INCREASING)
@@ -1144,84 +1115,53 @@ def build_kpair_sequential(k):
 
     A single value z is raised only after witnessing, pair by pair in a
     fixed cyclic order, a completed response exceeding it; x measures the
-    response of the pair currently awaited.  Dead (double-requested) pairs
-    stop gating the cycle.
+    response of the pair currently awaited, t.  In phase w a request of t
+    restarts x and enters phase c, where x counts until t completes or dies.
+    Dead (double-requested) pairs stop gating the cycle.
     """
     sa = server_alphabet(k)
     alphabet = sa.alphabet
-    regs = ("z", "x")
     edges = []
     outputs = {}
     states = [f"{st}_t{t}_{ph}" for st in _status_states(k)
               for t in range(1, k + 1) for ph in "wc"]
     states.append("alldead")
-
-    def normalize(statuses, t):
-        alive = [i + 1 for i, c in enumerate(statuses) if c != "D"]
-        if not alive:
-            return None
-        while statuses[t - 1] == "D":
-            t, _ = _next_alive(alive, t)
-        return t
-
-    def state_name(statuses, t, ph):
-        return f"{''.join(statuses)}_t{t}_{ph}"
-
-    for statuses in itertools.product("IPD", repeat=k):
+    count, arm, raise_z = (Update("x", "inc"),), (Update("x", "zero"),), (Update("z", "inc"),)
+    success = Guard((GuardAtom("x", "z"),))
+    failure = Guard((GuardAtom("x", "z", negated=True),))
+    for statuses in _status_states(k):
         out = _kpair_output(statuses, lambda i: "z")
+        steps = [(sym, kind, j, new, [i + 1 for i, c in enumerate(new) if c != "D"])
+                 for sym, kind, j, new in _pair_steps(sa, statuses)]
         for t in range(1, k + 1):
             for ph in "wc":
-                st = state_name(statuses, t, ph)
+                st = f"{statuses}_t{t}_{ph}"
                 outputs[st] = out
-                for sym in alphabet:
-                    kind, j = _classify_server_symbol(sym, sa)
-                    new = list(statuses)
-                    if kind == "req":
-                        new[j - 1] = {"I": "P", "P": "D", "D": "D"}[statuses[j - 1]]
-                    elif kind == "ack" and statuses[j - 1] == "P":
-                        new[j - 1] = "I"
-                    alive = [i + 1 for i, c in enumerate(new) if c != "D"]
+                counting = ph == "c" and statuses[t - 1] == "P"
+                for sym, kind, j, new, alive in steps:
                     if not alive:
                         edges.append(Edge(st, sym, TRUE_GUARD, (), "alldead"))
-                        continue
-                    counting = ph == "c" and statuses[t - 1] == "P"
-                    if counting and kind == "ack" and j == t:
+                    elif counting and j != t:
+                        # only req t and ack t change t's status
+                        edges.append(Edge(st, sym, TRUE_GUARD, count, f"{new}_t{t}_c"))
+                    elif counting and kind == "ack":
                         # completion: success advances the cycle, failure re-arms
                         t_ok, wrapped = _next_alive(alive, t)
-                        t_ok = normalize(new, t_ok)
-                        ups = (Update("z", "inc"),) if wrapped else ()
-                        edges.append(Edge(st, sym, Guard((GuardAtom("x", "z"),)),
-                                          ups, state_name(new, t_ok, "w")))
-                        t_no = normalize(new, t)
-                        edges.append(Edge(st, sym,
-                                          Guard((GuardAtom("x", "z", negated=True),)),
-                                          (), state_name(new, t_no, "w")))
-                        continue
-                    if counting and kind == "req" and j == t:
-                        t2 = normalize(new, t)  # target died; move on without credit
-                        edges.append(Edge(st, sym, TRUE_GUARD, (),
-                                          state_name(new, t2, "w")))
-                        continue
-                    if counting:
-                        t2 = normalize(new, t)
-                        ph2 = "c" if t2 == t else "w"
-                        edges.append(Edge(st, sym, TRUE_GUARD, (Update("x", "inc"),),
-                                          state_name(new, t2, ph2)))
-                        continue
-                    # waiting phase (or stale counting state): arm on a fresh request
-                    if kind == "req" and j == t and statuses[t - 1] == "I" \
-                            and new[t - 1] == "P":
-                        edges.append(Edge(st, sym, TRUE_GUARD, (Update("x", "zero"),),
-                                          state_name(new, t, "c")))
-                        continue
-                    t2 = normalize(new, t)
-                    edges.append(Edge(st, sym, TRUE_GUARD, (),
-                                      state_name(new, t2, "w")))
+                        edges.append(Edge(st, sym, success, raise_z if wrapped else (),
+                                          f"{new}_t{t_ok}_w"))
+                        edges.append(Edge(st, sym, failure, (), f"{new}_t{t}_w"))
+                    elif kind == "req" and j == t and statuses[t - 1] == "I":
+                        edges.append(Edge(st, sym, TRUE_GUARD, arm, f"{new}_t{t}_c"))
+                    else:
+                        # wait on t, or on the next alive pair once t is dead
+                        # (a counted t dies without credit)
+                        t2 = t if new[t - 1] != "D" else _next_alive(alive, t)[0]
+                        edges.append(Edge(st, sym, TRUE_GUARD, (), f"{new}_t{t2}_w"))
     outputs["alldead"] = out_tuple(*[OUT_INF] * k)
     edges += [Edge("alldead", a, TRUE_GUARD, (), "alldead") for a in alphabet]
-    return RegisterMachine(f"Mkseq{k}", regs, tuple(states), alphabet,
-                           state_name(("I",) * k, 1, "w"), edges, outputs,
-                           InstructionSet.COUNTER, dom.product(dom.NATINF, k),
+    return RegisterMachine(f"Mkseq{k}", ("z", "x"), tuple(states), alphabet,
+                           f"{'I' * k}_t1_w", edges, outputs, InstructionSet.COUNTER,
+                           dom.product(dom.NATINF, k),
                            monotonicity=Monotonicity.INCREASING)
 
 
@@ -1485,13 +1425,8 @@ def build_doubling_adder():
 def build_doubling_counter():
     """Two-counter machine whose verdict is twice the longest run of a's."""
     alphabet = DOUBLING_ALPHABET
-    edges = [
-        Edge("q", "a", Guard((GuardAtom("c", "m"),)),
-             (Update("c", "inc"), Update("m", "inc")), "q"),
-        Edge("q", "a", Guard((GuardAtom("c", "m", negated=True),)),
-             (Update("c", "inc"),), "q"),
-        Edge("q", "b", TRUE_GUARD, (Update("c", "zero"),), "q"),
-    ]
+    edges = _guarded_edges("q", "a", "q", [_max_tracking("c", "m")])
+    edges.append(Edge("q", "b", TRUE_GUARD, (Update("c", "zero"),), "q"))
     outputs = {"q": _parse_output("2*m")}
     return RegisterMachine("Mcount", ("c", "m"), ("q",), alphabet, "q", edges,
                            outputs, InstructionSet.COUNTER, dom.NATINF,

@@ -316,6 +316,14 @@ class TestClassify:
         assert code == 0
         assert "bound=4" in out and "ok" in out
 
+    def test_obligation_honours_the_modality(self, capsys):
+        pair = f"{DEMOS / 'automata/never_b.aut'}:{DEMOS / 'automata/eventually_a.aut'}"
+        code, out, _ = run_cli(["classify", "--obligation", pair,
+                                "--modality", "existential"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == ("modality: side=below approximate=pass "
+                                        "universal=pass existential=pass")
+
 
 class TestDemo:
     def test_fig1(self, capsys):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import pathlib
 import random
@@ -145,6 +146,28 @@ class TestFileFormat:
         with pytest.raises(MachineError, match=match):
             mc.load_machine(text)
 
+    # TestUpdateGrammar.test_cli_exits_2_on_a_non_instruction covers an update
+    @pytest.mark.parametrize("old,new,error", [
+        ("output: idle = y\n", "output: idle = y+\n", "line 16: malformed affine output 'y+'"),
+        ("pending ack [x>=y]", "pending ack [x>=]", "line 9: malformed guard atom 'x>='"),
+    ], ids=["output", "guard"])
+    def test_cli_names_the_line_of_a_parse_error(self, old, new, error, tmp_path, capsys):
+        path = tmp_path / "bad.mspec"
+        path.write_text((DEMO_MACHINES / "mmax.mspec").read_text().replace(old, new, 1))
+        trace = tmp_path / "fig.trace"
+        trace.write_text(FIG + "\n")
+        assert main(["run", str(path), str(trace), "--finite"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {error}"]
+
+    @pytest.mark.parametrize("text", [
+        "x>=", ">=y", "x>=y z", "x>=--1", "x>=1.5", "1>=x", "x>=y>=z", "x", "!(x>=)",
+    ])
+    def test_malformed_guard_atoms_rejected(self, text):
+        with pytest.raises(MachineError, match="malformed guard atom"):
+            mc._parse_guard(text)
+
     def test_output_grammar(self):
         """Each form parses, renders back to its text and evaluates, in
         generated code and in the reference evaluator, to the same value."""
@@ -231,7 +254,7 @@ class TestUpdateGrammar:
         assert main(["run", str(path), str(trace), "--finite"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines() == ["error: update 'x:=y+1' is not an instruction"]
+        assert err.splitlines() == ["error: line 5: update 'x:=y+1' is not an instruction"]
 
 
 class TestMmax:
@@ -403,6 +426,88 @@ class TestKPair:
         assert mc.build_kpair_approx(4, 3).name.startswith("Mkgrp")
         with pytest.raises(MachineError):
             mc.build_kpair_approx(2, 5)
+
+    @pytest.mark.parametrize("name,digest", [
+        ("Mkpair2", "405d7544457bdcc3b7ce56d13b9a1eaab50e9a899c5e6cece9bccd3ec5fd0382"),
+        ("Mkpair3", "330701c8cf731b0e091c35c7ec027acf6ca9f4b840fd0d0a62f8aeabf777cbe6"),
+        ("Mkpair4", "ccc37d46b04d2e1ecddad112944334a4bde5aafd97477279e60b9fdd0ac49afc"),
+        ("Mkprio2", "b7a3526f2d6fd4e8ab4a7d18208d7d29c2cdf07f0a9ffeefb2b10de0c6425d25"),
+        ("Mkprio3", "458f6a8014fd50fd0c8f1e394437c3258675fe1928fffb42eadcd774fc6f1060"),
+        ("Mkprio4", "63b1f2dc149d833a54dd0fda3079ba2897924cb0e69c32847115bb10f5167b47"),
+        ("Mkgrp3", "2e5036dc70481b873f5a2e55865fa59857693d3ce1d7a17d6f608087024ddc47"),
+        ("Mkgrp4", "dbc4fa1beeebaa63bf32ff888c96b18e3e89ef962f3ea83dc19b19c0f277d1a1"),
+        ("Mkgrp5", "5965daf942e39bd6bc462fa908a02c75b2fa541a99c3684c1fa8d39a3af3de8d"),
+        ("Mkseq2", "fcd808bb44f852649096d95db7bfaf000c2892466f72357612443f28034f6dcc"),
+        ("Mkseq3", "abe95766b9de28065c5f6980e84a7b4b94d1c01ec0f2068f58ba5ac52a4238a9"),
+        ("Mkseq4", "ec2edc9885606a85e1735d6e4e73630a86c6b59897c2d1ff151f5e3633e478e3"),
+        ("Mmax", "8a3d111c0c2fac5c9f43eb6a1c76029971d8190bf31220b1f2051ee8c0d8c03d"),
+        ("Mcount", "417d3a63c3da018d838f3ebfff1c524fd08ca325379a6ac04c26288acc194f37"),
+    ])
+    def test_rendering_is_pinned(self, name, digest):
+        """The builders emit these exact machines, edge order included."""
+        family = {"Mkpair": mc.build_kpair_monitor, "Mkprio": mc.build_kpair_priority,
+                  "Mkgrp": mc.build_kpair_grouped, "Mkseq": mc.build_kpair_sequential,
+                  "Mmax": mc.build_mmax, "Mcount": mc.build_doubling_counter}
+        builder = family.get(name) or partial(family[name[:-1]], int(name[-1]))
+        text = mc.render_machine(builder())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", ["Mkprio2", "Mkprio3", "Mkgrp3", "Mkgrp4"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_shared_counter_machines_match_the_serving_rule(self, name, data):
+        machine = SHARED_COUNTER_MACHINES[name]
+        symbols = data.draw(_traces(machine.alphabet))
+        run = mc.MachineRun(machine)
+        got = [run.value] + [run.step(sym) for sym in symbols]
+        group = (lambda i: i) if name.startswith("Mkprio") else (lambda i: i // 2)
+        assert got == serving_rule_outputs(len(got[0]), group, symbols)
+
+
+# the shared-counter schemes: one max register per pair, or per pair group
+SHARED_COUNTER_MACHINES = {
+    **{f"Mkprio{k}": mc.build_kpair_priority(k) for k in (2, 3)},
+    **{f"Mkgrp{k}": mc.build_kpair_grouped(k) for k in (3, 4)},
+}
+
+
+def serving_rule_outputs(k, group, symbols):
+    """The outputs after each prefix of a shared-counter k-pair machine whose
+    pair i (from 0) keeps its maximum in register ``group(i)``, from the
+    construction rather than its edges.  A req moves its pair from idle to
+    pending and from pending to dead; an ack moves a pending pair to idle.
+    The served pair is the lowest-index pending one.  x counts the symbols
+    since the served pair became served, and while it stays served its
+    register is max(reg, x).  On a hand-over in which the served pair does
+    not die, its register becomes max(reg, x + 1) and x restarts at 0; a
+    served pair that dies restarts x and gets no credit.  Dead pairs output
+    inf."""
+    sa = qp.server_alphabet(k)
+    status, reg, x, served = ["I"] * k, {}, 0, None
+
+    def outputs():
+        return tuple(dom.INF if c == "D" else reg.get(group(i), 0)
+                     for i, c in enumerate(status))
+
+    seen = [outputs()]
+    for sym in symbols:
+        if sym in sa.req_tokens:
+            j = sa.req_tokens.index(sym)
+            status[j] = "P" if status[j] == "I" else "D"
+        elif sym in sa.ack_tokens and status[sa.ack_tokens.index(sym)] == "P":
+            status[sa.ack_tokens.index(sym)] = "I"
+        now = next((i for i, c in enumerate(status) if c == "P"), None)
+        if served is not None and now == served:
+            x += 1
+            reg[group(served)] = max(reg.get(group(served), 0), x)
+        elif served is not None and status[served] != "D":
+            reg[group(served)] = max(reg.get(group(served), 0), x + 1)
+            x = 0
+        else:
+            x = 0
+        served = now
+        seen.append(outputs())
+    return seen
 
 
 class TestPk:
