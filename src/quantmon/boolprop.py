@@ -30,6 +30,16 @@ class AcceptanceKind(enum.Enum):
     FINITE_MEMBERSHIP = "finite-membership"
 
 
+# the kind of the complement property
+_DUAL_KIND = {
+    AcceptanceKind.SAFETY: AcceptanceKind.COSAFETY,
+    AcceptanceKind.COSAFETY: AcceptanceKind.SAFETY,
+    AcceptanceKind.BUCHI: AcceptanceKind.COBUCHI,
+    AcceptanceKind.FINITE_MEMBERSHIP: AcceptanceKind.COBUCHI,
+    AcceptanceKind.COBUCHI: AcceptanceKind.BUCHI,
+}
+
+
 class Side(enum.Enum):
     BELOW = "below"
     ABOVE = "above"
@@ -101,40 +111,34 @@ class BooleanPropertyAutomaton:
     @cached_property
     def pos_states(self):
         """States from which every infinite continuation is accepted."""
-        return frozenset(q for q in self.states if self._pos(q))
+        return self._accepted_everywhere(self.kind, self.accepting)
 
     @cached_property
     def neg_states(self):
-        """States from which every infinite continuation is rejected."""
-        return frozenset(q for q in self.states if self._neg(q))
+        """States from which every infinite continuation is rejected, that
+        is, accepted by the complement: the dual kind over the same traps
+        (safety and co-safety) or over the other states (Buchi and
+        co-Buchi; finite-membership reads as Buchi)."""
+        dual = _DUAL_KIND[self.kind]
+        if self.kind in (AcceptanceKind.SAFETY, AcceptanceKind.COSAFETY):
+            return self._accepted_everywhere(dual, self.accepting)
+        return self._accepted_everywhere(dual, frozenset(self.states) - self.accepting)
 
-    def _pos(self, q):
-        acc = self.accepting
+    def _accepted_everywhere(self, kind, acc):
+        """States from which every infinite continuation is accepted under
+        ``kind`` with state set ``acc``."""
+        return frozenset(q for q in self.states if self._pos(q, kind, acc))
+
+    def _pos(self, q, kind, acc):
         others = frozenset(self.states) - acc
-        if self.kind is AcceptanceKind.SAFETY:
+        if kind is AcceptanceKind.SAFETY:
             return not (self.reachable(q) & acc)
-        if self.kind is AcceptanceKind.COSAFETY:
+        if kind is AcceptanceKind.COSAFETY:
             return not self._has_cycle_within(self.reachable(q, allowed=others))
-        if self.kind in (AcceptanceKind.BUCHI, AcceptanceKind.FINITE_MEMBERSHIP):
-            return not self._has_cycle_within(self.reachable(q) & others)
-        if self.kind is AcceptanceKind.COBUCHI:
+        if kind is AcceptanceKind.COBUCHI:
             reach = self.reachable(q)
             return not any(self._on_cycle(n, reach) for n in reach & others)
-        raise AcceptanceKindError(f"unsupported kind {self.kind}")
-
-    def _neg(self, q):
-        acc = self.accepting
-        others = frozenset(self.states) - acc
-        if self.kind is AcceptanceKind.SAFETY:
-            return not self._has_cycle_within(self.reachable(q, allowed=others))
-        if self.kind is AcceptanceKind.COSAFETY:
-            return not (self.reachable(q) & acc)
-        if self.kind in (AcceptanceKind.BUCHI, AcceptanceKind.FINITE_MEMBERSHIP):
-            reach = self.reachable(q)
-            return not any(self._on_cycle(a, reach) for a in reach & acc)
-        if self.kind is AcceptanceKind.COBUCHI:
-            return not self._has_cycle_within(self.reachable(q) & acc)
-        raise AcceptanceKindError(f"unsupported kind {self.kind}")
+        return not self._has_cycle_within(self.reachable(q) & others)  # Buchi, finite-membership
 
     def __repr__(self):
         return (f"<automaton {self.kind.value} |Q|={len(self.states)} "
@@ -246,6 +250,21 @@ def monitor_persistence(P):
                                  dom.BF, Monotonicity.UNRESTRICTED, "persistence-monitor")
 
 
+_CANONICAL_MONITORS = {
+    AcceptanceKind.SAFETY: monitor_safety,
+    AcceptanceKind.COSAFETY: monitor_cosafety,
+    AcceptanceKind.BUCHI: monitor_response,
+    AcceptanceKind.FINITE_MEMBERSHIP: monitor_response,
+    AcceptanceKind.COBUCHI: monitor_persistence,
+}
+
+
+def canonical_monitor(P):
+    """The monitor construction for P's acceptance kind: safety, co-safety,
+    response (Buchi and finite-membership) or persistence (co-Buchi)."""
+    return _CANONICAL_MONITORS[P.kind](P)
+
+
 def monitor_any_existential(P):
     """T once the property is positively determined, F otherwise.
 
@@ -268,26 +287,33 @@ def _check_shared_alphabet(pairs, what):
 
 
 @dataclass(frozen=True)
-class ObligationList:
-    """Conjunction of safety-or-cosafety disjunctions (S_i or C_i)."""
+class _PairList:
+    """Conjunction of two-kind disjunctions (A_i or B_i); a subclass names
+    the list and, per pair member, its kind and that kind's label."""
     pairs: tuple
 
     def __post_init__(self):
         if not self.pairs:
-            raise ValueError("obligation list must have at least one pair")
-        for s, c in self.pairs:
-            if s.kind is not AcceptanceKind.SAFETY:
-                raise AcceptanceKindError("first pair member must be a safety automaton")
-            if c.kind is not AcceptanceKind.COSAFETY:
-                raise AcceptanceKindError("second pair member must be a co-safety automaton")
-        _check_shared_alphabet(self.pairs, "obligation")
+            raise ValueError(f"{self._name} list must have at least one pair")
+        for pair in self.pairs:
+            for place, P, (kind, label) in zip(("first", "second"), pair, self._members,
+                                               strict=True):
+                if P.kind is not kind:
+                    raise AcceptanceKindError(f"{place} pair member must be {label} automaton")
+        _check_shared_alphabet(self.pairs, self._name)
 
     @property
     def k(self):
         return len(self.pairs)
 
     def membership(self, t):
-        return all(membership(s, t) or membership(c, t) for s, c in self.pairs)
+        return all(membership(a, t) or membership(b, t) for a, b in self.pairs)
+
+
+class ObligationList(_PairList):
+    """Conjunction of safety-or-cosafety disjunctions (S_i or C_i)."""
+    _name = "obligation"
+    _members = ((AcceptanceKind.SAFETY, "a safety"), (AcceptanceKind.COSAFETY, "a co-safety"))
 
 
 def _product(automata):
@@ -322,27 +348,10 @@ def monitor_obligation(obligation):
                            name=f"obligation-monitor(k={len(pairs)})")
 
 
-@dataclass(frozen=True)
-class ReactivityList:
+class ReactivityList(_PairList):
     """Conjunction of response-or-persistence disjunctions (R_i or P_i)."""
-    pairs: tuple
-
-    def __post_init__(self):
-        if not self.pairs:
-            raise ValueError("reactivity list must have at least one pair")
-        for r, p in self.pairs:
-            if r.kind is not AcceptanceKind.BUCHI:
-                raise AcceptanceKindError("first pair member must be a Buchi automaton")
-            if p.kind is not AcceptanceKind.COBUCHI:
-                raise AcceptanceKindError("second pair member must be a co-Buchi automaton")
-        _check_shared_alphabet(self.pairs, "reactivity")
-
-    @property
-    def k(self):
-        return len(self.pairs)
-
-    def membership(self, t):
-        return all(membership(r, t) or membership(p, t) for r, p in self.pairs)
+    _name = "reactivity"
+    _members = ((AcceptanceKind.BUCHI, "a Buchi"), (AcceptanceKind.COBUCHI, "a co-Buchi"))
 
 
 _RESP, _PERS, _DONE = 0, 1, 2
@@ -526,40 +535,42 @@ def _table(alphabet, rows):
     return {(q, a): rows[q][a] for q in rows for a in alphabet}
 
 
+def _trap_automaton(alphabet, symbol, start, trap, kind):
+    """Two states: ``start`` moves on ``symbol`` into the trap ``trap``,
+    which is the kind's state set."""
+    rows = {start: {a: (trap if a == symbol else start) for a in alphabet},
+            trap: {a: trap for a in alphabet}}
+    return BooleanPropertyAutomaton(alphabet, (start, trap), start, _table(alphabet, rows),
+                                    kind, {trap})
+
+
 def safety_never(alphabet, forbidden):
     """Safety: the forbidden symbol never occurs."""
-    rows = {"ok": {a: ("bad" if a == forbidden else "ok") for a in alphabet},
-            "bad": {a: "bad" for a in alphabet}}
-    return BooleanPropertyAutomaton(alphabet, ("ok", "bad"), "ok",
-                                    _table(alphabet, rows),
-                                    AcceptanceKind.SAFETY, {"bad"})
+    return _trap_automaton(alphabet, forbidden, "ok", "bad", AcceptanceKind.SAFETY)
 
 
 def cosafety_eventually(alphabet, target):
     """Co-safety: the target symbol eventually occurs."""
-    rows = {"wait": {a: ("good" if a == target else "wait") for a in alphabet},
-            "good": {a: "good" for a in alphabet}}
-    return BooleanPropertyAutomaton(alphabet, ("wait", "good"), "wait",
-                                    _table(alphabet, rows),
-                                    AcceptanceKind.COSAFETY, {"good"})
+    return _trap_automaton(alphabet, target, "wait", "good", AcceptanceKind.COSAFETY)
+
+
+def _hit_miss_automaton(alphabet, target, kind):
+    """``hit`` right after the target symbol, ``miss`` elsewhere (and at the
+    start); ``hit`` is the accepting set."""
+    row = {a: ("hit" if a == target else "miss") for a in alphabet}
+    return BooleanPropertyAutomaton(alphabet, ("hit", "miss"), "miss",
+                                    _table(alphabet, {"hit": row, "miss": row}),
+                                    kind, {"hit"})
 
 
 def buchi_infinitely_often(alphabet, target):
     """Response: the target symbol occurs infinitely often."""
-    rows = {"hit": {a: ("hit" if a == target else "miss") for a in alphabet},
-            "miss": {a: ("hit" if a == target else "miss") for a in alphabet}}
-    return BooleanPropertyAutomaton(alphabet, ("hit", "miss"), "miss",
-                                    _table(alphabet, rows),
-                                    AcceptanceKind.BUCHI, {"hit"})
+    return _hit_miss_automaton(alphabet, target, AcceptanceKind.BUCHI)
 
 
 def cobuchi_eventually_always(alphabet, target):
     """Persistence: eventually only the target symbol occurs."""
-    rows = {"hit": {a: ("hit" if a == target else "miss") for a in alphabet},
-            "miss": {a: ("hit" if a == target else "miss") for a in alphabet}}
-    return BooleanPropertyAutomaton(alphabet, ("hit", "miss"), "miss",
-                                    _table(alphabet, rows),
-                                    AcceptanceKind.COBUCHI, {"hit"})
+    return _hit_miss_automaton(alphabet, target, AcceptanceKind.COBUCHI)
 
 
 def first_symbol_is(alphabet, symbol, kind=AcceptanceKind.SAFETY):
@@ -579,26 +590,25 @@ def empty_cobuchi(alphabet):
                                     AcceptanceKind.COBUCHI, set())
 
 
-def random_safety_automaton(rng, alphabet, n_states=3):
-    """Random total DFA with one absorbing bad state."""
-    names = [f"q{i}" for i in range(n_states)] + ["bad"]
+def _random_trap_automaton(rng, alphabet, n_states, trap, kind):
+    """Random total DFA on q0..q(n-1) plus one absorbing state ``trap``,
+    which is the kind's state set."""
+    names = [f"q{i}" for i in range(n_states)] + [trap]
     transitions = {}
     for q in names:
         for a in alphabet:
-            transitions[(q, a)] = "bad" if q == "bad" else rng.choice(names)
-    return BooleanPropertyAutomaton(alphabet, names, "q0", transitions,
-                                    AcceptanceKind.SAFETY, {"bad"})
+            transitions[(q, a)] = trap if q == trap else rng.choice(names)
+    return BooleanPropertyAutomaton(alphabet, names, "q0", transitions, kind, {trap})
+
+
+def random_safety_automaton(rng, alphabet, n_states=3):
+    """Random total DFA with one absorbing bad state."""
+    return _random_trap_automaton(rng, alphabet, n_states, "bad", AcceptanceKind.SAFETY)
 
 
 def random_cosafety_automaton(rng, alphabet, n_states=3):
     """Random total DFA with one absorbing good state."""
-    names = [f"q{i}" for i in range(n_states)] + ["good"]
-    transitions = {}
-    for q in names:
-        for a in alphabet:
-            transitions[(q, a)] = "good" if q == "good" else rng.choice(names)
-    return BooleanPropertyAutomaton(alphabet, names, "q0", transitions,
-                                    AcceptanceKind.COSAFETY, {"good"})
+    return _random_trap_automaton(rng, alphabet, n_states, "good", AcceptanceKind.COSAFETY)
 
 
 def random_obligation_list(rng, alphabet, k):

@@ -9,11 +9,12 @@ Subcommands:
 * ``demo``     emit the bundled response-time demonstration series.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on usage or
-parse errors.  All randomness is seeded (default 42) so identical inputs
-produce byte-identical outputs.
+parse errors, 141 when standard output closes early.  All randomness is
+seeded (default 42) so identical inputs produce byte-identical outputs.
 """
 
 import argparse
+import os
 import sys
 
 from . import boolprop as bp
@@ -21,11 +22,10 @@ from . import domain as dom
 from . import machine as mc
 from . import precision as pr
 from . import qprop as qp
-from .errors import InputError, QuantmonError
+from .errors import InputError, QuantmonError, TraceParseError
 from .trace import parse_finite, parse_lasso
 from .verdict import (LimitBudget, constant_verdict, count_switches, eval_liminf,
                       eval_limsup, verdict_csv_lines, verdict_sequence)
-from .boolprop import Side
 
 
 def _read(path):
@@ -101,9 +101,14 @@ def _suite_for(spec, alphabet, seed):
     if spec.startswith("sample:"):
         return pr.sampled_suite(alphabet, _int(spec.split(":", 1)[1], "sample size", 1), seed)
     if spec.startswith("file:"):
-        lines = [ln for ln in _read(spec.split(":", 1)[1]).splitlines()
-                 if ln.split("#", 1)[0].strip()]
-        return pr.LassoSuite(tuple(parse_lasso(ln, alphabet) for ln in lines), spec)
+        lassos = []
+        for lineno, line in enumerate(_read(spec.split(":", 1)[1]).splitlines(), 1):
+            try:
+                if line.split("#", 1)[0].strip():
+                    lassos.append(parse_lasso(line, alphabet))
+            except TraceParseError as exc:
+                raise TraceParseError(f"line {lineno}: {exc}", exc.position) from None
+        return pr.LassoSuite(tuple(lassos), spec)
     raise QuantmonError(f"unknown suite spec {spec!r}")
 
 
@@ -152,19 +157,10 @@ def cmd_compare(args):
     if alphabet is None:
         raise QuantmonError("at least one verdict selector must fix an alphabet")
     suite = _suite_for(args.suite, alphabet, args.seed)
-    side = Side(args.side)
+    side = bp.Side(args.side)
     report = pr.compare(v1, v2, suite, side, _budget(args))
     _emit(pr.report_jsonl(report, args.verdict1, args.verdict2), args.output)
     return 0
-
-
-_CANONICAL_MONITORS = {
-    bp.AcceptanceKind.SAFETY: ("safety", bp.monitor_safety),
-    bp.AcceptanceKind.COSAFETY: ("cosafety", bp.monitor_cosafety),
-    bp.AcceptanceKind.BUCHI: ("response", bp.monitor_response),
-    bp.AcceptanceKind.FINITE_MEMBERSHIP: ("response", bp.monitor_response),
-    bp.AcceptanceKind.COBUCHI: ("persistence", bp.monitor_persistence),
-}
 
 
 def cmd_classify(args):
@@ -192,35 +188,31 @@ def cmd_classify(args):
         print(f"switches: worst={worst} bound={bound} {'ok' if switches_ok else 'VIOLATED'}")
     else:
         P = bp.load_automaton(_read(args.automaton))
+        suite = _suite_for(args.suite, P.alphabet, args.seed)
+        monitor = bp.canonical_monitor(P)
+        prop, label = bp.characteristic_property(P), monitor.name
+        switches_ok = True
         print(f"kind: {P.kind.value}")
         print(f"states: {len(P.states)}  pos-determining: {sorted(P.pos_states)}  "
               f"neg-determining: {sorted(P.neg_states)}")
         print(f"classically-monitorable: {bp.classically_monitorable(P)}")
-        name, build = _CANONICAL_MONITORS[P.kind]
-        monitor = build(P)
-        prop, label = bp.characteristic_property(P), f"{name}-monitor"
-        suite = _suite_for(args.suite, P.alphabet, args.seed)
-        switches_ok = True
     # the existential check extends every trace of up to 3 symbols
     prefix_len = 3 if args.modality == "existential" else None
-    report = bp.classify_modality(monitor, prop, Side.BELOW, suite, budget=budget,
+    report = bp.classify_modality(monitor, prop, bp.Side.BELOW, suite, budget=budget,
                                   existential_prefix_len=prefix_len)
     print(f"{label}: {report.summary()}")
-    wanted_ok = report.universal_ok if args.modality == "universal" else (
-        report.existential_ok if args.modality == "existential" else report.approximate_ok)
+    wanted_ok = getattr(report, f"{args.modality}_ok")
     return 0 if switches_ok and wanted_ok else 1
 
 
 _FIG_TRACE = "req ack req other ack req ack other"
+_FIGURES = {"fig1": mc.build_mmax, "fig2": mc.build_mavg}
 
 
 def cmd_demo(args):
-    if args.figure == "fig1":
-        machine = mc.build_mmax()
-    elif args.figure == "fig2":
-        machine = mc.build_mavg()
-    else:
+    if args.figure not in _FIGURES:
         raise QuantmonError(f"unknown demo id {args.figure!r} (use fig1 or fig2)")
+    machine = _FIGURES[args.figure]()
     verdict = mc.generated_verdict(machine)
     s = parse_finite(_FIG_TRACE, machine.alphabet)
     _emit(verdict_csv_lines(verdict, s), args.output)
@@ -323,6 +315,11 @@ def main(argv=None):
     except QuantmonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull so that the flush at
+        # shutdown does not fail again, and exit as a writer killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

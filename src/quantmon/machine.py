@@ -627,10 +627,10 @@ class MachineRun:
         every guard atom on the path is linear in the iteration count.  If
         some atom flips sign within a later iteration, the run jumps to the
         boundary before the first such iteration and ``values`` is None: the
-        skipped iterations are finitely many, so no limit needs them.  If no atom ever flips, ``limits``
-        lists per loop position the limit of its output and whether it
-        diverges (per component for a tuple output); otherwise ``limits`` is
-        None.
+        skipped iterations are finitely many, so no limit needs them.  If no
+        atom ever flips, ``limits`` lists per loop position the limit of its
+        output and whether it diverges (per component for a tuple output);
+        otherwise ``limits`` is None.
         """
         m = self._m
         start = self._values
@@ -1184,26 +1184,30 @@ def pk_alphabet(k):
     return Alphabet(tuple(str(i) for i in range(1, k + 1)))
 
 
+def _ordering_step(source, symbol, j, trackers, clock, target):
+    """The edges of one letter-ordering step on value j: the clock register
+    counts it, d_j counts it while 1 <= j < trackers, and, for
+    2 <= j <= trackers, d_(j-1) pays for it under [d_(j-1)>=1]; without the
+    payment the clock counts it and the run moves to ``frozen``."""
+    counted = (Update(clock, "inc"),)
+    if 1 <= j < trackers:
+        counted += (Update(f"d{j}", "inc"),)
+    if not 2 <= j <= trackers:
+        return [Edge(source, symbol, TRUE_GUARD, counted, target)]
+    payer = f"d{j - 1}"
+    return [Edge(source, symbol, Guard((GuardAtom(payer, 1),)),
+                 counted + (Update(payer, "dec"),), target),
+            Edge(source, symbol, Guard((GuardAtom(payer, 1, negated=True),)),
+                 (Update(clock, "inc"),), "frozen")]
+
+
 def _build_pk(k, trackers, name):
     alphabet = pk_alphabet(k)
     regs = [f"d{i}" for i in range(1, trackers)] + ["length"]
     edges = []
     for j in range(1, k + 1):
-        sym = str(j)
-        base = [Update("length", "inc")]
-        if j <= trackers - 1:
-            base.append(Update(f"d{j}", "inc"))
-        if 2 <= j <= trackers:
-            guard_reg = f"d{j - 1}"
-            ok = base + [Update(guard_reg, "dec")]
-            edges.append(Edge("live", sym, Guard((GuardAtom(guard_reg, 1),)),
-                              tuple(ok), "live"))
-            edges.append(Edge("live", sym,
-                              Guard((GuardAtom(guard_reg, 1, negated=True),)),
-                              (Update("length", "inc"),), "frozen"))
-        else:
-            edges.append(Edge("live", sym, TRUE_GUARD, tuple(base), "live"))
-        edges.append(Edge("frozen", sym, TRUE_GUARD, (), "frozen"))
+        edges += _ordering_step("live", str(j), j, trackers, "length", "live")
+        edges.append(Edge("frozen", str(j), TRUE_GUARD, (), "frozen"))
     outputs = {"live": OUT_INF, "frozen": out_reg("length")}
     return RegisterMachine(name, regs, ("live", "frozen"), alphabet, "live", edges,
                            outputs, InstructionSet.COUNTER_INC_DEC, dom.NATINF,
@@ -1286,9 +1290,10 @@ _MARK = "mark"
 
 def build_binary_pk(k):
     """k-counter monitor of the block-value ordering property over bits plus
-    a block separator: counters track adjacent block-value count differences
-    for values below k, and separators seen; violations freeze the separator
-    count."""
+    a block separator: a bit decoder in front of the Mpk step.  States v0..vk
+    read a block's value (``over`` once it exceeds k), and each separator
+    takes the letter-ordering step on that value with ``marks`` as the clock,
+    so violations freeze the separator count."""
     if k < 2:
         raise MachineError("need at least 2 counters")
     alphabet = BINARY_ALPHABET
@@ -1304,24 +1309,10 @@ def build_binary_pk(k):
         st = f"v{n}"
         edges.append(Edge(st, "0", TRUE_GUARD, (), bit_target(n, 0)))
         edges.append(Edge(st, "1", TRUE_GUARD, (), bit_target(n, 1)))
-        base = [Update("marks", "inc")]
-        if 2 <= n <= k:
-            ok = base + [Update(f"d{n - 1}", "dec")]
-            if n <= k - 1:
-                ok.append(Update(f"d{n}", "inc"))
-            edges.append(Edge(st, _MARK, Guard((GuardAtom(f"d{n - 1}", 1),)),
-                              tuple(ok), "v0"))
-            edges.append(Edge(st, _MARK,
-                              Guard((GuardAtom(f"d{n - 1}", 1, negated=True),)),
-                              (Update("marks", "inc"),), "frozen"))
-        elif n == 1:
-            edges.append(Edge(st, _MARK, TRUE_GUARD,
-                              (Update("marks", "inc"), Update("d1", "inc")), "v0"))
-        else:
-            edges.append(Edge(st, _MARK, TRUE_GUARD, (Update("marks", "inc"),), "v0"))
+        edges += _ordering_step(st, _MARK, n, k, "marks", "v0")
     edges.append(Edge("over", "0", TRUE_GUARD, (), "over"))
     edges.append(Edge("over", "1", TRUE_GUARD, (), "over"))
-    edges.append(Edge("over", _MARK, TRUE_GUARD, (Update("marks", "inc"),), "v0"))
+    edges += _ordering_step("over", _MARK, k + 1, k, "marks", "v0")
     for a in alphabet:
         edges.append(Edge("frozen", a, TRUE_GUARD, (), "frozen"))
     outputs = {q: OUT_INF for q in states}

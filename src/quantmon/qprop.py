@@ -134,13 +134,19 @@ def _art_step(state, symbol):
     return (_PEND, total, count, since + 1)
 
 
+def _ratio(n, d):
+    """n/d: the integer when d divides n, else the reduced Fraction."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 def _art_out(state):
     mode, total, count, since = state
     if mode == _DEAD:
         return dom.INF
     if mode == _PEND:
-        return Fraction(total + since, count + 1)
-    return Fraction(total, count) if count else Fraction(0)
+        return _ratio(total + since, count + 1)
+    return _ratio(total, count) if count else 0
 
 
 def art(s):

@@ -101,12 +101,6 @@ class LassoTrace:
         unrollings = max(0, -(-(i - len(stem)) // len(loop)))
         return FiniteTrace((stem + loop * unrollings)[:i], self.alphabet)
 
-    def symbols(self):
-        """Infinite iterator over the trace's symbols."""
-        yield from self.stem
-        while True:
-            yield from self.loop
-
     def prepend(self, finite):
         """The lasso for ``finite`` followed by this infinite trace.  The
         symbols of a FiniteTrace over this alphabet were checked when it was

@@ -112,6 +112,26 @@ class TestDetermination:
                     assert bp.determines(P, s, polarity) == \
                         brute_determines(P, s, polarity), (P, s.symbols, polarity)
 
+    @pytest.mark.parametrize("kind", list(AcceptanceKind), ids=lambda kind: kind.value)
+    def test_random_automata_against_continuation_enumeration(self, kind, ab):
+        # three states: a rejected (or accepted) continuation, if any, has a
+        # lasso with a stem of at most 2 and a loop of at most 3 symbols
+        rng = random.Random(7)
+        for _ in range(6):
+            if kind is AcceptanceKind.SAFETY:
+                P = bp.random_safety_automaton(rng, ab, n_states=2)
+            elif kind is AcceptanceKind.COSAFETY:
+                P = bp.random_cosafety_automaton(rng, ab, n_states=2)
+            else:
+                states = ("p", "q", "r")
+                transitions = {(q, a): rng.choice(states) for q in states for a in ab}
+                accepting = {q for q in states if rng.random() < 0.5}
+                P = bp.BooleanPropertyAutomaton(ab, states, "p", transitions, kind, accepting)
+            for s in all_finite_traces(ab, 2):
+                for polarity in ("pos", "neg"):
+                    assert bp.determines(P, s, polarity) == \
+                        brute_determines(P, s, polarity), (bp.render_automaton(P), s.symbols)
+
     def test_determination_is_a_trap(self, never_b, eventually_a, ab):
         for P in (never_b, eventually_a):
             for s in all_finite_traces(ab, 2):
@@ -169,6 +189,17 @@ class TestSafetyAndCosafetyMonitors:
                 res = eval_limsup(v, t, SMALL)
                 assert res.is_determined
                 assert res.value == bp.membership(P, t)
+
+    def test_canonical_monitor_by_kind(self, never_b, eventually_a, inf_often_a,
+                                       ev_always_a, ab):
+        finite = bp.BooleanPropertyAutomaton(ab, inf_often_a.states, inf_often_a.initial,
+                                             inf_often_a.transitions,
+                                             AcceptanceKind.FINITE_MEMBERSHIP,
+                                             inf_often_a.accepting)
+        assert [bp.canonical_monitor(P).name
+                for P in (never_b, eventually_a, inf_often_a, finite, ev_always_a)] == \
+            ["safety-monitor", "cosafety-monitor", "response-monitor", "response-monitor",
+             "persistence-monitor"]
 
     def test_kind_mismatch(self, never_b, eventually_a):
         with pytest.raises(AcceptanceKindError):

@@ -132,6 +132,24 @@ class TestRun:
         assert proc.stderr.startswith("error:") and "'bogus'" in proc.stderr
 
 
+    def test_closed_stdout_exits_141_quietly(self, tmp_path):
+        # a reader that stops after one line, as ``| head -1`` does; the
+        # events fill more than a pipe buffer, so the writer is still running
+        events = tmp_path / "events.txt"
+        events.write_text("req\nack\n" * 50000)
+        with events.open() as stdin:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "quantmon.cli", "run",
+                 str(DEMOS / "machines/mmax.mspec"), "--stdin"],
+                stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            assert proc.stdout.readline() == b"0\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait(timeout=60) == 141
+        assert stderr == b""
+
+
 class TestEval:
     def test_mrt(self, workdir, capsys):
         code, out, _ = run_cli(["eval", "mrt", workdir / "periodic.lasso"], capsys)
@@ -248,6 +266,7 @@ class TestInputErrors:
          "--side", "sideways"],
         ["run", "{work}/mmax.mspec"],
         ["classify"],
+        ["classify", "{work}/never_b.aut", "--suite", "exhaustive:1:0"],
         [],
     ], ids=lambda argv: " ".join(a.split("}/")[-1] for a in argv))
     def test_exits_2_with_one_line_error(self, workdir, bad, argv, capsys):
@@ -270,6 +289,15 @@ class TestInputErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "share an alphabet" in err
+
+    def test_suite_file_error_names_its_line(self, tmp_path, capsys):
+        # comment and blank lines count, as in machine and automaton files
+        suite = tmp_path / "bad.suite"
+        suite.write_text("# two lassos\n\nreq ; other\nreq ; bogus\n")
+        code, out, err = run_cli(["compare", "mrt", "mrt", "--suite", f"file:{suite}"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: line 4: unknown token 'bogus' at position 2"]
 
     def test_unknown_global_option_is_named(self, capsys):
         # argparse alone reads the value after an unknown global option as

@@ -566,8 +566,24 @@ class TestPk:
         with pytest.raises(MachineError):
             mc.build_pk_approx(3, 1)
 
+    def test_rendering_is_pinned(self):
+        """Mpk2-5, then the approximations (4,2), (4,3), (5,2), (5,3), (5,4),
+        edge and update order included."""
+        machines = [mc.build_pk_monitor(k) for k in range(2, 6)] + [
+            mc.build_pk_approx(k, trackers)
+            for k, trackers in ((4, 2), (4, 3), (5, 2), (5, 3), (5, 4))]
+        text = "".join(mc.render_machine(m) for m in machines)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "df76de41166f3001fa018aa8a11e553ba98618d767c86c7cbad730b739b7d106"
+
 
 class TestBinary:
+    def test_rendering_is_pinned(self):
+        """Mbin2-5: the bit decoder in front of the Mpk step."""
+        text = "".join(mc.render_machine(mc.build_binary_pk(k)) for k in range(2, 6))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "2e92794ad7de3ccb3ffb9412cba121e0be242fd316600db9f38d390e29608b8e"
+
     def test_prefix_without_violation(self):
         m = mc.build_binary_pk(2)
         s = parse_finite("1 mark 1 0 mark", m.alphabet)

@@ -1,5 +1,6 @@
+import pathlib
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -146,6 +147,46 @@ class TestMonotonicity:
     def test_decreasing(self):
         v = prefix_verdict(dom.NATINF, lambda s: max(0, 10 - len(s)))
         assert check_monotone(v, [lasso((), ("a",), A)], depth=6) is Monotonicity.DECREASING
+
+
+DEMO_DIR = pathlib.Path(__file__).resolve().parents[1] / "demos"
+
+
+def _machine_verdict(build):
+    machine = build()
+    return mc.generated_verdict(machine), machine.alphabet
+
+
+def _energy_verdict():
+    A = qp.load_weighted_automaton((DEMO_DIR / "automata/energy.waut").read_text())
+    return qp.energy_verdict(A), A.alphabet
+
+
+def _canonical_monitor(path):
+    P = bp.load_automaton(path.read_text())
+    return bp.canonical_monitor(P), P.alphabet
+
+
+# every bundled verdict by name, as a thunk for (verdict, alphabet)
+BUNDLED_VERDICTS = {
+    **{name: partial(_machine_verdict, build) for name, build in BUILT_MACHINES.items()},
+    "mrt": lambda: (qp.mrt_verdict(), qp.server_alphabet(1).alphabet),
+    "art": lambda: (qp.art_verdict(), qp.server_alphabet(1).alphabet),
+    "energy.waut": _energy_verdict,
+    **{path.name: partial(_canonical_monitor, path)
+       for path in sorted((DEMO_DIR / "automata").glob("*.aut"))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_VERDICTS))
+def test_declared_monotonicity_holds(name):
+    # no engine path reads the label, so nothing else checks it; a verdict
+    # declared UNRESTRICTED claims nothing
+    verdict, alphabet = BUNDLED_VERDICTS[name]()
+    if verdict.monotonicity is Monotonicity.UNRESTRICTED:
+        return
+    suite = pr.exhaustive_suite(alphabet, 2, 2)
+    assert check_monotone(verdict, suite, depth=8) is verdict.monotonicity
 
 
 class TestCombinators:
