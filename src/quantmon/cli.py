@@ -34,6 +34,8 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise QuantmonError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _int(text, what, least):
@@ -153,6 +155,9 @@ def cmd_eval(args):
 def cmd_compare(args):
     v1, a1 = _verdict_for(args.verdict1)
     v2, a2 = _verdict_for(args.verdict2)
+    if a1 and a2 and set(a1) != set(a2):
+        raise InputError(f"{args.verdict1} reads {' '.join(a1)} but {args.verdict2} "
+                         f"reads {' '.join(a2)}: the verdicts need one alphabet")
     alphabet = a1 or a2
     if alphabet is None:
         raise QuantmonError("at least one verdict selector must fix an alphabet")

@@ -2,7 +2,8 @@
 
 A lasso ``u ; v`` stands for the infinite trace u v v v ...  Trace files are
 whitespace-tokenized, ``#`` starts a comment, and a single ``;`` separates
-the stem from the loop in lasso files.
+the stem from the loop in lasso files.  The parsers check each distinct
+token once against the alphabet, and a parsed trace is not checked again.
 """
 
 import itertools
@@ -27,9 +28,6 @@ class Alphabet:
         for s in self.symbols:
             if not _TOKEN_RE.match(s):
                 raise InputError(f"bad alphabet token {s!r}")
-
-    def __contains__(self, token):
-        return token in self.symbols
 
     def __iter__(self):
         return iter(self.symbols)
@@ -141,38 +139,40 @@ def _tokenize(text):
 
 
 def _check_tokens(tokens, alphabet):
-    for pos, tok in enumerate(tokens):
-        if tok == ";":
-            continue
-        if tok not in alphabet:
-            raise TraceParseError(f"unknown token {tok!r} at position {pos}", position=pos)
+    """Raise on the first token that is neither ``;`` nor in ``alphabet``;
+    the tokens are scanned for it only when some token is unknown."""
+    unknown = set(tokens).difference(alphabet.symbols, (";",))
+    if unknown:
+        pos, tok = next((pos, tok) for pos, tok in enumerate(tokens) if tok in unknown)
+        raise TraceParseError(f"unknown token {tok!r} at position {pos}", position=pos)
 
 
 def parse_lasso(text, alphabet):
     """Parse ``u ; v`` lasso text; the loop must be non-empty."""
     tokens = _tokenize(text)
-    seps = [i for i, t in enumerate(tokens) if t == ";"]
-    if len(seps) == 0:
+    count = tokens.count(";")
+    if count == 0:
         raise TraceParseError("lasso text has no ';' loop separator")
-    if len(seps) > 1:
+    if count > 1:
+        seps = [i for i, t in enumerate(tokens) if t == ";"]
         raise TraceParseError(f"more than one ';' separator (positions {seps})",
                               position=seps[1])
     _check_tokens(tokens, alphabet)
-    cut = seps[0]
-    stem, loop = tokens[:cut], tokens[cut + 1:]
+    cut = tokens.index(";")
+    stem, loop = tuple(tokens[:cut]), tuple(tokens[cut + 1:])
     if not loop:
         raise TraceParseError("empty lasso loop")
-    return lasso(stem, loop, alphabet)
+    return LassoTrace(_checked_trace(stem, alphabet), _checked_trace(loop, alphabet))
 
 
 def parse_finite(text, alphabet):
     """Parse a finite replay trace (no ';' allowed)."""
     tokens = _tokenize(text)
-    seps = [i for i, t in enumerate(tokens) if t == ";"]
-    if seps:
-        raise TraceParseError("finite trace text must not contain ';'", position=seps[0])
+    if ";" in tokens:
+        raise TraceParseError("finite trace text must not contain ';'",
+                              position=tokens.index(";"))
     _check_tokens(tokens, alphabet)
-    return FiniteTrace(tuple(tokens), alphabet)
+    return _checked_trace(tuple(tokens), alphabet)
 
 
 def read_sections(text, required, error, optional=()):

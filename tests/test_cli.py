@@ -234,6 +234,11 @@ class TestInputErrors:
         mmax = (DEMOS / "machines/mmax.mspec").read_text()
         (root / "second-output.mspec").write_text(mmax + "output: idle = x\n")
         (root / "unknown-state-output.mspec").write_text(mmax + "output: nowhere = x\n")
+        (root / "latin1.trace").write_bytes(b"req \xff ack\n")
+        (root / "latin1.mspec").write_bytes(mmax.encode() + b"# \xff\n")
+        (root / "ab.mspec").write_text(
+            "registers: x\ninstruction-set: counter\nstates: q\ninitial: q\n"
+            "edge: q a [true] -> q\nedge: q b [true] -> q\noutput: q = 0\n")
         return root
 
     @pytest.mark.parametrize("argv", [
@@ -267,6 +272,11 @@ class TestInputErrors:
         ["run", "{work}/mmax.mspec"],
         ["classify"],
         ["classify", "{work}/never_b.aut", "--suite", "exhaustive:1:0"],
+        ["run", "{work}/mmax.mspec", "{bad}/latin1.trace"],
+        ["run", "{bad}/latin1.mspec", "{work}/fig.trace", "--finite"],
+        ["compare", "mrt", "mrt", "--suite", "file:{bad}/latin1.trace"],
+        ["compare", "machine:{bad}/ab.mspec", "mrt", "--suite", "exhaustive:1:1"],
+        ["compare", "mrt", "machine:{bad}/ab.mspec", "--suite", "exhaustive:1:1"],
         [],
     ], ids=lambda argv: " ".join(a.split("}/")[-1] for a in argv))
     def test_exits_2_with_one_line_error(self, workdir, bad, argv, capsys):
@@ -289,6 +299,37 @@ class TestInputErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "share an alphabet" in err
+
+    def test_non_utf8_file_names_the_byte(self, bad, capsys):
+        code, out, err = run_cli(["run", DEMOS / "machines/mmax.mspec",
+                                  bad / "latin1.trace"], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: cannot read {bad / 'latin1.trace'}: not UTF-8 text (byte 4)"]
+
+    def test_compare_names_both_alphabets(self, bad, capsys):
+        # the mrt stepper reads a and b as other, so this used to report
+        # equally-precise over the machine's alphabet
+        ab = f"machine:{bad / 'ab.mspec'}"
+        code, out, err = run_cli(["compare", ab, "mrt", "--suite", "exhaustive:1:1"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {ab} reads a b but mrt reads req ack other: "
+                                    "the verdicts need one alphabet"]
+
+    def test_compare_keeps_the_first_order_of_one_symbol_set(self, tmp_path, capsys):
+        # a machine file's alphabet is in the order its edges first read
+        # each symbol; over mrt's symbols in another order the suite follows it
+        lines = (DEMOS / "machines/mmax.mspec").read_text().splitlines()
+        other = lines.pop(lines.index("edge: idle other [true] -> idle"))
+        lines.insert(lines.index("edge: idle req [true] / x:=0 -> pending"), other)
+        spec = tmp_path / "other-first.mspec"
+        spec.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(["compare", f"machine:{spec}", "mrt", "--suite",
+                                "exhaustive:0:1"], capsys)
+        assert code == 0
+        assert [json.loads(line)["trace"] for line in out.splitlines()[:3]] == [
+            "; other", "; req", "; ack"]
 
     def test_suite_file_error_names_its_line(self, tmp_path, capsys):
         # comment and blank lines count, as in machine and automaton files

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quantmon.errors import TraceParseError
-from quantmon.trace import (Alphabet, FiniteTrace, all_lassos, all_finite_traces,
-                            lasso, parse_finite, parse_lasso)
+from quantmon.trace import (Alphabet, FiniteTrace, LassoTrace, _tokenize, all_lassos,
+                            all_finite_traces, lasso, parse_finite, parse_lasso)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +80,105 @@ class TestParsing:
             parse_finite("req ; ack", ra)
         s = parse_finite("req ack # note", ra)
         assert s.symbols == ("req", "ack")
+
+
+# The per-token parsers the bulk ones replaced, kept as their reference:
+# each token is checked on its own, and the traces are built through lasso()
+# and FiniteTrace(), which check the symbols again.
+
+def _reference_check_tokens(tokens, alphabet):
+    for pos, tok in enumerate(tokens):
+        if tok == ";":
+            continue
+        if tok not in alphabet:
+            raise TraceParseError(f"unknown token {tok!r} at position {pos}", position=pos)
+
+
+def reference_parse_lasso(text, alphabet):
+    tokens = _tokenize(text)
+    seps = [i for i, t in enumerate(tokens) if t == ";"]
+    if len(seps) == 0:
+        raise TraceParseError("lasso text has no ';' loop separator")
+    if len(seps) > 1:
+        raise TraceParseError(f"more than one ';' separator (positions {seps})",
+                              position=seps[1])
+    _reference_check_tokens(tokens, alphabet)
+    cut = seps[0]
+    stem, loop = tokens[:cut], tokens[cut + 1:]
+    if not loop:
+        raise TraceParseError("empty lasso loop")
+    return lasso(stem, loop, alphabet)
+
+
+def reference_parse_finite(text, alphabet):
+    tokens = _tokenize(text)
+    seps = [i for i, t in enumerate(tokens) if t == ";"]
+    if seps:
+        raise TraceParseError("finite trace text must not contain ';'", position=seps[0])
+    _reference_check_tokens(tokens, alphabet)
+    return FiniteTrace(tuple(tokens), alphabet)
+
+
+SERVER = Alphabet(("req", "ack", "other"))
+PARSERS = ((parse_finite, reference_parse_finite), (parse_lasso, reference_parse_lasso))
+
+
+def parsed(parse, text):
+    """The trace ``parse`` makes of ``text``, or its error's message and
+    position."""
+    try:
+        return parse(text, SERVER)
+    except TraceParseError as exc:
+        return str(exc), exc.position
+
+
+def alphabets(result):
+    if isinstance(result, LassoTrace):
+        return (result.stem.alphabet, result.loop.alphabet)
+    return (result.alphabet,) if isinstance(result, FiniteTrace) else ()
+
+
+@st.composite
+def trace_texts(draw):
+    """Trace text over SERVER with unknown tokens anywhere, 0-3 ';'
+    separators, glued or spaced, and comment and blank lines."""
+    words = draw(st.lists(st.sampled_from(SERVER.symbols * 4 + ("boom", "x1", "Req", "_")),
+                          max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        words.insert(draw(st.integers(0, len(words))), ";")
+    text = words[0] if words else ""
+    for prev, word in zip(words, words[1:]):
+        # two words glued together would make one token
+        gaps = ("", " ", "\n") if ";" in (prev, word) else (" ", "\t ", "\n")
+        text += draw(st.sampled_from(gaps)) + word
+    lines = []
+    for line in text.split("\n"):
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(("", "   ", "# a comment ; boom"))))
+        lines.append(line + draw(st.sampled_from(("", " # note", "#;x", "  # req ; ack"))))
+    return "\n".join(lines)
+
+
+class TestParserAgainstReference:
+    @given(trace_texts())
+    def test_same_traces_and_errors(self, text):
+        for parse, reference in PARSERS:
+            got, want = parsed(parse, text), parsed(reference, text)
+            assert got == want
+            assert all(a is SERVER for a in alphabets(got))
+
+    def test_unknown_last_token_of_a_long_trace(self):
+        body = " ".join(["req", "ack"] * 9999 + ["other", "boom"])
+        for (parse, reference), text, position in zip(
+                PARSERS, (body, "; " + body), (19999, 20000)):
+            want = (f"unknown token 'boom' at position {position}", position)
+            assert parsed(parse, text) == parsed(reference, text) == want
+
+    def test_the_earlier_of_two_unknown_tokens_is_named(self):
+        for (parse, reference), text in zip(PARSERS, ("req zap ack boom zap boom",
+                                                      "req zap;ack boom zap boom")):
+            want = ("unknown token 'zap' at position 1", 1)
+            assert parsed(parse, text) == parsed(reference, text) == want
 
 
 sym = st.sampled_from(("a", "b"))
