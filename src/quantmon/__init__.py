@@ -8,7 +8,7 @@ machines that generate verdicts, and a precision-comparison harness.
 
 from .domain import (
     B, BBOT, BT, BF, NATINF, INTINF, RATINF,
-    BOT, TOP, INF, NEG_INF, INCOMPARABLE,
+    BOT, INF, NEG_INF, INCOMPARABLE,
     ValueDomain, product, inverse, parse_domain, render_value, parse_value,
 )
 from .trace import (

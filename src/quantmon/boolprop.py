@@ -27,7 +27,6 @@ class AcceptanceKind(enum.Enum):
     COSAFETY = "cosafety"
     BUCHI = "buchi"
     COBUCHI = "cobuchi"
-    FINITE_MEMBERSHIP = "finite-membership"
 
 
 # the kind of the complement property
@@ -35,7 +34,6 @@ _DUAL_KIND = {
     AcceptanceKind.SAFETY: AcceptanceKind.COSAFETY,
     AcceptanceKind.COSAFETY: AcceptanceKind.SAFETY,
     AcceptanceKind.BUCHI: AcceptanceKind.COBUCHI,
-    AcceptanceKind.FINITE_MEMBERSHIP: AcceptanceKind.COBUCHI,
     AcceptanceKind.COBUCHI: AcceptanceKind.BUCHI,
 }
 
@@ -118,7 +116,7 @@ class BooleanPropertyAutomaton:
         """States from which every infinite continuation is rejected, that
         is, accepted by the complement: the dual kind over the same traps
         (safety and co-safety) or over the other states (Buchi and
-        co-Buchi; finite-membership reads as Buchi)."""
+        co-Buchi)."""
         dual = _DUAL_KIND[self.kind]
         if self.kind in (AcceptanceKind.SAFETY, AcceptanceKind.COSAFETY):
             return self._accepted_everywhere(dual, self.accepting)
@@ -138,7 +136,7 @@ class BooleanPropertyAutomaton:
         if kind is AcceptanceKind.COBUCHI:
             reach = self.reachable(q)
             return not any(self._on_cycle(n, reach) for n in reach & others)
-        return not self._has_cycle_within(self.reachable(q) & others)  # Buchi, finite-membership
+        return not self._has_cycle_within(self.reachable(q) & others)  # Buchi
 
     def __repr__(self):
         return (f"<automaton {self.kind.value} |Q|={len(self.states)} "
@@ -173,11 +171,9 @@ def membership(P, t):
         return not (visited & acc)
     if P.kind is AcceptanceKind.COSAFETY:
         return bool(visited & acc)
-    if P.kind in (AcceptanceKind.BUCHI, AcceptanceKind.FINITE_MEMBERSHIP):
+    if P.kind is AcceptanceKind.BUCHI:
         return bool(recurring & acc)
-    if P.kind is AcceptanceKind.COBUCHI:
-        return recurring <= acc
-    raise AcceptanceKindError(f"unsupported kind {P.kind}")
+    return recurring <= acc  # co-Buchi
 
 
 def determines(P, s, polarity):
@@ -233,7 +229,7 @@ def monitor_cosafety(P):
 def monitor_response(P):
     """T exactly on the witness prefixes (those ending in an accepting state);
     its limsup on a lasso equals membership."""
-    if P.kind not in (AcceptanceKind.BUCHI, AcceptanceKind.FINITE_MEMBERSHIP):
+    if P.kind is not AcceptanceKind.BUCHI:
         raise AcceptanceKindError("monitor_response needs a Buchi automaton")
     acc = P.accepting
     return _state_output_verdict(P, lambda q: q in acc,
@@ -254,14 +250,13 @@ _CANONICAL_MONITORS = {
     AcceptanceKind.SAFETY: monitor_safety,
     AcceptanceKind.COSAFETY: monitor_cosafety,
     AcceptanceKind.BUCHI: monitor_response,
-    AcceptanceKind.FINITE_MEMBERSHIP: monitor_response,
     AcceptanceKind.COBUCHI: monitor_persistence,
 }
 
 
 def canonical_monitor(P):
     """The monitor construction for P's acceptance kind: safety, co-safety,
-    response (Buchi and finite-membership) or persistence (co-Buchi)."""
+    response (Buchi) or persistence (co-Buchi)."""
     return _CANONICAL_MONITORS[P.kind](P)
 
 

@@ -24,8 +24,8 @@ from . import precision as pr
 from . import qprop as qp
 from .errors import InputError, QuantmonError, TraceParseError
 from .trace import parse_finite, parse_lasso
-from .verdict import (LimitBudget, constant_verdict, count_switches, eval_liminf,
-                      eval_limsup, verdict_csv_lines, verdict_sequence)
+from .verdict import (DEFAULT_BUDGET, LimitBudget, constant_verdict, count_switches,
+                      eval_liminf, eval_limsup, verdict_csv_lines, verdict_sequence)
 
 
 def _read(path):
@@ -119,8 +119,12 @@ def cmd_run(args):
     verdict = mc.generated_verdict(machine)
     if args.stdin:
         run = mc.MachineRun(machine)
-        for raw in sys.stdin:
-            token = raw.split("#", 1)[0].strip()
+        for lineno, raw in enumerate(sys.stdin.buffer, 1):
+            try:
+                token = raw.decode("utf-8").split("#", 1)[0].strip()
+            except UnicodeDecodeError as exc:
+                raise InputError(f"standard input line {lineno} is not UTF-8 text "
+                                 f"(byte {exc.start})") from None
             if not token:
                 continue
             sys.stdout.write(dom.render_value(run.step(token)) + "\n")
@@ -225,7 +229,8 @@ def cmd_demo(args):
 
 
 # the options before the subcommand, each taking one integer, and defaults
-_GLOBAL_OPTIONS = {"--seed": 42, "--budget-iters": 1024, "--confirm-window": 3}
+_GLOBAL_OPTIONS = {"--seed": 42, "--budget-iters": DEFAULT_BUDGET.max_loop_iterations,
+                   "--confirm-window": DEFAULT_BUDGET.confirm_window}
 
 
 def _check_global_options(argv):

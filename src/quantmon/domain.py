@@ -6,7 +6,7 @@ Values are plain Python objects:
   exact; a ``Fraction`` is always reduced),
 * ``float('inf')`` / ``float('-inf')`` for the extremal numeric elements,
 * ``True`` / ``False`` for the boolean domains,
-* the ``BOT`` / ``TOP`` singletons for abstract extremal elements,
+* the ``BOT`` singleton for the abstract least element of ``Bbot``,
 * tuples for product domains.
 
 Each domain object owns membership checking, the order relation, and the
@@ -40,7 +40,6 @@ class _Extremum:
 
 
 BOT = _Extremum("bot")
-TOP = _Extremum("top")
 
 
 class _Incomparable:
@@ -69,7 +68,6 @@ class ValueDomain:
     """A partially ordered set of values, optionally with lattice structure."""
 
     name = "domain"
-    is_total = False
     is_lattice = False
     bottom = None
     top = None
@@ -174,7 +172,7 @@ class BooleanDomain(ValueDomain):
 
 
 def _key(v):
-    # BOT/TOP identity-keyed; booleans by value.
+    # BOT identity-keyed; booleans by value.
     return id(v) if isinstance(v, _Extremum) else v
 
 
@@ -182,7 +180,6 @@ class NumericDomain(ValueDomain):
     """A totally ordered numeric domain (naturals, integers, or rationals
     extended with the relevant infinities)."""
 
-    is_total = True
     is_lattice = True
 
     def __init__(self, name, contains_fn, bottom, top):
@@ -257,7 +254,6 @@ class InverseDomain(ValueDomain):
     def __init__(self, inner):
         self.inner = inner
         self.name = f"inv:{inner.name}"
-        self.is_total = inner.is_total
         self.is_lattice = inner.is_lattice
         self.bottom = inner.top
         self.top = inner.bottom
@@ -353,13 +349,11 @@ def parse_domain(name):
 
 
 def render_value(v):
-    """Canonical text form: T, F, bot, top, inf, -inf, integers, p/q, tuples."""
+    """Canonical text form: T, F, bot, inf, -inf, integers, p/q, tuples."""
     if isinstance(v, bool):
         return "T" if v else "F"
     if v is BOT:
         return "bot"
-    if v is TOP:
-        return "top"
     if isinstance(v, float):
         if v == INF:
             return "inf"
@@ -394,8 +388,7 @@ def _top_level_parts(text, sep=","):
 def parse_value(text, domain=None):
     """Inverse of :func:`render_value`, nested tuples included."""
     text = text.strip()
-    simple = {"T": True, "F": False, "bot": BOT, "top": TOP,
-              "inf": INF, "-inf": NEG_INF}
+    simple = {"T": True, "F": False, "bot": BOT, "inf": INF, "-inf": NEG_INF}
     try:
         if text in simple:
             v = simple[text]

@@ -70,7 +70,7 @@ from fractions import Fraction
 
 from . import domain as dom
 from .errors import MachineError
-from .qprop import server_alphabet
+from .qprop import QuantitativeProperty, server_alphabet
 from .trace import Alphabet, read_sections
 from .verdict import Monotonicity, VerdictFunction, _fold
 
@@ -1276,7 +1276,6 @@ def eval_pk(t, k):
 
 
 def pk_property(k):
-    from .qprop import QuantitativeProperty
     return QuantitativeProperty(f"pk:{k}", dom.NATINF, lambda t: eval_pk(t, k),
                                 alphabet=pk_alphabet(k))
 
@@ -1374,7 +1373,6 @@ def eval_binary_pk(t):
 
 
 def binary_pk_property():
-    from .qprop import QuantitativeProperty
     return QuantitativeProperty("binary-pk", dom.NATINF, eval_binary_pk,
                                 alphabet=BINARY_ALPHABET)
 
@@ -1449,6 +1447,5 @@ def eval_doubling(t):
 
 
 def doubling_property():
-    from .qprop import QuantitativeProperty
     return QuantitativeProperty("doubling", dom.NATINF, eval_doubling,
                                 alphabet=DOUBLING_ALPHABET)

@@ -37,10 +37,6 @@ class LassoSuite:
         if any(t.alphabet != first for t in self.traces):
             raise ValueError("suite traces must share an alphabet")
 
-    @property
-    def alphabet(self):
-        return self.traces[0].alphabet
-
     def __iter__(self):
         return iter(self.traces)
 

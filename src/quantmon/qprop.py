@@ -26,15 +26,11 @@ from .verdict import FunctionStepper, Monotonicity, VerdictFunction
 class ServerAlphabet:
     req_tokens: tuple
     ack_tokens: tuple
-    other_token: str = "other"
+    other_token = "other"
 
     def __post_init__(self):
         if len(self.req_tokens) != len(self.ack_tokens) or not self.req_tokens:
             raise ValueError("request and acknowledgement token lists must pair up")
-
-    @property
-    def k(self):
-        return len(self.req_tokens)
 
     @property
     def alphabet(self):
@@ -259,9 +255,7 @@ def eval_discounted_cosafety(P, t):
 
 
 def _shortest_distance(P, q, targets):
-    """Fewest steps from q into ``targets`` (None if unreachable)."""
-    if q in targets:
-        return 0
+    """Fewest steps from q, outside ``targets``, into them (None if unreachable)."""
     dist = {q: 0}
     frontier = [q]
     while frontier:
@@ -279,35 +273,16 @@ def _shortest_distance(P, q, targets):
     return None
 
 
-def _longest_avoidance(P, q, targets):
-    """Maximal steps staying outside ``targets`` from q, or None when some
-    run avoids the targets forever."""
-    avoid = frozenset(P.states) - frozenset(targets)
-    region = P.reachable(q, allowed=avoid)
-    if P._has_cycle_within(region):
-        return None
-    memo = {}
-
-    def depth(state):
-        if state in memo:
-            return memo[state]
-        best = 0
-        for a in P.alphabet:
-            nxt = P.step(state, a)
-            best = max(best, 1 if nxt in targets else 1 + depth(nxt))
-        memo[state] = best
-        return best
-
-    return depth(q) if q in avoid else 0
-
-
 def _discounted_at(P, s, targets, value, continue_by):
     """The sup or inf of a discounted value over the continuations of ``s``:
     the value of the first hit of ``targets`` within ``s``, or else of the
-    hit ``continue_by`` more steps later, ``_shortest_distance`` for the
-    earliest and ``_longest_avoidance`` for the latest (None: never)."""
+    hit ``continue_by`` more steps later (None: never)."""
+    # ``targets`` is the negatively (positively) determined set, so a state
+    # outside it has an accepted (rejected) continuation, and that run never
+    # enters the set: the latest hit is never, and only the earliest needs
+    # ``_shortest_distance``
     n, q = _first_hit(P, s, targets)
-    if n is None:
+    if n is None and continue_by is not None:
         d = continue_by(P, q, targets)
         n = None if d is None else len(s) + d
     return value(n)
@@ -486,7 +461,7 @@ def discounted_safety_property(P):
                                 lambda t: eval_discounted_safety(P, t),
                                 alphabet=P.alphabet,
                                 nu_at=lambda s: _discounted_at(
-                                    P, s, P.neg_states, _refuted_value, _longest_avoidance),
+                                    P, s, P.neg_states, _refuted_value, None),
                                 mu_at=lambda s: _discounted_at(
                                     P, s, P.neg_states, _refuted_value, _shortest_distance))
 
@@ -498,7 +473,7 @@ def discounted_cosafety_property(P):
                                 nu_at=lambda s: _discounted_at(
                                     P, s, P.pos_states, _confirmed_value, _shortest_distance),
                                 mu_at=lambda s: _discounted_at(
-                                    P, s, P.pos_states, _confirmed_value, _longest_avoidance))
+                                    P, s, P.pos_states, _confirmed_value, None))
 
 
 def energy_property(A):

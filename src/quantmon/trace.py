@@ -3,7 +3,8 @@
 A lasso ``u ; v`` stands for the infinite trace u v v v ...  Trace files are
 whitespace-tokenized, ``#`` starts a comment, and a single ``;`` separates
 the stem from the loop in lasso files.  The parsers check each distinct
-token once against the alphabet, and a parsed trace is not checked again.
+token once against the alphabet; no trace built from checked symbols is
+checked again.
 """
 
 import itertools
@@ -97,7 +98,7 @@ class LassoTrace:
         """The length-i finite prefix of the infinite trace."""
         stem, loop = self.stem.symbols, self.loop.symbols
         unrollings = max(0, -(-(i - len(stem)) // len(loop)))
-        return FiniteTrace((stem + loop * unrollings)[:i], self.alphabet)
+        return _checked_trace((stem + loop * unrollings)[:i], self.alphabet)
 
     def prepend(self, finite):
         """The lasso for ``finite`` followed by this infinite trace.  The
@@ -202,7 +203,7 @@ def all_finite_traces(alphabet, max_len, min_len=0):
     """Every finite trace with min_len <= length <= max_len, shortest first."""
     for n in range(min_len, max_len + 1):
         for syms in itertools.product(alphabet.symbols, repeat=n):
-            yield FiniteTrace(syms, alphabet)
+            yield _checked_trace(syms, alphabet)
 
 
 def all_lassos(alphabet, max_stem, max_loop):
@@ -214,7 +215,7 @@ def all_lassos(alphabet, max_stem, max_loop):
 
 
 def random_finite_trace(rng, alphabet, length):
-    return FiniteTrace(tuple(rng.choice(alphabet.symbols) for _ in range(length)), alphabet)
+    return _checked_trace(tuple(rng.choice(alphabet.symbols) for _ in range(length)), alphabet)
 
 
 def random_lasso(rng, alphabet, max_stem, max_loop):

@@ -476,7 +476,7 @@ def combine_product(v1, v2):
 
 def _monotonicity_samples(d):
     if isinstance(d, dom.BooleanDomain):
-        return [v for v in (True, False, dom.BOT, dom.TOP) if d.contains(v)]
+        return [v for v in (True, False, dom.BOT) if d.contains(v)]
     if isinstance(d, dom.NumericDomain):
         pts = [0, 1, 2, 3, 5, 8, 13, 21, -1, -4, Fraction(1, 2), Fraction(4, 3),
                dom.INF, dom.NEG_INF]

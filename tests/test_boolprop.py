@@ -10,9 +10,9 @@ from quantmon.boolprop import AcceptanceKind, Side
 from quantmon.errors import AcceptanceKindError, AutomatonError
 from quantmon.trace import (Alphabet, FiniteTrace, all_finite_traces, all_lassos,
                             lasso, parse_lasso)
-from quantmon.verdict import (LimitBudget, Monotonicity, check_monotone,
-                              count_switches, eval_limsup, prefix_verdict,
-                              verdict_sequence)
+from quantmon.verdict import (LimitBudget, LimitKind, Monotonicity, check_monotone,
+                              constant_verdict, count_switches, eval_limsup,
+                              prefix_verdict, verdict_sequence)
 
 SMALL = LimitBudget(max_loop_iterations=48)
 
@@ -45,7 +45,7 @@ def brute_membership(P, t, unrollings=None):
         return not (visited_everywhere & P.accepting)
     if P.kind is AcceptanceKind.COSAFETY:
         return bool(visited_everywhere & P.accepting)
-    if P.kind in (AcceptanceKind.BUCHI, AcceptanceKind.FINITE_MEMBERSHIP):
+    if P.kind is AcceptanceKind.BUCHI:
         return bool(cycle_states & P.accepting)
     return cycle_states <= P.accepting
 
@@ -80,6 +80,15 @@ class TestAutomatonValidation:
         text = ("alphabet: a\nstates: q\ninitial: q\naccept-kind: safety\n"
                 "accept:\nq a -> q\nq a -> q\n")
         with pytest.raises(AutomatonError):
+            bp.load_automaton(text)
+
+
+    def test_finite_membership_is_no_kind(self, inf_often_a):
+        # it was Buchi under a second name
+        assert [k.value for k in AcceptanceKind] == ["safety", "cosafety", "buchi", "cobuchi"]
+        text = bp.render_automaton(inf_often_a).replace("accept-kind: buchi",
+                                                        "accept-kind: finite-membership")
+        with pytest.raises(AutomatonError, match="bad accept-kind"):
             bp.load_automaton(text)
 
 
@@ -191,15 +200,10 @@ class TestSafetyAndCosafetyMonitors:
                 assert res.value == bp.membership(P, t)
 
     def test_canonical_monitor_by_kind(self, never_b, eventually_a, inf_often_a,
-                                       ev_always_a, ab):
-        finite = bp.BooleanPropertyAutomaton(ab, inf_often_a.states, inf_often_a.initial,
-                                             inf_often_a.transitions,
-                                             AcceptanceKind.FINITE_MEMBERSHIP,
-                                             inf_often_a.accepting)
+                                       ev_always_a):
         assert [bp.canonical_monitor(P).name
-                for P in (never_b, eventually_a, inf_often_a, finite, ev_always_a)] == \
-            ["safety-monitor", "cosafety-monitor", "response-monitor", "response-monitor",
-             "persistence-monitor"]
+                for P in (never_b, eventually_a, inf_often_a, ev_always_a)] == \
+            ["safety-monitor", "cosafety-monitor", "response-monitor", "persistence-monitor"]
 
     def test_kind_mismatch(self, never_b, eventually_a):
         with pytest.raises(AcceptanceKindError):
@@ -331,6 +335,66 @@ class TestReactivity:
         assert dom.BBOT.le(res.value, True)
 
 
+def _table(alphabet, rows):
+    return {(q, a): rows[q].get(a, rows[q]["*"]) for q in rows for a in alphabet}
+
+
+ABC = Alphabet(("a", "b", "c"))
+# infinitely often a until the first c, which kills the response part
+CUT_RESPONSE = bp.BooleanPropertyAutomaton(
+    ABC, ("r0", "r1", "dead"), "r0",
+    _table(ABC, {"r0": {"a": "r1", "c": "dead", "*": "r0"},
+                 "r1": {"a": "r1", "c": "dead", "*": "r0"}, "dead": {"*": "dead"}}),
+    AcceptanceKind.BUCHI, {"r1"})
+
+
+def _c_switch(accept_after_c):
+    """Persistence: the first c leads to an accepting (or a rejecting) trap."""
+    return bp.BooleanPropertyAutomaton(
+        ABC, ("p", "after"), "p", _table(ABC, {"p": {"c": "after", "*": "p"},
+                                               "after": {"*": "after"}}),
+        AcceptanceKind.COBUCHI, {"after"} if accept_after_c else {"p"})
+
+
+class TestReactivityDetermination:
+    @pytest.mark.parametrize("accept_after_c,text,value", [
+        (True, "a c ; a", True),
+        (False, "a c ; a", False),
+        (False, "; a", True),
+        (True, "; b", dom.BOT),
+    ])
+    def test_persistence_part_after_the_response_part_dies(self, accept_after_c, text,
+                                                           value):
+        # after c the response part is negatively determined and the
+        # persistence part positively (the conjunct is done, T) or negatively
+        # (the output is pinned to F)
+        reactivity = bp.ReactivityList(((CUT_RESPONSE, _c_switch(accept_after_c)),))
+        t = parse_lasso(text, ABC)
+        res = eval_limsup(bp.monitor_reactivity(reactivity), t, SMALL)
+        assert (res.value, res.kind) == (value, LimitKind.EXACT)
+        assert dom.BBOT.le(res.value, reactivity.membership(t))
+
+    def test_approximates_from_below_on_random_lists(self, ab):
+        rng = random.Random(11)
+        suite = list(all_lassos(ab, 2, 2))
+
+        def random_automaton(kind):
+            states = ("p", "q", "r")
+            transitions = {(q, a): rng.choice(states) for q in states for a in ab}
+            return bp.BooleanPropertyAutomaton(ab, states, "p", transitions, kind,
+                                               {q for q in states if rng.random() < 0.5})
+
+        for _ in range(60):
+            reactivity = bp.ReactivityList(tuple(
+                (random_automaton(AcceptanceKind.BUCHI), random_automaton(AcceptanceKind.COBUCHI))
+                for _ in range(rng.randint(1, 2))))
+            monitor = bp.monitor_reactivity(reactivity)
+            for t in suite:
+                res = eval_limsup(monitor, t, SMALL)
+                if res.is_determined:
+                    assert dom.BBOT.le(res.value, reactivity.membership(t)), t.render()
+
+
 class TestAnyExistential:
     def test_never_determined_buchi_gives_constant_false(self, inf_often_a, ab):
         v = bp.monitor_any_existential(inf_often_a)
@@ -375,6 +439,28 @@ class TestClassifyModality:
                                       qp.mrt_property(), Side.BELOW, suite,
                                       budget=SMALL)
         assert report.approximate_ok and not report.universal_ok
+
+
+    def test_failed_checks_and_unresolved_limits_are_reported(self, eventually_a, ab):
+        suite = list(all_lassos(ab, 1, 1))
+        always_true = lambda t: True
+        over = bp.classify_modality(constant_verdict(dom.BT, True),
+                                    bp.characteristic_property(eventually_a),
+                                    Side.BELOW, suite, budget=SMALL)
+        assert over.summary() == "side=below approximate=FAIL universal=FAIL"
+        assert [w[0].render() for w in over.approximate_witnesses] == ["; b", "b ; b"]
+        under = bp.classify_modality(constant_verdict(dom.BT, False), always_true,
+                                     Side.BELOW, suite, budget=SMALL,
+                                     existential_prefix_len=1)
+        assert under.summary() == \
+            "side=below approximate=pass universal=FAIL existential=FAIL"
+        assert [s.render() for s in under.existential_witnesses] == ["", "a", "b"]
+        switching = prefix_verdict(dom.B, lambda s: len(s) % 2 == 0)
+        unresolved = bp.classify_modality(switching, always_true, Side.BELOW, suite,
+                                          budget=SMALL)
+        assert len(unresolved.unresolved) == len(suite) == 6
+        assert unresolved.summary() == \
+            "side=below approximate=FAIL universal=FAIL unresolved=6"
 
 
 class TestEquivalenceConstructions:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -8,8 +9,9 @@ import pytest
 from quantmon import boolprop as bp
 from quantmon import machine as mc
 from quantmon import domain as dom
-from quantmon.cli import _verdict_for, main
+from quantmon.cli import _build_parser, _verdict_for, main
 from quantmon.trace import Alphabet
+from quantmon.verdict import DEFAULT_BUDGET, LimitBudget
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +151,22 @@ class TestRun:
             assert proc.wait(timeout=60) == 141
         assert stderr == b""
 
+    @pytest.mark.parametrize("events,verdicts,error", [
+        (b"req\n\xff\nack\n", ["0"], "standard input line 2 is not UTF-8 text (byte 0)"),
+        (b"req\nack\n# \xc3\x28\nreq\n", ["0", "1"],
+         "standard input line 3 is not UTF-8 text (byte 2)"),
+    ], ids=["lone-byte", "bad-sequence-in-comment"])
+    def test_streaming_non_utf8_line_exits_2(self, events, verdicts, error):
+        # the lines before the bad one get their verdicts; a surrogate-escaped
+        # symbol used to reach the machine and be named as outside its alphabet
+        proc = subprocess.run(
+            [sys.executable, "-m", "quantmon.cli", "run",
+             str(DEMOS / "machines/mmax.mspec"), "--stdin"],
+            input=events, capture_output=True)
+        assert proc.returncode == 2
+        assert proc.stdout.decode().splitlines() == verdicts
+        assert proc.stderr.decode().splitlines() == [f"error: {error}"]
+
 
 class TestEval:
     def test_mrt(self, workdir, capsys):
@@ -174,6 +192,11 @@ class TestEval:
         path.write_text("req1 ack1 req2 other ack2 ; other\n")
         code, out, _ = run_cli(["eval", "kmrt:2", path], capsys)
         assert code == 0 and out.strip() == "(1,2)"
+
+    def test_discounted_cosafety(self, capsys):
+        code, out, _ = run_cli(["eval", f"disc-cosafe:{DEMOS / 'automata/eventually_a.aut'}",
+                                DEMOS / "traces/ab.lasso"], capsys)
+        assert code == 0 and out.strip() == "1/2"
 
     def test_bad_selector(self, workdir, capsys):
         code, _, err = run_cli(["eval", "nosuch", workdir / "ab.lasso"], capsys)
@@ -212,6 +235,16 @@ class TestCompare:
         assert alphabet is None
         assert verdict.codomain == dom.product(dom.NATINF, 2)
         assert verdict.stepper(None).value == (0, 0)
+
+
+    def test_art_selector_gives_the_pinned_report(self, capsys, monkeypatch):
+        # the same report, byte for byte, as the packaging check in CI
+        monkeypatch.chdir(DEMOS.parent)
+        code, out, _ = run_cli(["compare", "machine:demos/machines/mavg.mspec", "art",
+                                "--suite", "exhaustive:2:3"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "63914007ec251b59a1d7996257f8833e19cd30bd566a3d065a0bdec4a57aa54b"
 
 
 class TestInputErrors:
@@ -353,6 +386,30 @@ class TestInputErrors:
                                 "--suite", "exhaustive:1:1"], capsys)
         assert code == 0 and out == run_cli(["compare", "mrt", "mrt", "--suite",
                                              "exhaustive:1:1"], capsys)[1]
+
+    def test_global_option_defaults_are_the_default_budget(self):
+        args = _build_parser().parse_args(["demo", "fig1"])
+        assert LimitBudget(args.budget_iters, args.confirm_window) == DEFAULT_BUDGET
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--he"], ["--seed", "3", "--help"]])
+    def test_help_before_the_subcommand(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: quantmon")
+
+    def test_removed_kind_and_value_are_rejected(self, tmp_path, capsys):
+        # finite-membership was Buchi under a second name; no domain holds top
+        aut = tmp_path / "finite.aut"
+        aut.write_text((DEMOS / "automata/inf_often_a.aut").read_text()
+                       .replace("accept-kind: buchi", "accept-kind: finite-membership"))
+        assert "finite-membership" in aut.read_text()
+        for argv in (["classify", aut],
+                     ["compare", "machine:" + str(DEMOS / "machines/mmax.mspec"),
+                      "const:Bt:top", "--suite", "exhaustive:1:1"]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestClassify:

@@ -83,6 +83,15 @@ class TestBounds:
         assert dom.NATINF.inf([]) == dom.INF
         assert dom.RATINF.sup([]) == dom.NEG_INF
 
+    def test_empty_bounds_of_a_product(self):
+        pair = dom.product(dom.NATINF, 2)
+        assert pair.sup([]) == (0, 0)
+        assert pair.inf([]) == (dom.INF, dom.INF)
+        flat = dom.product(dom.B, 2)
+        for bound in (flat.sup, flat.inf):
+            with pytest.raises(NoBoundError, match="prod:B:2"):
+                bound([])
+
     def test_singleton_sup_is_identity(self):
         for d, v in ((dom.B, True), (dom.NATINF, 7), (dom.BBOT, dom.BOT)):
             assert d.sup([v]) == v
@@ -95,6 +104,13 @@ class TestBounds:
             dom.B.sup([True, 3])
         with pytest.raises(DomainMismatchError):
             dom.NATINF.check(True)  # booleans are not numbers here
+
+    def test_numeric_carriers(self):
+        for d in (dom.NATINF, dom.INTINF, dom.RATINF):
+            assert not d.contains(True) and not d.contains(False)
+        assert dom.INTINF.contains(Fraction(-4, 2)) and dom.INTINF.contains(dom.NEG_INF)
+        assert not dom.INTINF.contains(Fraction(1, 2))
+        assert dom.RATINF.contains(Fraction(1, 2))
 
 
 nat_values = st.one_of(st.integers(min_value=0, max_value=40), st.just(dom.INF))
@@ -137,6 +153,10 @@ class TestNamesAndRendering:
         d = dom.parse_domain(name)
         assert d.name == name or name.startswith("prod:inv")  # nested keeps semantics
 
+    def test_equal_domains_hash_alike(self):
+        assert {dom.product(dom.NATINF, 2): "pair"}[dom.parse_domain("prod:natinf:2")] == "pair"
+        assert len({dom.inverse(dom.BT), dom.parse_domain("inv:Bt"), dom.BT}) == 2
+
     def test_parse_domain_rejects_garbage(self):
         with pytest.raises(UnsupportedDomainError):
             dom.parse_domain("nosuch")
@@ -168,6 +188,13 @@ class TestNamesAndRendering:
     def test_parse_value_rejects_garbage(self, text):
         with pytest.raises(InputError):
             dom.parse_value(text)
+
+    def test_top_is_no_value(self):
+        # no domain holds an abstract top element, so there is no text for it
+        assert not hasattr(dom, "TOP")
+        for d in (None, dom.BBOT, dom.BT):
+            with pytest.raises(InputError, match="cannot parse value 'top'"):
+                dom.parse_value("top", d)
 
 
 class TestArithmeticConventions:

@@ -24,6 +24,19 @@ SMALL = LimitBudget(max_loop_iterations=48)
 FIG = "req ack req other ack req ack other"
 
 
+# a valid two-state counter machine that the bad-file tests break one line at a time
+SMALL_MACHINE = """registers: x y
+instruction-set: counter
+states: p q
+initial: p
+edge: p a [true] / x:=x+1 -> q
+edge: q a [x>=y] / y:=y+1 -> p
+edge: q a [!(x>=y)] -> q
+output: p = x
+output: q = y
+"""
+
+
 class TestValidation:
     def test_two_unguarded_edges_rejected(self):
         a = Alphabet(("a",))
@@ -160,6 +173,42 @@ class TestFileFormat:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == [f"error: {error}"]
+
+    @pytest.mark.parametrize("old,new,error", [
+        ("registers: x y\n", "registers: x y x\n", "duplicate register names"),
+        ("states: p q\n", "states: p q p\n", "duplicate state names"),
+        ("initial: p\n", "initial: r\n", "unknown initial state 'r'"),
+        ("x:=x+1 -> q", "x:=x+1 -> r", "references unknown states"),
+        ("output: q = y\n", "", "state 'q' has no output"),
+        ("[x>=y] / y:=y+1", "[x>=w] / y:=y+1", "guard x>=w uses unknown register"),
+        ("/ x:=x+1", "/ w:=w+1", "update w:=w+1 uses unknown register"),
+        ("[x>=y] / y:=y+1", "[x>=2] / y:=y+1",
+         "guard atom x>=2 not allowed by instruction set counter"),
+        ("/ x:=x+1", "/ x:=x+1, x:=0", "p--a: register assigned twice"),
+        ("[x>=y] / y:=y+1 -> p\nedge: q a [!(x>=y)] -> q\n",
+         "[x>=y & x>=0] / y:=y+1 -> p\nedge: q a [!(x>=y) & x>=0] -> q\n"
+         "edge: q a [x>=y & !(x>=0)] -> q\n",
+         "guards from 'q' on 'a' do not cover all cases (3 of 4 sign patterns)"),
+        ("[x>=y] / y:=y+1", "[x>=] / y:=y+1", "line 6: malformed guard atom 'x>='"),
+        ("x:=x+1 -> q", "x:=x+1 q", "line 5: edge has no '->'"),
+        ("edge: p a [true]", "edge: p a [true", "line 5: malformed guard brackets"),
+        ("edge: p a [true]", "edge: p a [true] b", "line 5: malformed guard brackets"),
+        ("edge: p a [true]", "edge: p [true]", "line 5: edge head must be 'state symbol'"),
+        ("output: q = y", "output: q y", "line 9: output line needs '='"),
+        ("output: q = y\n", "output: q = y\nbogus line\n", "line 10: cannot parse 'bogus line'"),
+        ("counter", "quantum", "unknown instruction set ['quantum']"),
+    ], ids=["duplicate-register", "duplicate-state", "unknown-initial", "undeclared-target",
+            "no-output", "guard-register", "update-register", "atom-outside-set",
+            "assigned-twice", "missing-sign-pattern", "malformed-atom", "no-arrow",
+            "open-bracket", "text-after-bracket", "edge-head", "output-without-eq",
+            "unparsable-line", "instruction-set"])
+    def test_bad_machine_files(self, old, new, error):
+        """Each reachable MachineError of loading and lowering a file; the
+        errors met while reading an edge or output line name that line."""
+        assert mc.load_machine(SMALL_MACHINE).states == ("p", "q")
+        assert old in SMALL_MACHINE
+        with pytest.raises(MachineError, match=re.escape(error)):
+            mc.load_machine(SMALL_MACHINE.replace(old, new, 1))
 
     @pytest.mark.parametrize("text", [
         "x>=", ">=y", "x>=y z", "x>=--1", "x>=1.5", "1>=x", "x>=y>=z", "x", "!(x>=)",
@@ -600,6 +649,21 @@ class TestBinary:
         # a block of value 2 with no prior block of value 1
         assert mc.eval_binary_pk(t) == 1
 
+    @pytest.mark.parametrize("n,value", [(5, 19), (20, 79), (200, 799)])
+    def test_delayed_violation(self, n, value):
+        # each loop adds two blocks of value 2 and one of value 1, so the
+        # n blocks of value 1 in the stem run out after about n loops
+        t = parse_lasso("1 mark " * n + "; 1 0 mark 1 0 mark 1 mark", mc.BINARY_ALPHABET)
+        assert mc.eval_binary_pk(t) == value == _scan_binary_pk(t, 3000)
+        res = eval_liminf(mc.generated_verdict(mc.build_binary_pk(3)), t)
+        assert (res.value, res.kind) == (value, LimitKind.EXACT)
+
+    def test_loop_without_marks_never_violates(self):
+        t = parse_lasso("1 mark ; 1 1 0", mc.BINARY_ALPHABET)
+        assert mc.eval_binary_pk(t) == dom.INF == _scan_binary_pk(t, 3000)
+        res = eval_liminf(mc.generated_verdict(mc.build_binary_pk(3)), t)
+        assert (res.value, res.kind) == (dom.INF, LimitKind.EXACT)
+
     def test_machines_match_oracle_when_tracked(self):
         m = mc.build_binary_pk(3)
         v = mc.generated_verdict(m)
@@ -612,6 +676,23 @@ class TestBinary:
             assert dom.NATINF.le(truth, res.value), text
             if truth != dom.INF and truth == res.value:
                 assert res.value == truth
+
+
+def _scan_binary_pk(t, iterations):
+    """The number of separators up to the first block whose value v >= 2
+    has occurred more often than v - 1, over the stem and ``iterations``
+    loops; inf when there is none."""
+    counts, block, marks = {}, 0, 0
+    for sym in t.prefix(len(t.stem) + iterations * len(t.loop)):
+        if sym != "mark":
+            block = 2 * block + int(sym)
+            continue
+        marks += 1
+        counts[block] = counts.get(block, 0) + 1
+        if block >= 2 and counts[block] > counts.get(block - 1, 0):
+            return marks
+        block = 0
+    return dom.INF
 
 
 class TestDoubling:
@@ -960,6 +1041,15 @@ class TestLoopAcceleration:
                                {"q": out}, mc.InstructionSet.EXTENDED, codomain)
         res = eval_limsup(mc.generated_verdict(m), lasso(("a",) * 3000, ("a",), a))
         assert (res.value, res.kind, res.iterations_used) == (value, kind, 2)
+
+    def test_still_quotient_settles_while_another_register_counts(self):
+        # the loop moves z but neither register of the quotient, so the
+        # configuration never recurs and acceleration reads t/c at the start
+        m = mc.load_machine("registers: t c z\ninstruction-set: extended\nstates: q\n"
+                            "initial: q\nedge: q a [true] / t:=1, c:=1 -> q\n"
+                            "edge: q b [true] / z:=z+1 -> q\noutput: q = (t)/(c)\n")
+        for res in _both_limits(mc.generated_verdict(m), parse_lasso("a ; b", m.alphabet)):
+            assert (res.render(), res.iterations_used) == ("exact,1", 2)
 
     @pytest.mark.parametrize("n", [0, 1, 7, 2000])
     @pytest.mark.parametrize("loop", ["a", "a a b", "b a"])

@@ -205,6 +205,23 @@ class TestReporting:
         assert {"trace", "limit_vab", "limit_va", "relation"} <= set(rows[0])
         assert rows[-1]["summary"] == "more-precise"
 
+    def test_incomparable_report_names_a_witness_pair(self, eventually_family, abc_suite):
+        report = pr.compare(eventually_family["ab"], eventually_family["bc"],
+                            abc_suite, Side.BELOW, SMALL)
+        summary = json.loads(pr.report_jsonl(report)[-1])
+        assert summary["summary"] == "incomparable"
+        # first where v_ab misses what v_bc sees, then the other way round
+        assert summary["witness_pair"] == ["; c", "; a"]
+
+    def test_summary_counts_unresolved_traces(self):
+        ab = Alphabet(("a", "b"))
+        wild = prefix_verdict(dom.NATINF, lambda s: len(s) ** 2, name="sq")
+        suite = pr.LassoSuite((parse_lasso("; a", ab), parse_lasso("a ; b", ab),
+                               parse_lasso("b ; a b", ab)), "three")
+        report = pr.compare(constant_verdict(dom.NATINF, 0), wild, suite, Side.BELOW, SMALL)
+        assert report.summary() == "undetermined (side=below, suite=three), unresolved=3"
+        assert json.loads(pr.report_jsonl(report)[-1])["unresolved"] == 3
+
     def test_suite_constructors(self):
         ab = Alphabet(("a", "b"))
         ex = pr.exhaustive_suite(ab, 1, 2)

@@ -282,6 +282,18 @@ class TestContinuationFunctionals:
         for g in itertools.islice(all_lassos(server, 2, 2), 0, None, 7):
             assert dom.NATINF.le(qp.eval_mrt(g.prepend(s.symbols)), bound)
 
+    def test_sampled_search_over_more_than_three_symbols(self):
+        # five symbols: the search draws seeded lassos instead of listing them
+        p = qp.kpair_property(2)
+        search = qp.QuantitativeProperty("kmrt:2-search", p.codomain, p.eval_lasso,
+                                         alphabet=p.alphabet)
+        s = FiniteTrace(("req1", "other", "other"), p.alphabet)
+        sampled = [qp.mu(p, s, qp.LassoSearchBudget(samples=n)) for n in (1, 5, 50)]
+        # the first n draws are a prefix of the first 50; pair 1 waits at least 3
+        assert sampled == [(dom.INF, dom.INF), (3, 0), (3, 0)]
+        assert qp.mu(p, s, qp.LassoSearchBudget(samples=50, seed=3)) == (3, 0)
+        assert qp.nu(search, s, qp.LassoSearchBudget(samples=5)) == (dom.INF, dom.INF)
+
     def test_art_mu_values(self, server):
         p = qp.art_property()
         assert p.mu_at(FiniteTrace((), server)) == 0

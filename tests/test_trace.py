@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from quantmon.errors import TraceParseError
 from quantmon.trace import (Alphabet, FiniteTrace, LassoTrace, _tokenize, all_lassos,
-                            all_finite_traces, lasso, parse_finite, parse_lasso)
+                            all_finite_traces, lasso, parse_finite, parse_lasso,
+                            random_finite_trace, random_lasso)
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +40,33 @@ class TestPrefix:
         ab = Alphabet(("a", "b"))
         t = lasso((), ("a", "b"), ab)
         assert t.prefix(5).symbols == ("a", "b", "a", "b", "a")
+
+
+class TestDerivedTraces:
+    """Traces built from the symbols of a checked trace or of the alphabet
+    are not checked again, and equal the checked traces."""
+
+    def test_equal_to_checked_traces(self, ra):
+        t = lasso(("req",), ("ack", "other"), ra)
+        assert t.prefix(4) == FiniteTrace(("req", "ack", "other", "ack"), ra)
+        assert list(all_finite_traces(ra, 2, min_len=2)) == \
+            [FiniteTrace(syms, ra) for syms in itertools.product(ra.symbols, repeat=2)]
+        drawn = random_finite_trace(random.Random(3), ra, 6)
+        assert drawn == FiniteTrace(drawn.symbols, ra) and len(drawn) == 6
+
+    def test_built_without_a_second_check(self, ra, monkeypatch):
+        t = lasso(("req",), ("ack", "other"), ra)
+
+        def refuse(self):
+            raise AssertionError("symbols checked again")
+
+        monkeypatch.setattr(FiniteTrace, "__post_init__", refuse)
+        assert t.prefix(4).symbols == ("req", "ack", "other", "ack")
+        assert len(list(all_finite_traces(ra, 2))) == 1 + 3 + 9
+        assert len(random_finite_trace(random.Random(3), ra, 6)) == 6
+        assert random_lasso(random.Random(3), ra, 2, 2).alphabet == ra
+        with pytest.raises(AssertionError, match="checked again"):
+            FiniteTrace(("req",), ra)
 
 
 class TestParsing:

@@ -108,6 +108,35 @@ class TestLimits:
         res = eval_limsup(pair, t)
         assert (res.value, res.kind) == ((dom.INF, 3), LimitKind.DIVERGED_TO_BOTTOM)
 
+    def test_cycle_without_bound_in_flat_b_is_undetermined(self):
+        # the configuration recurs after two iterations, but T and F have
+        # no sup in B, so the cycle proves nothing
+        factory = lambda alphabet: FunctionStepper(True, lambda st, sym: not st, lambda st: st)
+        v = VerdictFunction(dom.B, stepper_factory=factory)
+        res = eval_limsup(v, lasso((), ("a",), A))
+        assert (res.kind, res.value, res.iterations_used) == (LimitKind.UNDETERMINED, None, 2)
+
+    def test_escape_out_of_the_domain_is_undetermined(self):
+        # the countdown falls by 1 per iteration towards -inf, which natinf
+        # lacks; intinf holds it
+        factory = lambda alphabet: FunctionStepper(5000, lambda st, sym: st - 1, lambda st: st)
+        t = lasso((), ("a",), A)
+        res = eval_limsup(VerdictFunction(dom.NATINF, factory), t)
+        assert (res.kind, res.value, res.iterations_used) == \
+            (LimitKind.UNDETERMINED, None, 1024)
+        res = eval_limsup(VerdictFunction(dom.INTINF, factory), t)
+        assert (res.kind, res.value) == (LimitKind.DIVERGED_TO_BOTTOM, dom.NEG_INF)
+
+    def test_accelerated_limit_outside_the_codomain_keeps_stepping(self):
+        # acceleration finds the output heading for -inf, outside natinf,
+        # so the run steps on until the output leaves natinf at -1
+        m = mc.load_machine("registers: x\ninstruction-set: counter+-\nstates: q\n"
+                            "initial: q\nedge: q a [true] / x:=x+1 -> q\n"
+                            "edge: q b [true] / x:=x-1 -> q\noutput: q = x\n")
+        assert m.output_domain == dom.NATINF
+        with pytest.raises(DomainMismatchError, match="'-1'"):
+            eval_limsup(mc.generated_verdict(m), parse_lasso("a a a a a ; b", m.alphabet))
+
     def test_budget_preconditions(self):
         with pytest.raises(ValueError):
             LimitBudget(max_loop_iterations=2, confirm_window=3)
@@ -143,6 +172,11 @@ class TestMonotonicity:
     def test_constant_ties_toward_increasing(self):
         v = constant_verdict(dom.NATINF, 5)
         assert check_monotone(v, [lasso((), ("a",), A)], depth=4) is Monotonicity.INCREASING
+
+    def test_incomparable_steps_are_unrestricted(self):
+        # every step switches between T and F, which B leaves incomparable
+        v = prefix_verdict(dom.B, lambda s: len(s) % 2 == 0)
+        assert check_monotone(v, [lasso((), ("a",), A)], depth=4) is Monotonicity.UNRESTRICTED
 
     def test_decreasing(self):
         v = prefix_verdict(dom.NATINF, lambda s: max(0, 10 - len(s)))
@@ -244,6 +278,13 @@ class TestCombinators:
             s = FiniteTrace(tuple(text.split()), sa2)
             assert joint(s) == dom.NATINF.sup([v1(s), v2(s)])
 
+    def test_pair_has_a_configuration_only_when_both_operands_do(self, server):
+        st = combine_max(constant_verdict(dom.NATINF, 3), qp.mrt_verdict()).stepper(server)
+        st.step("req")
+        assert st.config() == ((), ("p", 0, 0))
+        replayed = combine_max(qp.mrt_verdict(), length_verdict())
+        assert replayed.stepper(server).config() is None
+
     def test_sum_requires_numeric(self):
         with pytest.raises(UnsupportedDomainError):
             combine_sum(constant_verdict(dom.BT, True), constant_verdict(dom.BT, True))
@@ -268,6 +309,20 @@ class TestMapContinuous:
     def test_non_monotone_function_rejected(self):
         with pytest.raises(InvalidFunctionError):
             map_continuous(length_verdict(), lambda x: 0 if x == dom.INF else dom.INF)
+
+    @pytest.mark.parametrize("codomain,monotone,antitone", [
+        (dom.BT, lambda v: True, lambda v: not v),
+        (dom.product(dom.NATINF, 2), lambda v: (v[1], v[0]),
+         lambda v: (1 if v[0] == 0 else 0, v[1])),
+        (dom.inverse(dom.NATINF), lambda v: min(v, 3), lambda v: 1 if v == 0 else 0),
+    ], ids=["Bt", "product", "inverse"])
+    def test_sample_grid_of_each_codomain(self, codomain, monotone, antitone):
+        v = constant_verdict(codomain, codomain.bottom)
+        mapped = map_continuous(v, monotone)
+        assert mapped.codomain == codomain
+        assert mapped(FiniteTrace(("a",), A)) == monotone(codomain.bottom)
+        with pytest.raises(InvalidFunctionError):
+            map_continuous(v, antitone)
 
 
 class TestComplement:
