@@ -17,7 +17,7 @@ from . import domain as dom
 from .errors import AcceptanceKindError, AutomatonError
 from .trace import Alphabet, all_finite_traces, all_lassos, read_sections
 from .verdict import (
-    FunctionStepper, LimitKind, Monotonicity, VerdictFunction,
+    FunctionStepper, LimitKind, VerdictFunction,
     DEFAULT_BUDGET, eval_liminf, eval_limsup,
 )
 
@@ -203,9 +203,9 @@ def characteristic_property(P):
 # -- monitor constructions ---------------------------------------------
 
 
-def _state_output_verdict(P, out_fn, codomain, monotonicity, name):
+def _state_output_verdict(P, out_fn, codomain, name):
     factory = lambda alphabet: FunctionStepper(P.initial, P.step, out_fn)
-    return VerdictFunction(codomain, factory, monotonicity, name)
+    return VerdictFunction(codomain, factory, name)
 
 
 def monitor_safety(P):
@@ -214,7 +214,7 @@ def monitor_safety(P):
         raise AcceptanceKindError("monitor_safety needs a safety automaton")
     neg = P.neg_states
     return _state_output_verdict(P, lambda q: False if q in neg else True,
-                                 dom.BF, Monotonicity.INCREASING, "safety-monitor")
+                                 dom.BF, "safety-monitor")
 
 
 def monitor_cosafety(P):
@@ -223,7 +223,7 @@ def monitor_cosafety(P):
         raise AcceptanceKindError("monitor_cosafety needs a co-safety automaton")
     pos = P.pos_states
     return _state_output_verdict(P, lambda q: q in pos,
-                                 dom.BT, Monotonicity.INCREASING, "cosafety-monitor")
+                                 dom.BT, "cosafety-monitor")
 
 
 def monitor_response(P):
@@ -233,7 +233,7 @@ def monitor_response(P):
         raise AcceptanceKindError("monitor_response needs a Buchi automaton")
     acc = P.accepting
     return _state_output_verdict(P, lambda q: q in acc,
-                                 dom.BT, Monotonicity.UNRESTRICTED, "response-monitor")
+                                 dom.BT, "response-monitor")
 
 
 def monitor_persistence(P):
@@ -243,7 +243,7 @@ def monitor_persistence(P):
         raise AcceptanceKindError("monitor_persistence needs a co-Buchi automaton")
     acc = P.accepting
     return _state_output_verdict(P, lambda q: q in acc,
-                                 dom.BF, Monotonicity.UNRESTRICTED, "persistence-monitor")
+                                 dom.BF, "persistence-monitor")
 
 
 _CANONICAL_MONITORS = {
@@ -268,7 +268,7 @@ def monitor_any_existential(P):
     """
     pos = P.pos_states
     return _state_output_verdict(P, lambda q: q in pos,
-                                 dom.BT, Monotonicity.INCREASING, "existential-monitor")
+                                 dom.BT, "existential-monitor")
 
 
 def _check_shared_alphabet(pairs, what):
@@ -339,7 +339,6 @@ def monitor_obligation(obligation):
 
     factory = lambda alphabet: FunctionStepper(init, step, out)
     return VerdictFunction(dom.B, stepper_factory=factory,
-                           monotonicity=Monotonicity.UNRESTRICTED,
                            name=f"obligation-monitor(k={len(pairs)})")
 
 
@@ -411,7 +410,6 @@ def monitor_reactivity(reactivity):
     start = (init, (_RESP,) * k, (False,) * k, True)
     factory = lambda alphabet: FunctionStepper(start, step, out)
     return VerdictFunction(dom.BBOT, stepper_factory=factory,
-                           monotonicity=Monotonicity.UNRESTRICTED,
                            name=f"reactivity-monitor(k={k})")
 
 
@@ -437,7 +435,6 @@ def smooth_bot(v):
             return None if c is None else (c, self._last)
 
     return VerdictFunction(dom.B, stepper_factory=_Smooth,
-                           monotonicity=Monotonicity.UNRESTRICTED,
                            name=f"smooth({v.name})")
 
 
@@ -568,14 +565,14 @@ def cobuchi_eventually_always(alphabet, target):
     return _hit_miss_automaton(alphabet, target, AcceptanceKind.COBUCHI)
 
 
-def first_symbol_is(alphabet, symbol, kind=AcceptanceKind.SAFETY):
-    """Both safe and co-safe: the first observation equals ``symbol``."""
+def first_symbol_is(alphabet, symbol):
+    """Both safe and co-safe: the first observation equals ``symbol``.  It
+    is given as a safety automaton whose trap is ``no``."""
     rows = {"start": {a: ("yes" if a == symbol else "no") for a in alphabet},
             "yes": {a: "yes" for a in alphabet},
             "no": {a: "no" for a in alphabet}}
-    accepting = {"no"} if kind is AcceptanceKind.SAFETY else {"yes"}
     return BooleanPropertyAutomaton(alphabet, ("start", "yes", "no"), "start",
-                                    _table(alphabet, rows), kind, accepting)
+                                    _table(alphabet, rows), AcceptanceKind.SAFETY, {"no"})
 
 
 def empty_cobuchi(alphabet):

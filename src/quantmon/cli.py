@@ -118,7 +118,7 @@ def cmd_run(args):
     machine = _load_machine_file(args.machine, args.domain)
     verdict = mc.generated_verdict(machine)
     if args.stdin:
-        run = mc.MachineRun(machine)
+        run, check = mc.MachineRun(machine), machine.output_domain.check
         for lineno, raw in enumerate(sys.stdin.buffer, 1):
             try:
                 token = raw.decode("utf-8").split("#", 1)[0].strip()
@@ -127,7 +127,7 @@ def cmd_run(args):
                                  f"(byte {exc.start})") from None
             if not token:
                 continue
-            sys.stdout.write(dom.render_value(run.step(token)) + "\n")
+            sys.stdout.write(dom.render_value(check(run.step(token))) + "\n")
             sys.stdout.flush()
         return 0
     text = _read(args.trace)

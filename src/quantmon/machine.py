@@ -65,14 +65,14 @@ import functools
 import itertools
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import domain as dom
 from .errors import MachineError
 from .qprop import QuantitativeProperty, server_alphabet
 from .trace import Alphabet, read_sections
-from .verdict import Monotonicity, VerdictFunction, _fold
+from .verdict import VerdictFunction, _fold
 
 
 class InstructionSet(enum.Enum):
@@ -154,6 +154,19 @@ class Edge:
     guard: Guard
     updates: tuple
     target: str
+    # the machine-file line the edge was read from, named in its errors
+    line: int = field(default=None, compare=False, repr=False)
+
+    def render(self):
+        """The edge in machine-file syntax, without the ``edge:`` key."""
+        upd = ", ".join(u.render() for u in self.updates)
+        head = f"{self.source} {self.symbol} [{self.guard.render()}]"
+        return f"{head} / {upd} -> {self.target}" if upd else f"{head} -> {self.target}"
+
+
+def _edge_error(edge, message):
+    """A MachineError about ``edge``, prefixed with its file line if known."""
+    return MachineError(message if edge.line is None else f"line {edge.line}: {message}")
 
 
 @dataclass(frozen=True)
@@ -315,7 +328,7 @@ def _select_source(tests):
 
 class RegisterMachine:
     def __init__(self, name, registers, states, alphabet, initial, edges, outputs,
-                 instruction_set, output_domain, monotonicity=Monotonicity.UNRESTRICTED):
+                 instruction_set, output_domain):
         self.name = name
         self.registers = tuple(registers)
         self.states = tuple(states)
@@ -325,7 +338,6 @@ class RegisterMachine:
         self.outputs = dict(outputs)
         self.instruction_set = instruction_set
         self.output_domain = output_domain
-        self.monotonicity = monotonicity
         self._lower()
 
     # -- validation and lowering -------------------------------------------
@@ -357,10 +369,10 @@ class RegisterMachine:
         for e in self.edges:
             src, dst = sid.get(e.source), sid.get(e.target)
             if src is None or dst is None:
-                raise MachineError(f"edge {e} references unknown states")
+                raise _edge_error(e, f"edge {e.render()} references unknown states")
             if e.symbol not in symbols:
-                raise MachineError(f"edge {e} uses symbol outside the alphabet")
-            atoms = tuple(tested.get(atom) or self._lower_atom(atom, rid, tested)
+                raise _edge_error(e, f"edge {e.render()} uses symbol outside the alphabet")
+            atoms = tuple(tested.get(atom) or self._lower_atom(e, atom, rid, tested)
                           for atom in e.guard.atoms) if e.guard.atoms else ()
             try:
                 update = builders[e.updates]
@@ -371,7 +383,7 @@ class RegisterMachine:
             arm = arms.get((dst, update))
             if arm is None:
                 arm = arms[dst, update] = (dst, rows[dst], update, outs[dst])
-            groups.setdefault((src, e.symbol), []).append((e.guard, atoms, arm))
+            groups.setdefault((src, e.symbol), []).append((e, atoms, arm))
         if len(groups) != len(rows) * len(symbols):
             for q in self.states:
                 for a in self.alphabet:
@@ -406,15 +418,15 @@ class RegisterMachine:
         lowered[id(out)] = fn = _compile(f"lambda v: {source}")
         return fn
 
-    def _lower_atom(self, atom, rid, tested):
-        """The atom's form and its negation flag, stored in ``tested``."""
+    def _lower_atom(self, edge, atom, rid, tested):
+        """The form and negation flag of ``edge``'s atom, kept in ``tested``."""
         try:
             form = _affine_form(atom.difference(), rid)
         except KeyError:
-            raise MachineError(f"guard {atom.render()} uses unknown register") from None
+            raise _edge_error(edge, f"guard {atom.render()} uses unknown register") from None
         if not _atom_allowed(atom, self.instruction_set):
-            raise MachineError(f"guard atom {atom.render()} not allowed by instruction "
-                               f"set {self.instruction_set.value}")
+            raise _edge_error(edge, f"guard atom {atom.render()} not allowed by "
+                                    f"instruction set {self.instruction_set.value}")
         tested[atom] = lowered = form, atom.negated
         return lowered
 
@@ -426,12 +438,13 @@ class RegisterMachine:
             try:
                 assigned.append((rid[u.target], _affine_form(u.value(), rid)))
             except KeyError:
-                raise MachineError(f"update {u.render()} uses unknown register") from None
+                raise _edge_error(edge, f"update {u.render()} uses unknown register") \
+                    from None
             if u.kind not in allowed:
-                raise MachineError(f"update {u.render()} not allowed by instruction "
-                                   f"set {self.instruction_set.value}")
+                raise _edge_error(edge, f"update {u.render()} not allowed by "
+                                        f"instruction set {self.instruction_set.value}")
         if len({t for t, _ in assigned}) != len(assigned):
-            raise MachineError(f"edge {edge.source}--{edge.symbol}: register assigned twice")
+            raise _edge_error(edge, f"edge {edge.render()} assigns a register twice")
         return tuple(assigned)
 
     def _lower_group(self, q, a, group):
@@ -441,16 +454,17 @@ class RegisterMachine:
         set exactly once, which makes exactly one edge fire.  Records the
         atom forms of each sign-pattern function in ``_tests``."""
         if len(group) == 1:
-            guard, atoms, arm = group[0]
+            edge, atoms, arm = group[0]
             if atoms:
-                raise MachineError(
+                raise _edge_error(
+                    edge,
                     f"single edge from {q!r} on {a!r} must carry the trivial guard; "
-                    f"got [{guard.render()}]")
+                    f"got [{edge.guard.render()}]")
             return None, arm
         tests = tuple(test for test, _ in group[0][1])
         position = {test: i for i, test in enumerate(tests)}
         table = [None] * (1 << len(tests))
-        for _, atoms, arm in group:
+        for edge, atoms, arm in group:
             seen = pattern = 0
             for test, negated in atoms:
                 i = position.get(test)
@@ -460,14 +474,16 @@ class RegisterMachine:
                 if not negated:
                     pattern |= 1 << i
             if len(atoms) != len(tests) or seen != len(table) - 1:
-                raise MachineError(
+                raise _edge_error(
+                    edge,
                     f"edges from {q!r} on {a!r} must split cases over one atom set")
             if table[pattern] is not None:
-                raise MachineError(f"overlapping guards from {q!r} on {a!r}")
+                raise _edge_error(edge, f"overlapping guards from {q!r} on {a!r}")
             table[pattern] = arm
         covered = len(table) - table.count(None)
         if covered != len(table):
-            raise MachineError(
+            raise _edge_error(
+                group[0][0],
                 f"guards from {q!r} on {a!r} do not cover all cases "
                 f"({covered} of {len(table)} sign patterns)")
         select = _compile(_select_source(tests))
@@ -676,7 +692,7 @@ def run(machine, s):
 def generated_verdict(machine):
     """The verdict function generated by the machine's output stream."""
     return VerdictFunction(machine.output_domain, lambda alphabet: MachineRun(machine),
-                           machine.monotonicity, machine.name)
+                           machine.name)
 
 
 # -- machine text format -------------------------------------------------
@@ -766,7 +782,7 @@ def _parse_output(text):
     return _parse_affine(text)
 
 
-def _parse_edge(body):
+def _parse_edge(body, line):
     head, arrow, target = body.rpartition("->")
     if not arrow:
         raise MachineError("edge has no '->'")
@@ -788,7 +804,7 @@ def _parse_edge(body):
     parts = head.split()
     if len(parts) != 2:
         raise MachineError("edge head must be 'state symbol'")
-    return Edge(parts[0], parts[1], guard, updates, target)
+    return Edge(parts[0], parts[1], guard, updates, target, line)
 
 
 def load_machine(text, output_domain=None, name="machine"):
@@ -802,7 +818,7 @@ def load_machine(text, output_domain=None, name="machine"):
         key = key.strip()
         try:
             if key == "edge" and sep:
-                edges.append(_parse_edge(rest))
+                edges.append(_parse_edge(rest, lineno))
             elif key == "output" and sep:
                 state, eq, expr = rest.partition("=")
                 state = state.strip()
@@ -841,10 +857,7 @@ def render_machine(machine):
              f"instruction-set: {machine.instruction_set.value}",
              f"states: {' '.join(machine.states)}",
              f"initial: {machine.initial}"]
-    for e in machine.edges:
-        upd = ", ".join(u.render() for u in e.updates)
-        upd_part = f" / {upd}" if upd else ""
-        lines.append(f"edge: {e.source} {e.symbol} [{e.guard.render()}]{upd_part} -> {e.target}")
+    lines.extend(f"edge: {e.render()}" for e in machine.edges)
     for q in machine.states:
         lines.append(f"output: {q} = {machine.outputs[q].render()}")
     return "\n".join(lines) + "\n"
@@ -903,8 +916,7 @@ def build_mmax():
     edges += [Edge("sink", a, TRUE_GUARD, (), "sink") for a in alphabet]
     outputs = {"idle": out_reg("y"), "pending": out_reg("y"), "sink": OUT_INF}
     return RegisterMachine("Mmax", ("x", "y"), ("idle", "pending", "sink"), alphabet,
-                           "idle", edges, outputs, InstructionSet.COUNTER, dom.NATINF,
-                           monotonicity=Monotonicity.INCREASING)
+                           "idle", edges, outputs, InstructionSet.COUNTER, dom.NATINF)
 
 
 def build_mavg():
@@ -991,8 +1003,7 @@ def build_finite_state_mrt(cap):
     consts = [out_const(c) for c in range(cap + 1)]
     outputs = {q: consts[values[q]] for q in states}
     return RegisterMachine(f"Mfin{cap}", (), tuple(states), alphabet, "i0", edges,
-                           outputs, InstructionSet.EXTENDED, dom.NATINF,
-                           monotonicity=Monotonicity.INCREASING)
+                           outputs, InstructionSet.EXTENDED, dom.NATINF)
 
 
 # -- k-pair response-time machines ----------------------------------------
@@ -1042,8 +1053,7 @@ def build_kpair_monitor(k):
             edges += _guarded_edges(st, sym, new, counting, extra)
     return RegisterMachine(f"Mkpair{k}", regs, tuple(_status_states(k)), sa.alphabet,
                            "I" * k, edges, outputs, InstructionSet.COUNTER,
-                           dom.product(dom.NATINF, k),
-                           monotonicity=Monotonicity.INCREASING)
+                           dom.product(dom.NATINF, k))
 
 
 def _served(statuses):
@@ -1082,8 +1092,7 @@ def _build_kpair_shared(k, max_reg_of, regs, name):
                 edges.append(Edge(st, sym, TRUE_GUARD, () if idle else restart, new))
     return RegisterMachine(name, regs, tuple(_status_states(k)), sa.alphabet, "I" * k,
                            edges, outputs, InstructionSet.COUNTER,
-                           dom.product(dom.NATINF, k),
-                           monotonicity=Monotonicity.INCREASING)
+                           dom.product(dom.NATINF, k))
 
 
 def build_kpair_priority(k):
@@ -1161,8 +1170,7 @@ def build_kpair_sequential(k):
     edges += [Edge("alldead", a, TRUE_GUARD, (), "alldead") for a in alphabet]
     return RegisterMachine(f"Mkseq{k}", ("z", "x"), tuple(states), alphabet,
                            f"{'I' * k}_t1_w", edges, outputs, InstructionSet.COUNTER,
-                           dom.product(dom.NATINF, k),
-                           monotonicity=Monotonicity.INCREASING)
+                           dom.product(dom.NATINF, k))
 
 
 def build_kpair_approx(k, counters):
@@ -1210,8 +1218,7 @@ def _build_pk(k, trackers, name):
         edges.append(Edge("frozen", str(j), TRUE_GUARD, (), "frozen"))
     outputs = {"live": OUT_INF, "frozen": out_reg("length")}
     return RegisterMachine(name, regs, ("live", "frozen"), alphabet, "live", edges,
-                           outputs, InstructionSet.COUNTER_INC_DEC, dom.NATINF,
-                           monotonicity=Monotonicity.DECREASING)
+                           outputs, InstructionSet.COUNTER_INC_DEC, dom.NATINF)
 
 
 def build_pk_monitor(k):
@@ -1317,8 +1324,7 @@ def build_binary_pk(k):
     outputs = {q: OUT_INF for q in states}
     outputs["frozen"] = out_reg("marks")
     return RegisterMachine(f"Mbin{k}", regs, tuple(states), alphabet, "v0", edges,
-                           outputs, InstructionSet.COUNTER_INC_DEC, dom.NATINF,
-                           monotonicity=Monotonicity.DECREASING)
+                           outputs, InstructionSet.COUNTER_INC_DEC, dom.NATINF)
 
 
 def eval_binary_pk(t):
@@ -1408,7 +1414,7 @@ def build_doubling_adder():
                "outside": _parse_output("2*y")}
     return RegisterMachine("Madd", ("x", "y"), ("virgin", "inblock", "outside"),
                            alphabet, "virgin", edges, outputs, InstructionSet.ADDER,
-                           dom.NATINF, monotonicity=Monotonicity.INCREASING)
+                           dom.NATINF)
 
 
 def build_doubling_counter():
@@ -1418,8 +1424,7 @@ def build_doubling_counter():
     edges.append(Edge("q", "b", TRUE_GUARD, (Update("c", "zero"),), "q"))
     outputs = {"q": _parse_output("2*m")}
     return RegisterMachine("Mcount", ("c", "m"), ("q",), alphabet, "q", edges,
-                           outputs, InstructionSet.COUNTER, dom.NATINF,
-                           monotonicity=Monotonicity.INCREASING)
+                           outputs, InstructionSet.COUNTER, dom.NATINF)
 
 
 def longest_a_run(s):

@@ -49,18 +49,19 @@ def exhaustive_suite(alphabet, max_stem=2, max_loop=3):
                       f"exhaustive:{max_stem}:{max_loop}")
 
 
-def sampled_suite(alphabet, count=500, seed=42, max_stem=4, max_loop=4):
+def sampled_suite(alphabet, count=500, seed=42):
+    """``count`` seeded random lassos with stem and loop of at most 4 symbols."""
     rng = random.Random(seed)
-    traces = tuple(random_lasso(rng, alphabet, max_stem, max_loop) for _ in range(count))
+    traces = tuple(random_lasso(rng, alphabet, 4, 4) for _ in range(count))
     return LassoSuite(traces, f"sample:{count}:seed{seed}")
 
 
-def default_suite(alphabet, seed=42):
-    """Exhaustive small lassos for alphabets up to 3 symbols, seeded samples
-    beyond, matching the harness defaults."""
+def default_suite(alphabet):
+    """Exhaustive small lassos for alphabets up to 3 symbols, 500 samples
+    of seed 42 beyond, matching the harness defaults."""
     if len(alphabet) <= 3:
         return exhaustive_suite(alphabet, 2, 3)
-    return sampled_suite(alphabet, 500, seed)
+    return sampled_suite(alphabet, 500, 42)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from . import domain as dom
 from .boolprop import AcceptanceKind, check_transition_table, read_transition_table
 from .errors import AcceptanceKindError, AutomatonError, DomainMismatchError
 from .trace import Alphabet, all_lassos, lasso, random_lasso
-from .verdict import FunctionStepper, Monotonicity, VerdictFunction
+from .verdict import FunctionStepper, VerdictFunction
 
 
 @dataclass(frozen=True)
@@ -78,35 +78,34 @@ def _mrt_out(state):
     return m
 
 
-def mrt(s, req="req", ack="ack"):
+def mrt(s):
     """Maximal response time of a finite trace (infinite on double requests)."""
     state = (_IDLE, 0, 0)
     for sym in s:
-        state = _mrt_step(state, sym, req, ack)
+        state = _mrt_step(state, sym)
     return _mrt_out(state)
 
 
 def mrt_verdict(req="req", ack="ack"):
     factory = lambda alphabet: FunctionStepper(
         (_IDLE, 0, 0), lambda st, sym: _mrt_step(st, sym, req, ack), _mrt_out)
-    return VerdictFunction(dom.NATINF, stepper_factory=factory,
-                           monotonicity=Monotonicity.INCREASING, name="mrt")
+    return VerdictFunction(dom.NATINF, stepper_factory=factory, name="mrt")
 
 
-def eval_mrt(t, req="req", ack="ack"):
+def eval_mrt(t):
     """Limit of the maximal-response-time verdict on a lasso."""
     state = (_IDLE, 0, 0)
     for sym in t.stem:
-        state = _mrt_step(state, sym, req, ack)
+        state = _mrt_step(state, sym)
     checkpoints = []
     for _ in range(4):
         for sym in t.loop:
-            state = _mrt_step(state, sym, req, ack)
+            state = _mrt_step(state, sym)
         checkpoints.append(_mrt_out(state))
     mode = state[0]
     if mode == _DEAD:
         return dom.INF
-    if mode == _PEND and ack not in t.loop.symbols:
+    if mode == _PEND and "ack" not in t.loop.symbols:
         return dom.INF
     assert checkpoints[-1] == checkpoints[-2], "response pattern failed to stabilize"
     return checkpoints[-1]
@@ -155,8 +154,7 @@ def art(s):
 
 def art_verdict():
     factory = lambda alphabet: FunctionStepper((_IDLE, 0, 0, 0), _art_step, _art_out)
-    return VerdictFunction(dom.RATINF, stepper_factory=factory,
-                           monotonicity=Monotonicity.UNRESTRICTED, name="art")
+    return VerdictFunction(dom.RATINF, stepper_factory=factory, name="art")
 
 
 def eval_art(t):
@@ -349,8 +347,7 @@ def energy_verdict(A):
 
     factory = lambda alphabet: FunctionStepper((A.initial, 0, 0), step,
                                                lambda st: -st[2])
-    return VerdictFunction(dom.INTINF, stepper_factory=factory,
-                           monotonicity=Monotonicity.INCREASING, name="energy")
+    return VerdictFunction(dom.INTINF, stepper_factory=factory, name="energy")
 
 
 def load_weighted_automaton(text):
@@ -366,7 +363,7 @@ def load_weighted_automaton(text):
 
 @dataclass
 class QuantitativeProperty:
-    """A lassoevaluator with optional closed-form continuation functionals."""
+    """A lasso evaluator with optional closed-form continuation functionals."""
     name: str
     codomain: dom.ValueDomain
     eval_lasso: object
@@ -501,16 +498,17 @@ class ContinuityReport:
     cocontinuity_witness: object
 
 
-def _stalled_gap(d, tail, pv, above):
-    """The functional's last-window values agree and sit strictly on the
+def _stalled_gap(d, values, pv, above):
+    """The functional's last three values agree and sit strictly on the
     wrong side of the property value.  Requiring the stall keeps a sequence
     that is still converging toward the value from being mistaken for a gap."""
+    tail = values[-3:]
     if any(x != tail[0] for x in tail[1:]):
         return False
     return d.lt(pv, tail[0]) if above else d.lt(tail[0], pv)
 
 
-def check_continuity(p, suite, depth=6, search=DEFAULT_SEARCH, window=3):
+def check_continuity(p, suite, depth=6, search=DEFAULT_SEARCH):
     d = p.codomain
     continuity_witness = None
     cocontinuity_witness = None
@@ -518,9 +516,9 @@ def check_continuity(p, suite, depth=6, search=DEFAULT_SEARCH, window=3):
         pv = p.eval_lasso(t)
         nus = [nu(p, t.prefix(i), search) for i in range(depth + 1)]
         mus = [mu(p, t.prefix(i), search) for i in range(depth + 1)]
-        if continuity_witness is None and _stalled_gap(d, nus[-window:], pv, above=True):
+        if continuity_witness is None and _stalled_gap(d, nus, pv, above=True):
             continuity_witness = (t, nus[-1], pv)
-        if cocontinuity_witness is None and _stalled_gap(d, mus[-window:], pv, above=False):
+        if cocontinuity_witness is None and _stalled_gap(d, mus, pv, above=False):
             cocontinuity_witness = (t, mus[-1], pv)
         if continuity_witness and cocontinuity_witness:
             break
@@ -528,8 +526,9 @@ def check_continuity(p, suite, depth=6, search=DEFAULT_SEARCH, window=3):
                             cocontinuity_witness is None, cocontinuity_witness)
 
 
-def continuity_suite(alphabet, max_stem=2, max_loop=2, extras=()):
-    """Small exhaustive lasso suite plus caller-chosen witness traces."""
-    traces = list(all_lassos(alphabet, max_stem, max_loop))
+def continuity_suite(alphabet, extras=()):
+    """All lassos with stem and loop of at most 2 symbols plus caller-chosen
+    witness traces."""
+    traces = list(all_lassos(alphabet, 2, 2))
     traces.extend(extras)
     return traces

@@ -50,8 +50,7 @@ class FiniteTrace:
         if self.alphabet is None:
             return
         for s in dict.fromkeys(self.symbols):
-            if s not in self.alphabet.symbols:
-                raise ValueError(f"symbol {s!r} not in alphabet")
+            _check_symbol(s, self.alphabet)
 
     def __len__(self):
         return len(self.symbols)
@@ -113,6 +112,11 @@ class LassoTrace:
 
     def render(self):
         return (self.stem.render() + " ; " + self.loop.render()).strip()
+
+
+def _check_symbol(symbol, alphabet):
+    if symbol not in alphabet.symbols:
+        raise ValueError(f"symbol {symbol!r} not in alphabet")
 
 
 def _checked_trace(symbols, alphabet):

@@ -65,7 +65,7 @@ from fractions import Fraction
 
 from . import domain as dom
 from .errors import InputError, InvalidFunctionError, NoBoundError, UnsupportedDomainError
-from .trace import FiniteTrace
+from .trace import _check_symbol, _checked_trace
 
 
 class Monotonicity(enum.Enum):
@@ -75,17 +75,21 @@ class Monotonicity(enum.Enum):
 
 
 class _ReplayStepper:
-    """Stepper of a prefix function: re-evaluates it on each grown prefix."""
+    """Stepper of a prefix function: re-evaluates it on each grown prefix.
+    It checks each symbol once, as it is stepped, unless alphabet is None."""
 
     def __init__(self, fn, alphabet):
         self._fn = fn
         self._alphabet = alphabet
         self._symbols = []
-        self.value = fn(FiniteTrace((), alphabet))
+        self.value = fn(_checked_trace((), alphabet))
 
     def step(self, symbol):
+        alphabet = self._alphabet
+        if alphabet is not None:
+            _check_symbol(symbol, alphabet)
         self._symbols.append(symbol)
-        self.value = self._fn(FiniteTrace(tuple(self._symbols), self._alphabet))
+        self.value = self._fn(_checked_trace(tuple(self._symbols), alphabet))
         return self.value
 
     def config(self):
@@ -119,10 +123,8 @@ class VerdictFunction:
     """A total, deterministic map from finite traces to domain values, given
     by its codomain and a factory of steppers over an alphabet."""
 
-    def __init__(self, codomain, stepper_factory,
-                 monotonicity=Monotonicity.UNRESTRICTED, name="v"):
+    def __init__(self, codomain, stepper_factory, name="v"):
         self.codomain = codomain
-        self.monotonicity = monotonicity
         self.name = name
         self._stepper_factory = stepper_factory
 
@@ -140,18 +142,16 @@ class VerdictFunction:
         return f"<verdict {self.name} on {self.codomain.name}>"
 
 
-def prefix_verdict(codomain, fn, monotonicity=Monotonicity.UNRESTRICTED, name="v"):
+def prefix_verdict(codomain, fn, name="v"):
     """The verdict of a prefix function ``fn(finite_trace) -> value``.  Its
     stepper replays ``fn`` on each prefix and exposes no configuration."""
-    return VerdictFunction(codomain, lambda alphabet: _ReplayStepper(fn, alphabet),
-                           monotonicity, name)
+    return VerdictFunction(codomain, lambda alphabet: _ReplayStepper(fn, alphabet), name)
 
 
-def constant_verdict(codomain, value, name=None):
+def constant_verdict(codomain, value):
     codomain.check(value)
     factory = lambda alphabet: FunctionStepper((), lambda st, sym: st, lambda st: value)
-    return VerdictFunction(codomain, factory, Monotonicity.INCREASING,
-                           name or f"const({dom.render_value(value)})")
+    return VerdictFunction(codomain, factory, f"const({dom.render_value(value)})")
 
 
 class LimitKind(enum.Enum):
@@ -422,18 +422,12 @@ class _PairStepper:
         return (c1, c2)
 
 
-def _combine(v1, v2, pointwise, name, monotonicity):
+def _combine(v1, v2, pointwise, name):
     if v1.codomain != v2.codomain:
         raise UnsupportedDomainError(
             f"cannot combine verdicts over {v1.codomain.name} and {v2.codomain.name}")
     factory = lambda alphabet: _PairStepper(v1.stepper(alphabet), v2.stepper(alphabet), pointwise)
-    return VerdictFunction(v1.codomain, factory, monotonicity, name)
-
-
-def _joint_monotonicity(v1, v2):
-    if v1.monotonicity is Monotonicity.INCREASING and v2.monotonicity is Monotonicity.INCREASING:
-        return Monotonicity.INCREASING
-    return Monotonicity.UNRESTRICTED
+    return VerdictFunction(v1.codomain, factory, name)
 
 
 def combine_max(v1, v2):
@@ -442,7 +436,7 @@ def combine_max(v1, v2):
     if not d.is_lattice:
         raise UnsupportedDomainError(f"{d.name} is not a lattice; max is unsupported")
     return _combine(v1, v2, lambda a, b: d.sup([a, b]),
-                    f"max({v1.name},{v2.name})", _joint_monotonicity(v1, v2))
+                    f"max({v1.name},{v2.name})")
 
 
 def combine_min(v1, v2):
@@ -451,7 +445,7 @@ def combine_min(v1, v2):
     if not d.is_lattice:
         raise UnsupportedDomainError(f"{d.name} is not a lattice; min is unsupported")
     return _combine(v1, v2, lambda a, b: d.inf([a, b]),
-                    f"min({v1.name},{v2.name})", _joint_monotonicity(v1, v2))
+                    f"min({v1.name},{v2.name})")
 
 
 def _require_numeric(d):
@@ -463,15 +457,13 @@ def _require_numeric(d):
 def combine_sum(v1, v2):
     """Pointwise sum; infinity absorbs addition."""
     _require_numeric(v1.codomain)
-    return _combine(v1, v2, dom.value_add, f"sum({v1.name},{v2.name})",
-                    _joint_monotonicity(v1, v2))
+    return _combine(v1, v2, dom.value_add, f"sum({v1.name},{v2.name})")
 
 
 def combine_product(v1, v2):
     """Pointwise product with the convention 0 * inf = 0."""
     _require_numeric(v1.codomain)
-    return _combine(v1, v2, dom.value_mul, f"prod({v1.name},{v2.name})",
-                    Monotonicity.UNRESTRICTED)
+    return _combine(v1, v2, dom.value_mul, f"prod({v1.name},{v2.name})")
 
 
 def _monotonicity_samples(d):
@@ -489,7 +481,7 @@ def _monotonicity_samples(d):
     return []
 
 
-def map_continuous(verdict, fn, name=None):
+def map_continuous(verdict, fn):
     """Compose a verdict with a monotone unary function on its codomain.
 
     Monotonicity of ``fn`` is checked on a sample grid; a witnessed
@@ -519,18 +511,13 @@ def map_continuous(verdict, fn, name=None):
             return self._inner.config()
 
     return VerdictFunction(d, lambda a: _MapStepper(verdict.stepper(a)),
-                           verdict.monotonicity, name or f"map({verdict.name})")
-
-
-_FLIP = {Monotonicity.INCREASING: Monotonicity.DECREASING,
-         Monotonicity.DECREASING: Monotonicity.INCREASING,
-         Monotonicity.UNRESTRICTED: Monotonicity.UNRESTRICTED}
+                           f"map({verdict.name})")
 
 
 def complement(verdict):
     """The same verdict read in the inverse order of its codomain."""
     return VerdictFunction(dom.inverse(verdict.codomain), verdict.stepper,
-                           _FLIP[verdict.monotonicity], f"compl({verdict.name})")
+                           f"compl({verdict.name})")
 
 
 def verdict_sequence(verdict, finite_trace):
@@ -548,8 +535,10 @@ def count_switches(values):
 
 
 def verdict_csv_lines(verdict, finite_trace):
-    """CSV rows ``index,prefix_len,value`` for every prefix of the trace."""
+    """CSV rows ``index,prefix_len,value`` for every prefix of the trace.
+    A value outside the verdict's codomain raises DomainMismatchError."""
+    check = verdict.codomain.check
     lines = ["index,prefix_len,value"]
     for i, v in enumerate(verdict_sequence(verdict, finite_trace)):
-        lines.append(f"{i},{i},{dom.render_value(v)}")
+        lines.append(f"{i},{i},{dom.render_value(check(v))}")
     return lines

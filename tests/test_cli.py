@@ -46,6 +46,12 @@ FIG1_CSV = ["index,prefix_len,value"] + [f"{i},{i},{v}" for i, v in
                                          enumerate([0, 0, 1, 1, 1, 2, 2, 2, 2])]
 
 
+MMAX_TEXT = mc.render_machine(mc.build_mmax())
+# its output -x+1 is 0 after one event and leaves natinf after two
+COUNTDOWN_TEXT = ("registers: x\ninstruction-set: counter\nstates: q\ninitial: q\n"
+                  "edge: q a / x:=x+1 -> q\noutput: q = -x+1\n")
+
+
 class TestRun:
     def test_fig1_csv(self, workdir, capsys):
         code, out, _ = run_cli(["run", workdir / "mmax.mspec",
@@ -97,6 +103,32 @@ class TestRun:
         lines = out.splitlines()
         assert lines[:-2] == FIG1_CSV  # the 8 stem events and the empty prefix
         assert lines[-2:] == ["limsup,exact,2", "liminf,exact,2"]
+
+    @pytest.mark.parametrize("mode,trace", [("--finite", "fig.trace"),
+                                            ("--lasso", "fig.lasso")])
+    def test_value_outside_the_domain_exits_2(self, workdir, mode, trace, capsys):
+        # Mmax counts in natinf; read in Bt its first verdict is already foreign
+        code, out, err = run_cli(["run", workdir / "mmax.mspec", workdir / trace, mode,
+                                  "--domain", "Bt"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: value '0' is not in domain Bt"]
+
+    @pytest.mark.parametrize("machine,options,events,verdicts,error", [
+        (MMAX_TEXT, ["--domain", "Bt"], "req\nack\n", [], "value '0' is not in domain Bt"),
+        (COUNTDOWN_TEXT, [], "a\na\na\n", ["0"], "value '-1' is not in domain natinf"),
+    ], ids=["mmax-in-Bt", "countdown"])
+    def test_streaming_value_outside_the_domain_exits_2(self, machine, options, events,
+                                                        verdicts, error, tmp_path):
+        # the events before the first foreign value keep their verdicts
+        mspec = tmp_path / "m.mspec"
+        mspec.write_text(machine)
+        proc = subprocess.run(
+            [sys.executable, "-m", "quantmon.cli", "run", str(mspec), "--stdin", *options],
+            input=events, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout.splitlines() == verdicts
+        assert proc.stderr.splitlines() == [f"error: {error}"]
 
     def test_missing_trace_exits_2_without_output(self, workdir, capsys):
         code, out, err = run_cli(["run", workdir / "mmax.mspec",

@@ -178,17 +178,26 @@ class TestFileFormat:
         ("registers: x y\n", "registers: x y x\n", "duplicate register names"),
         ("states: p q\n", "states: p q p\n", "duplicate state names"),
         ("initial: p\n", "initial: r\n", "unknown initial state 'r'"),
-        ("x:=x+1 -> q", "x:=x+1 -> r", "references unknown states"),
+        ("x:=x+1 -> q", "x:=x+1 -> r",
+         "line 5: edge p a [true] / x:=x+1 -> r references unknown states"),
         ("output: q = y\n", "", "state 'q' has no output"),
-        ("[x>=y] / y:=y+1", "[x>=w] / y:=y+1", "guard x>=w uses unknown register"),
-        ("/ x:=x+1", "/ w:=w+1", "update w:=w+1 uses unknown register"),
+        ("[x>=y] / y:=y+1", "[x>=w] / y:=y+1", "line 6: guard x>=w uses unknown register"),
+        ("/ x:=x+1", "/ w:=w+1", "line 5: update w:=w+1 uses unknown register"),
+        ("/ x:=x+1", "/ x:=x+y",
+         "line 5: update x:=x+y not allowed by instruction set counter"),
         ("[x>=y] / y:=y+1", "[x>=2] / y:=y+1",
-         "guard atom x>=2 not allowed by instruction set counter"),
-        ("/ x:=x+1", "/ x:=x+1, x:=0", "p--a: register assigned twice"),
+         "line 6: guard atom x>=2 not allowed by instruction set counter"),
+        ("/ x:=x+1", "/ x:=x+1, x:=0",
+         "line 5: edge p a [true] / x:=x+1, x:=0 -> q assigns a register twice"),
+        ("edge: p a [true]", "edge: p a [x>=y]",
+         "line 5: single edge from 'p' on 'a' must carry the trivial guard; got [x>=y]"),
+        ("[!(x>=y)] -> q", "[x>=y] -> q", "line 7: overlapping guards from 'q' on 'a'"),
+        ("[!(x>=y)] -> q", "[!(y>=x)] -> q",
+         "line 7: edges from 'q' on 'a' must split cases over one atom set"),
         ("[x>=y] / y:=y+1 -> p\nedge: q a [!(x>=y)] -> q\n",
          "[x>=y & x>=0] / y:=y+1 -> p\nedge: q a [!(x>=y) & x>=0] -> q\n"
          "edge: q a [x>=y & !(x>=0)] -> q\n",
-         "guards from 'q' on 'a' do not cover all cases (3 of 4 sign patterns)"),
+         "line 6: guards from 'q' on 'a' do not cover all cases (3 of 4 sign patterns)"),
         ("[x>=y] / y:=y+1", "[x>=] / y:=y+1", "line 6: malformed guard atom 'x>='"),
         ("x:=x+1 -> q", "x:=x+1 q", "line 5: edge has no '->'"),
         ("edge: p a [true]", "edge: p a [true", "line 5: malformed guard brackets"),
@@ -198,8 +207,9 @@ class TestFileFormat:
         ("output: q = y\n", "output: q = y\nbogus line\n", "line 10: cannot parse 'bogus line'"),
         ("counter", "quantum", "unknown instruction set ['quantum']"),
     ], ids=["duplicate-register", "duplicate-state", "unknown-initial", "undeclared-target",
-            "no-output", "guard-register", "update-register", "atom-outside-set",
-            "assigned-twice", "missing-sign-pattern", "malformed-atom", "no-arrow",
+            "no-output", "guard-register", "update-register", "update-outside-set",
+            "atom-outside-set", "assigned-twice", "trivial-guard", "overlapping-guards",
+            "split-cases", "missing-sign-pattern", "malformed-atom", "no-arrow",
             "open-bracket", "text-after-bracket", "edge-head", "output-without-eq",
             "unparsable-line", "instruction-set"])
     def test_bad_machine_files(self, old, new, error):

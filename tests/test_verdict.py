@@ -212,15 +212,33 @@ BUNDLED_VERDICTS = {
 }
 
 
+_INC, _DEC, _UNR = (Monotonicity.INCREASING, Monotonicity.DECREASING,
+                    Monotonicity.UNRESTRICTED)
+
+# the monotonicity that check_monotone measures for every bundled verdict on
+# exhaustive_suite(alphabet, 2, 2) at depth 8; a verdict carries no label of
+# its own, so this table is the one statement of it
+BUNDLED_MONOTONICITY = {
+    "Madd": _INC, "Mavg": _UNR, "Mavg2": _UNR, "Mbin3": _DEC, "Mcount": _INC,
+    "Mfin1": _INC, "Mfin2": _INC, "Mfin3": _INC, "Mfin4": _INC, "Mkgrp3": _INC,
+    "Mkpair2": _INC, "Mkpair3": _INC, "Mkprio3": _INC, "Mkseq3": _INC,
+    "Mkseq4": _INC, "Mmax": _INC, "Mpk4": _DEC, "Mpk4l2": _DEC, "Mpk4l3": _DEC,
+    "art": _UNR, "energy.waut": _INC, "ev_always_a.aut": _UNR,
+    "eventually_a.aut": _INC, "inf_often_a.aut": _UNR, "mavg.mspec": _UNR,
+    "mmax.mspec": _INC, "mrt": _INC, "never_b.aut": _INC,
+}
+
+
+def test_every_bundled_verdict_has_a_pinned_monotonicity():
+    assert set(BUNDLED_MONOTONICITY) == set(BUNDLED_VERDICTS)
+
+
 @pytest.mark.parametrize("name", sorted(BUNDLED_VERDICTS))
 def test_declared_monotonicity_holds(name):
-    # no engine path reads the label, so nothing else checks it; a verdict
-    # declared UNRESTRICTED claims nothing
+    # the monotonicity declared for this verdict in BUNDLED_MONOTONICITY
     verdict, alphabet = BUNDLED_VERDICTS[name]()
-    if verdict.monotonicity is Monotonicity.UNRESTRICTED:
-        return
     suite = pr.exhaustive_suite(alphabet, 2, 2)
-    assert check_monotone(verdict, suite, depth=8) is verdict.monotonicity
+    assert check_monotone(verdict, suite, depth=8) is BUNDLED_MONOTONICITY[name]
 
 
 class TestCombinators:
@@ -245,11 +263,15 @@ class TestCombinators:
         with pytest.raises(UnsupportedDomainError):
             combine_max(va, vb)
 
-    def test_monotonicity_propagation(self):
-        v1 = constant_verdict(dom.NATINF, 1)
-        v2 = length_verdict()
-        assert combine_max(v1, v1).monotonicity is Monotonicity.INCREASING
-        assert combine_max(v1, v2).monotonicity is Monotonicity.UNRESTRICTED
+    def test_monotonicity_propagation(self, server):
+        # the join of two increasing verdicts is increasing; the join with a
+        # verdict that moves both ways need not be
+        suite = pr.exhaustive_suite(server, 2, 2)
+        increasing = combine_max(qp.mrt_verdict(), constant_verdict(dom.NATINF, 1))
+        assert check_monotone(increasing, suite, depth=8) is Monotonicity.INCREASING
+        art = qp.art_verdict()
+        mixed = combine_max(art, constant_verdict(dom.RATINF, 0))
+        assert check_monotone(mixed, suite, depth=8) is Monotonicity.UNRESTRICTED
 
     def test_sum_and_product(self):
         one = constant_verdict(dom.NATINF, 1)
@@ -330,11 +352,13 @@ class TestComplement:
         v = length_verdict()
         w = complement(complement(v))
         assert w.codomain == v.codomain
-        assert w.monotonicity is v.monotonicity
+        s = FiniteTrace(("a", "a"), A)
+        assert verdict_sequence(w, s) == verdict_sequence(v, s)
 
     def test_flips_monotonicity_and_domain(self, server):
         c = complement(qp.mrt_verdict())
-        assert c.monotonicity is Monotonicity.DECREASING
+        suite = pr.exhaustive_suite(server, 2, 2)
+        assert check_monotone(c, suite, depth=8) is Monotonicity.DECREASING
         assert c.codomain.name == "inv:natinf"
 
     def test_dual_limit_evaluation(self, server):
@@ -427,6 +451,26 @@ class TestCombinatorSemantics:
         st = prefix_verdict(dom.NATINF, len).stepper(None)
         assert st.value == 0
         assert [st.step(sym) for sym in ("a", "b", "a")] == [1, 2, 3]
+
+    def test_prefix_verdict_checks_each_stepped_symbol_once(self):
+        # stepping n distinct symbols looks each up once: n lookups, not the
+        # n(n+1)/2 of checking the whole prefix again on every step
+        class CountingSymbols(tuple):
+            lookups = 0
+
+            def __contains__(self, symbol):
+                CountingSymbols.lookups += 1
+                return tuple.__contains__(self, symbol)
+
+        n = 40
+        alphabet = Alphabet(tuple(f"s{i}" for i in range(n)))
+        object.__setattr__(alphabet, "symbols", CountingSymbols(alphabet.symbols))
+        st = prefix_verdict(dom.NATINF, len).stepper(alphabet)
+        assert [st.step(sym) for sym in alphabet] == list(range(1, n + 1))
+        assert CountingSymbols.lookups == n
+        with pytest.raises(ValueError, match="symbol 'z' not in alphabet"):
+            st.step("z")
+        assert st.value == n
 
     @settings(max_examples=50, deadline=None)
     @given(server_traces)
