@@ -17,7 +17,7 @@ from . import domain as dom
 from .errors import AcceptanceKindError, AutomatonError
 from .trace import Alphabet, all_finite_traces, all_lassos, read_sections
 from .verdict import (
-    FunctionStepper, LimitKind, VerdictFunction,
+    FunctionStepper, VerdictFunction,
     DEFAULT_BUDGET, eval_liminf, eval_limsup,
 )
 

@@ -44,11 +44,6 @@ def _int(text, what, least):
     return int(text)
 
 
-def _budget(args):
-    return LimitBudget(max_loop_iterations=args.budget_iters,
-                       confirm_window=args.confirm_window)
-
-
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -135,7 +130,7 @@ def cmd_run(args):
         if args.unroll < 0:
             raise InputError(f"--unroll must be an integer >= 0, got {args.unroll}")
         t = parse_lasso(text, machine.alphabet)
-        budget = _budget(args)
+        budget = LimitBudget(args.budget_iters)
         window = t.prefix(len(t.stem) + args.unroll * len(t.loop))
         lines = verdict_csv_lines(verdict, window)
         up = eval_limsup(verdict, t, budget)
@@ -167,13 +162,13 @@ def cmd_compare(args):
         raise QuantmonError("at least one verdict selector must fix an alphabet")
     suite = _suite_for(args.suite, alphabet, args.seed)
     side = bp.Side(args.side)
-    report = pr.compare(v1, v2, suite, side, _budget(args))
+    report = pr.compare(v1, v2, suite, side, LimitBudget(args.budget_iters))
     _emit(pr.report_jsonl(report, args.verdict1, args.verdict2), args.output)
     return 0
 
 
 def cmd_classify(args):
-    budget = _budget(args)
+    budget = LimitBudget(args.budget_iters)
     if args.obligation:
         pairs = []
         for spec in args.obligation:
@@ -229,8 +224,7 @@ def cmd_demo(args):
 
 
 # the options before the subcommand, each taking one integer, and defaults
-_GLOBAL_OPTIONS = {"--seed": 42, "--budget-iters": DEFAULT_BUDGET.max_loop_iterations,
-                   "--confirm-window": DEFAULT_BUDGET.confirm_window}
+_GLOBAL_OPTIONS = {"--seed": 42, "--budget-iters": DEFAULT_BUDGET.max_loop_iterations}
 
 
 def _check_global_options(argv):

@@ -169,6 +169,15 @@ def _edge_error(edge, message):
     return MachineError(message if edge.line is None else f"line {edge.line}: {message}")
 
 
+class _OutputError(MachineError):
+    """A MachineError about the output of ``state``; ``load_machine``
+    prefixes it with the line it read that output from."""
+
+    def __init__(self, state, message):
+        super().__init__(message)
+        self.state = state
+
+
 @dataclass(frozen=True)
 class OutputSpec:
     """An output expression over the registers, by ``kind``:
@@ -356,7 +365,7 @@ class RegisterMachine:
             raise MachineError(f"unknown initial state {self.initial!r}")
         for q in self.outputs:
             if q not in sid:
-                raise MachineError(f"output for unknown state {q!r}")
+                raise _OutputError(q, f"output for unknown state {q!r}")
         symbols = set(self.alphabet)
         lowered = {}
         outs = tuple(self._lower_output(q, rid, lowered) for q in self.states)
@@ -410,11 +419,12 @@ class RegisterMachine:
         try:
             source = _output_source(out, rid)
         except KeyError as exc:
-            raise MachineError(f"output of {q!r} uses unknown register {exc.args[0]!r}") \
+            raise _OutputError(q, f"output of {q!r} uses unknown register {exc.args[0]!r}") \
                 from None
         # only a quotient generates a Fraction
         if "Fraction" in source and self.instruction_set is not InstructionSet.EXTENDED:
-            raise MachineError("dividing outputs need the extended instruction set")
+            raise _OutputError(q, f"dividing output of {q!r} needs the extended "
+                                  "instruction set")
         lowered[id(out)] = fn = _compile(f"lambda v: {source}")
         return fn
 
@@ -812,7 +822,7 @@ def load_machine(text, output_domain=None, name="machine"):
     header, body = read_sections(
         text, ("registers", "instruction-set", "states", "initial"), MachineError)
     edges = []
-    outputs = {}
+    outputs, output_lines = {}, {}
     for lineno, line in body:
         key, sep, rest = line.partition(":")
         key = key.strip()
@@ -827,6 +837,7 @@ def load_machine(text, output_domain=None, name="machine"):
                 if state in outputs:
                     raise MachineError(f"second output for state {state!r}")
                 outputs[state] = _parse_output(expr)
+                output_lines[state] = lineno
             else:
                 raise MachineError(f"cannot parse {line!r}")
         except MachineError as exc:
@@ -846,9 +857,12 @@ def load_machine(text, output_domain=None, name="machine"):
         tuples = [o for o in outputs.values() if o.kind == "tuple"]
         if tuples:
             output_domain = dom.product(output_domain, len(tuples[0].parts))
-    return RegisterMachine(name, tuple(header["registers"]), tuple(header["states"]),
-                           Alphabet(tuple(symbols)), header["initial"][0], edges,
-                           outputs, iset, output_domain)
+    try:
+        return RegisterMachine(name, tuple(header["registers"]), tuple(header["states"]),
+                               Alphabet(tuple(symbols)), header["initial"][0], edges,
+                               outputs, iset, output_domain)
+    except _OutputError as exc:
+        raise MachineError(f"line {output_lines[exc.state]}: {exc}") from None
 
 
 def render_machine(machine):

@@ -25,18 +25,20 @@ resolves the limit four ways, in order of preference:
     divergent when some component is attained only by diverging positions.
     A position limit outside the codomain leaves the limit to the rules
     below.  Iterations skipped by a jump are not counted as used.
-3.  *Stable window*: once the iteration budget is exhausted, the extrema
-    of the final ``max_period * confirm_window`` iterations (at least
-    ``confirm_window + 1``) are folded, once; extrema that are identical
-    (or periodic) over the final confirmation window report an exact
-    limit.  This is a heuristic: it settles eventually periodic output,
-    but a transient longer than the budget passes for the limit.
-4.  *Arithmetic escape*: each component of the final-window extrema (a
-    scalar is its one component) either stays equal across the window,
-    ``inf`` included, and settles, or moves through finite numbers by a
-    constant nonzero step and escapes to the infinity of its direction,
-    which the domain must hold.  As in rule 2, the limit diverges to the
-    top when an escaping component is at the top, else to the bottom.
+3.  *Equal window*: once the iteration budget is exhausted, the extrema
+    of the final 18 iterations (all of a smaller budget) are folded,
+    once; when the last three exist and are equal, that value is
+    reported as the exact limit.  This is a heuristic: it settles
+    eventually constant extrema, but a transient longer than the budget
+    passes for the limit.
+4.  *Arithmetic escape*: each component of those extrema, at least four
+    of them (a scalar is its one component), either stays equal across
+    them, ``inf`` included, and settles, or moves through finite numbers
+    by a constant nonzero step and escapes to the infinity of its
+    direction, which the domain must hold.  Extrema that repeat with a
+    period of at most 18 wrap inside the tail and escape nowhere.  As in
+    rule 2, the limit diverges to the top when an escaping component is
+    at the top, else to the bottom.
 
 The window rules apply only where acceleration does not: to opaque
 steppers, and to machine runs whose loop path is not affine or does not
@@ -175,15 +177,21 @@ class LimitResult:
         return f"{self.kind.value},{dom.render_value(self.value)}"
 
 
+# a limit that runs out its budget is judged on its final iterations:
+# equal extrema over the last _WINDOW settle it, and a constant step over
+# the last _ESCAPE_TAIL (all of a smaller budget, at least _WINDOW + 1)
+# escapes, so a periodic ramp shorter than that tail wraps inside it
+_WINDOW = 3
+_ESCAPE_TAIL = 18
+
+
 @dataclass(frozen=True)
 class LimitBudget:
     max_loop_iterations: int = 1024
-    confirm_window: int = 3
-    max_period: int = 6
 
     def __post_init__(self):
-        if not (self.max_loop_iterations >= self.confirm_window >= 2):
-            raise InputError("need max_loop_iterations >= confirm_window >= 2")
+        if self.max_loop_iterations < _WINDOW:
+            raise InputError(f"need max_loop_iterations >= {_WINDOW}")
 
 
 DEFAULT_BUDGET = LimitBudget()
@@ -193,31 +201,13 @@ def _finite_number(v):
     return dom.is_numeric(v) and v != dom.INF and v != dom.NEG_INF
 
 
-def _window_periodic(combine, maxima, window, max_period):
-    """The extremum of one period of the final maxima when they repeat with
-    a period of at most ``max_period`` over ``window`` periods; period 1 is
-    an equal window."""
-    for period in range(1, max_period + 1):
-        need = period * window
-        tail = maxima[-need:]
-        if len(tail) < need or any(m is None for m in tail):
-            continue
-        if all(tail[i] == tail[i % period] for i in range(need)):
-            try:
-                return combine(tail[:period])
-            except NoBoundError:
-                continue
-    return None
-
-
-def _window_escape(d, maxima, window):
-    """The final ``window + 1`` maxima as one ``(value, diverges)``
-    candidate, or None.  Each component (a scalar is its one component)
-    either stays equal over them, and settles there, ``inf`` included, or
+def _window_escape(d, tail):
+    """The final maxima ``tail`` as one ``(value, diverges)`` candidate,
+    or None.  Each component (a scalar is its one component) either stays
+    equal over them, and settles there, ``inf`` included, or
     moves through finite numbers by a constant nonzero step, and escapes to
     the infinity of that direction if the domain holds it."""
-    tail = maxima[-(window + 1):]
-    if len(tail) < window + 1 or any(m is None for m in tail):
+    if len(tail) <= _WINDOW or any(m is None for m in tail):
         return None
     product = isinstance(d, dom.ProductDomain)
     inner = d.inner if product else d
@@ -336,13 +326,11 @@ def _loop_limit(d, st, loop, budget, take_sup):
     # toward saturation, a guard about to flip) for settled behaviour.
     # Only the iterations those rules read are folded into extrema.
     used = budget.max_loop_iterations
-    window = budget.confirm_window
-    judged = max(budget.max_period * window, window + 1)
-    maxima = [_extremum(combine, vals) for vals in iteration_values[-judged:]]
-    m = _window_periodic(combine, maxima, window, budget.max_period)
-    if m is not None:
-        return LimitResult(m, LimitKind.EXACT, used)
-    escape = _window_escape(d, maxima, window)
+    maxima = [_extremum(combine, vals) for vals in iteration_values[-_ESCAPE_TAIL:]]
+    last = maxima[-_WINDOW:]
+    if len(last) == _WINDOW and all(m is not None and m == last[0] for m in last):
+        return LimitResult(last[0], LimitKind.EXACT, used)
+    escape = _window_escape(d, maxima)
     if escape is not None:
         return _folded_limit(d, combine, [escape], used)
     return LimitResult(None, LimitKind.UNDETERMINED, used)

@@ -90,9 +90,8 @@ class TestRun:
         # a pending-forever lasso diverges; a tiny budget is enough to see it
         path = tmp_path / "pending.lasso"
         path.write_text("req ; other\n")
-        code, out, _ = run_cli(["--budget-iters", "16", "--confirm-window", "2",
-                                "run", workdir / "mmax.mspec", path, "--lasso"],
-                               capsys)
+        code, out, _ = run_cli(["--budget-iters", "16", "run", workdir / "mmax.mspec",
+                                path, "--lasso"], capsys)
         assert code == 0
         assert out.splitlines()[-2] == "limsup,diverged-to-top,inf"
 
@@ -405,13 +404,16 @@ class TestInputErrors:
         assert (code, out) == (2, "")
         assert err.splitlines() == ["error: line 4: unknown token 'bogus' at position 2"]
 
-    def test_unknown_global_option_is_named(self, capsys):
+    @pytest.mark.parametrize("option, value", [("--epsilon", "1/1000"),
+                                               ("--confirm-window", "3")],
+                             ids=["--epsilon", "--confirm-window"])
+    def test_unknown_global_option_is_named(self, option, value, capsys):
         # argparse alone reads the value after an unknown global option as
         # the subcommand and names the value instead of the option
-        code, out, err = run_cli(["--epsilon", "1/1000", "compare", "mrt", "mrt",
+        code, out, err = run_cli([option, value, "compare", "mrt", "mrt",
                                   "--suite", "exhaustive:1:1"], capsys)
         assert (code, out) == (2, "")
-        assert err.splitlines() == ["error: unrecognized arguments: --epsilon"]
+        assert err.splitlines() == [f"error: unrecognized arguments: {option}"]
 
     def test_global_options_by_prefix_and_with_equals(self, capsys):
         code, out, _ = run_cli(["--see", "7", "--budget-iters=64", "compare", "mrt", "mrt",
@@ -421,7 +423,7 @@ class TestInputErrors:
 
     def test_global_option_defaults_are_the_default_budget(self):
         args = _build_parser().parse_args(["demo", "fig1"])
-        assert LimitBudget(args.budget_iters, args.confirm_window) == DEFAULT_BUDGET
+        assert LimitBudget(args.budget_iters) == DEFAULT_BUDGET
 
     @pytest.mark.parametrize("argv", [["-h"], ["--he"], ["--seed", "3", "--help"]])
     def test_help_before_the_subcommand(self, argv, capsys):

@@ -152,7 +152,7 @@ class TestFileFormat:
 
     @pytest.mark.parametrize("line,match", [
         ("output: idle = x", "line 19: second output for state 'idle'"),
-        ("output: nowhere = x", "output for unknown state 'nowhere'"),
+        ("output: nowhere = x", "line 19: output for unknown state 'nowhere'"),
     ], ids=["second-output", "unknown-state"])
     def test_outputs_are_not_overridden_or_ignored(self, line, match):
         text = (DEMO_MACHINES / "mmax.mspec").read_text() + line + "\n"
@@ -206,12 +206,18 @@ class TestFileFormat:
         ("output: q = y", "output: q y", "line 9: output line needs '='"),
         ("output: q = y\n", "output: q = y\nbogus line\n", "line 10: cannot parse 'bogus line'"),
         ("counter", "quantum", "unknown instruction set ['quantum']"),
+        ("output: q = y", "output: q = w", "line 9: output of 'q' uses unknown register 'w'"),
+        ("output: q = y", "output: q = (x)/(x)",
+         "line 9: dividing output of 'q' needs the extended instruction set"),
+        ("output: q = y\n", "output: q = y\noutput: z = x\n",
+         "line 10: output for unknown state 'z'"),
     ], ids=["duplicate-register", "duplicate-state", "unknown-initial", "undeclared-target",
             "no-output", "guard-register", "update-register", "update-outside-set",
             "atom-outside-set", "assigned-twice", "trivial-guard", "overlapping-guards",
             "split-cases", "missing-sign-pattern", "malformed-atom", "no-arrow",
             "open-bracket", "text-after-bracket", "edge-head", "output-without-eq",
-            "unparsable-line", "instruction-set"])
+            "unparsable-line", "instruction-set", "output-register", "dividing-output",
+            "output-state"])
     def test_bad_machine_files(self, old, new, error):
         """Each reachable MachineError of loading and lowering a file; the
         errors met while reading an edge or output line name that line."""

@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -36,6 +37,13 @@ def alternating_verdict():
     return VerdictFunction(dom.BT, stepper_factory=factory, name="alt")
 
 
+def _counter_mod(n):
+    # its configuration (the step count) never repeats, so only the window
+    # rules could settle it, but its per-iteration extrema are periodic
+    factory = lambda alphabet: FunctionStepper(0, lambda k, sym: k + 1, lambda k: k % n)
+    return VerdictFunction(dom.NATINF, factory, name=f"mod{n}")
+
+
 class TestLimits:
     def test_constant_is_exact(self):
         v = constant_verdict(dom.NATINF, 0)
@@ -53,13 +61,18 @@ class TestLimits:
         assert eval_liminf(alternating_verdict(), t).value is False
         assert eval_limsup(alternating_verdict(), t).value is True
 
-    def test_alternating_without_configs_uses_periodic_window(self):
-        # replay-based stepper exposes no configuration; period detection
-        # has to resolve the two-cycle of per-iteration extrema
-        v = prefix_verdict(dom.BT, lambda s: len(s) % 2 == 0, name="alt2")
+    @pytest.mark.parametrize("v", [
+        prefix_verdict(dom.BT, lambda s: len(s) % 2 == 0, name="alt2"),
+        _counter_mod(5), _counter_mod(6)], ids=lambda v: v.name)
+    def test_periodic_extrema_without_configs_are_undetermined(self, v):
+        # none exposes a configuration, and the per-iteration extrema
+        # repeat: never equal over the final window, and a ramp (mod n
+        # climbs 0 1 .. n-1) wraps inside the escape tail at any budget
         t = lasso((), ("a",), A)
-        assert eval_liminf(v, t).value is False
-        assert eval_limsup(v, t).value is True
+        for evaluate in (eval_limsup, eval_liminf):
+            for iters in (1024, 1025, 1026):
+                assert evaluate(v, t, LimitBudget(iters)) == \
+                    LimitResult(None, LimitKind.UNDETERMINED, iters)
 
     def test_flat_boolean_switching_is_undetermined(self):
         # infinitely switching values on the flat domain have no limit
@@ -139,9 +152,8 @@ class TestLimits:
 
     def test_budget_preconditions(self):
         with pytest.raises(ValueError):
-            LimitBudget(max_loop_iterations=2, confirm_window=3)
-        with pytest.raises(ValueError):
-            LimitBudget(confirm_window=1)
+            LimitBudget(max_loop_iterations=2)
+        assert LimitBudget(3).max_loop_iterations == 3
 
     def test_mrt_verdict_on_figure_lasso(self, server):
         t = parse_lasso("req ack req other ack ; other", server)
@@ -520,8 +532,12 @@ def _finite_number(v):
 
 
 # The window rules below are kept verbatim from before the engine folded
-# them into the periodic-window rule and one escape rule, so the
-# differential test compares the engine against an independent copy.
+# them into one equal window and one escape rule, so the differential test
+# compares the engine against an independent copy.  The engine's window
+# and escape tail are not imported: this copy states its own.
+WINDOW = 3
+ESCAPE_TAIL = 18
+
 
 def _window_equal(maxima, window):
     tail = maxima[-window:]
@@ -530,21 +546,6 @@ def _window_equal(maxima, window):
     first = tail[0]
     if all(m == first for m in tail[1:]):
         return first
-    return None
-
-
-def _window_periodic(d, maxima, window, max_period, take_sup):
-    for period in range(2, max_period + 1):
-        need = period * window
-        tail = maxima[-need:]
-        if len(tail) < need or any(m is None for m in tail):
-            continue
-        if all(tail[i] == tail[i % period] for i in range(need)):
-            try:
-                combine = d.sup if take_sup else d.inf
-                return combine(tail[:period])
-            except NoBoundError:
-                continue
     return None
 
 
@@ -559,7 +560,7 @@ def _extrapolate_scalar(d, tail):
 
 
 def _window_diverged(d, maxima, window, take_sup):
-    tail = maxima[-(window + 1):]
+    tail = maxima[-ESCAPE_TAIL:]
     if len(tail) < window + 1 or any(m is None for m in tail):
         return None
     if isinstance(d, dom.ProductDomain):
@@ -619,23 +620,14 @@ def _reference_limit(verdict, t, budget, take_sup):
             maxima.append(combine(vals))
         except NoBoundError:
             maxima.append(None)
-    used, window = budget.max_loop_iterations, budget.confirm_window
-    m = _window_equal(maxima, window)
-    if m is None:
-        m = _window_periodic(d, maxima, window, budget.max_period, take_sup)
+    used = budget.max_loop_iterations
+    m = _window_equal(maxima, WINDOW)
     if m is not None:
         return LimitResult(m, LimitKind.EXACT, used)
-    div = _window_diverged(d, maxima, window, take_sup)
+    div = _window_diverged(d, maxima, WINDOW, take_sup)
     if div is not None:
         return LimitResult(div[0], div[1], used)
     return LimitResult(None, LimitKind.UNDETERMINED, used)
-
-
-def _counter_mod(n):
-    # its configuration (the step count) never repeats, so only the window
-    # rules can settle it: per-iteration extrema are periodic
-    factory = lambda alphabet: FunctionStepper(0, lambda k, sym: k + 1, lambda k: k % n)
-    return VerdictFunction(dom.NATINF, factory, name=f"mod{n}")
 
 
 OPAQUE = {
@@ -649,8 +641,7 @@ OPAQUE = {
     "bool": prefix_verdict(dom.BT, lambda s: len(s) % 3 == 0, name="len%3"),
     "flat": prefix_verdict(dom.B, lambda s: _acks(s) % 2 == 0, name="even-acks"),
 }
-small_budgets = st.builds(LimitBudget, max_loop_iterations=st.integers(4, 40),
-                          confirm_window=st.integers(2, 4), max_period=st.integers(2, 6))
+small_budgets = st.builds(LimitBudget, max_loop_iterations=st.integers(4, 40))
 server_lassos = st.builds(lambda stem, loop: lasso(stem, loop, SERVER),
                           st.lists(st.sampled_from(SERVER.symbols), max_size=6),
                           st.lists(st.sampled_from(SERVER.symbols), min_size=1, max_size=4))
@@ -663,13 +654,33 @@ class TestBudgetPath:
     @pytest.mark.parametrize("name", sorted(OPAQUE))
     @settings(max_examples=80, deadline=None)
     @given(t=server_lassos, budget=small_budgets)
-    # mod6 repeats with period 6 = max_period: the window rules read all
-    # 18 judged iterations
+    # at the default budget, mod6's final four extrema climb 1 2 3 4; only
+    # the longer escape tail holds the wrap
     @example(t=lasso((), ("other",), SERVER), budget=LimitBudget())
     def test_matches_the_per_iteration_fold(self, name, t, budget):
         v = OPAQUE[name]
         assert eval_limsup(v, t, budget) == _reference_limit(v, t, budget, True)
         assert eval_liminf(v, t, budget) == _reference_limit(v, t, budget, False)
+
+    # sha256 of one line per lasso of exhaustive_suite(alphabet, 2, 3):
+    # the lasso, its limsup and its liminf.  Many of these limits run out
+    # the budget and are settled by the window rules, which CI pins only
+    # for the limsup side of mrt and art (through compare).
+    OPAQUE_LIMIT_DIGESTS = {
+        "mrt": "ad3eb4059a85cadad1252f8d4b009e1bc4aca03f1ab25817e07830e7dbf3575e",
+        "art": "d35c1a05adfd37958edc52572f2a20d57b890018e5bdb4fde8ed544935ecec41",
+        "energy.waut": "c965522c565133722bf715b2730dba6bf3034304872c2ad00e264d5e93145384",
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPAQUE_LIMIT_DIGESTS))
+    def test_bundled_opaque_limits_are_pinned(self, name):
+        verdict, alphabet = BUNDLED_VERDICTS[name]()
+        up, lo = {}, {}
+        lines = [f"{t.render()} {eval_limsup(verdict, t, memo=up).render()} "
+                 f"{eval_liminf(verdict, t, memo=lo).render()}\n"
+                 for t in pr.exhaustive_suite(alphabet, 2, 3)]
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == \
+            self.OPAQUE_LIMIT_DIGESTS[name]
 
     def test_out_of_codomain_value_raises_at_its_iteration(self):
         # -1 is no natinf value; it comes in the third of 1024 iterations,
