@@ -10,7 +10,7 @@ verdict through ``prefix_verdict``, which replays it on every prefix.
 The monitor's estimate for an infinite trace is the limsup (or liminf) of
 the verdict values along its prefixes.  On a lasso ``u ; v`` the engine
 watches the verdict values produced inside consecutive loop iterations and
-resolves the limit four ways, in order of preference:
+resolves the limit three ways, in order of preference:
 
 1.  *Configuration cycle* (early exit, sound): if the verdict exposes a
     hashable run configuration and the configuration at a loop boundary
@@ -23,26 +23,24 @@ resolves the limit four ways, in order of preference:
     when no guard ever flips, reports each loop position's closed-form
     limit.  Their sup/inf is the limit, componentwise for tuples; it is
     divergent when some component is attained only by diverging positions.
-    A position limit outside the codomain leaves the limit to the rules
-    below.  Iterations skipped by a jump are not counted as used.
-3.  *Equal window*: once the iteration budget is exhausted, the extrema
-    of the final 18 iterations (all of a smaller budget) are folded,
-    once; when the last three exist and are equal, that value is
-    reported as the exact limit.  This is a heuristic: it settles
-    eventually constant extrema, but a transient longer than the budget
-    passes for the limit.
-4.  *Arithmetic escape*: each component of those extrema, at least four
-    of them (a scalar is its one component), either stays equal across
-    them, ``inf`` included, and settles, or moves through finite numbers
-    by a constant nonzero step and escapes to the infinity of its
-    direction, which the domain must hold.  Extrema that repeat with a
-    period of at most 18 wrap inside the tail and escape nowhere.  As in
-    rule 2, the limit diverges to the top when an escaping component is
-    at the top, else to the bottom.
+    A position limit outside the codomain keeps the run stepping.
+    Iterations skipped by a jump are not counted as used.
+3.  *Window*: once the iteration budget is exhausted, the extrema of the
+    final 18 iterations (all of a smaller budget), at least four of them,
+    are folded once.  Each component (a scalar is its one component)
+    either stays equal across them, ``inf`` included, and settles there,
+    or moves through finite numbers by a constant nonzero step and escapes
+    to the infinity of its direction, which the domain must hold.  As in
+    rule 2, the limit diverges to the top when an escaping component is at
+    the top, else to the bottom.  Extrema that repeat with a period of at
+    most 18 wrap inside the window and escape nowhere.  This is a
+    heuristic: a transient longer than the budget passes for the limit,
+    and a ramp that repeats with a period above 18 passes for an escape.
 
-The window rules apply only where acceleration does not: to opaque
-steppers, and to machine runs whose loop path is not affine or does not
-settle.  They deliberately wait for the full budget: early windows can
+A stepper with ``accelerate`` never reaches rule 3: a register machine's
+limit is proven by rule 1 or 2, or it is undetermined.  The window rule
+judges only the other steppers (opaque ones, and combinations of
+verdicts), and deliberately waits for the full budget: an early window can
 mistake a transient (a counter still climbing toward a guard threshold)
 for settled behaviour.  Every value is checked against the codomain as it
 is stepped, whether or not a rule later reads it.  Everything else is
@@ -177,12 +175,10 @@ class LimitResult:
         return f"{self.kind.value},{dom.render_value(self.value)}"
 
 
-# a limit that runs out its budget is judged on its final iterations:
-# equal extrema over the last _WINDOW settle it, and a constant step over
-# the last _ESCAPE_TAIL (all of a smaller budget, at least _WINDOW + 1)
-# escapes, so a periodic ramp shorter than that tail wraps inside it
-_WINDOW = 3
-_ESCAPE_TAIL = 18
+# a limit that runs out its budget is judged on the extrema of its final
+# _WINDOW iterations (all of a smaller budget, at least four), so a
+# periodic ramp shorter than the window wraps inside it
+_WINDOW = 18
 
 
 @dataclass(frozen=True)
@@ -190,8 +186,9 @@ class LimitBudget:
     max_loop_iterations: int = 1024
 
     def __post_init__(self):
-        if self.max_loop_iterations < _WINDOW:
-            raise InputError(f"need max_loop_iterations >= {_WINDOW}")
+        n = self.max_loop_iterations
+        if isinstance(n, bool) or not isinstance(n, int) or n < 3:
+            raise InputError(f"need an integer max_loop_iterations >= 3, got {n!r}")
 
 
 DEFAULT_BUDGET = LimitBudget()
@@ -207,7 +204,7 @@ def _window_escape(d, tail):
     equal over them, and settles there, ``inf`` included, or
     moves through finite numbers by a constant nonzero step, and escapes to
     the infinity of that direction if the domain holds it."""
-    if len(tail) <= _WINDOW or any(m is None for m in tail):
+    if len(tail) < 4 or any(m is None for m in tail):
         return None
     product = isinstance(d, dom.ProductDomain)
     inner = d.inner if product else d
@@ -321,15 +318,15 @@ def _loop_limit(d, st, loop, budget, take_sup):
         for v in vals:
             check(v)
         iteration_values.append(vals)
-    # Window heuristics judge only the final iterations: deciding on an
-    # early window would mistake transients (a counter still climbing
-    # toward saturation, a guard about to flip) for settled behaviour.
-    # Only the iterations those rules read are folded into extrema.
+    # a machine run's limit is proven above or not at all
     used = budget.max_loop_iterations
-    maxima = [_extremum(combine, vals) for vals in iteration_values[-_ESCAPE_TAIL:]]
-    last = maxima[-_WINDOW:]
-    if len(last) == _WINDOW and all(m is not None and m == last[0] for m in last):
-        return LimitResult(last[0], LimitKind.EXACT, used)
+    if accelerate is not None:
+        return LimitResult(None, LimitKind.UNDETERMINED, used)
+    # The window judges only the final iterations: deciding on an early
+    # window would mistake transients (a counter still climbing toward
+    # saturation, a guard about to flip) for settled behaviour.  Only the
+    # iterations it reads are folded into extrema.
+    maxima = [_extremum(combine, vals) for vals in iteration_values[-_WINDOW:]]
     escape = _window_escape(d, maxima)
     if escape is not None:
         return _folded_limit(d, combine, [escape], used)

@@ -17,8 +17,9 @@ from quantmon.cli import main
 from quantmon.errors import MachineError
 from quantmon.trace import (Alphabet, FiniteTrace, all_finite_traces, all_lassos,
                             lasso, parse_finite, parse_lasso, random_finite_trace)
-from quantmon.verdict import (LimitBudget, LimitKind, Monotonicity, check_monotone,
-                              complement, eval_liminf, eval_limsup, verdict_sequence)
+from quantmon.verdict import (LimitBudget, LimitKind, LimitResult, Monotonicity,
+                              check_monotone, complement, eval_liminf, eval_limsup,
+                              verdict_sequence)
 
 SMALL = LimitBudget(max_loop_iterations=48)
 FIG = "req ack req other ack req ack other"
@@ -1138,18 +1139,28 @@ class TestTupleAndMaxOutputLimits:
     @given(doubling_lassos())
     def test_doubling_against_eval_doubling(self, t):
         """Mcount's limits are all settled and right.  Madd's doubling
-        register is not affine, so past a long a-run its limits may rest on
-        the window rules, which take a transient longer than the budget for
-        the limit; only the limits it settles within the budget (by a
-        configuration cycle) are compared."""
+        register is not affine, so past a long a-run its limits may be
+        undetermined; every limit it determines is right."""
         truth = mc.eval_doubling(t)
         twice = dom.INF if truth == dom.INF else \
             2 * mc.longest_a_run(t.prefix(len(t.stem) + 2 * len(t.loop)))
         for res in _both_limits(MADD, t):
-            if res.iterations_used < LimitBudget().max_loop_iterations:
-                assert res.is_determined and res.value == truth, res
+            if res.is_determined:
+                assert res.value == truth, res
         for res in _both_limits(MCOUNT, t):
             assert res.is_determined and res.value == twice, res
+
+    @pytest.mark.parametrize("n", [1024, 1100, 3000])
+    def test_doubling_past_the_budget_is_undetermined(self, n):
+        # the loop's a-run doubles x from 1, so x passes y = 2^(n-1) only
+        # after n iterations; the output sits at 2*y = 2^n all through the
+        # budget, while the limit is inf, and no window may take the one
+        # for the other
+        t = parse_lasso("a " * n + "b ; a", mc.DOUBLING_ALPHABET)
+        assert mc.eval_doubling(t) == dom.INF
+        for verdict in (MADD, complement(MADD)):
+            assert _both_limits(verdict, t) == \
+                (LimitResult(None, LimitKind.UNDETERMINED, 1024),) * 2
 
     def test_kpair_pending_request_behind_a_long_run(self):
         # pair 1's last request is never answered; its counter catches up

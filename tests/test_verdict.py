@@ -1,5 +1,6 @@
 import hashlib
 import pathlib
+import re
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -12,8 +13,8 @@ from quantmon import machine as mc
 from quantmon import precision as pr
 from quantmon import qprop as qp
 from quantmon import verdict as vd
-from quantmon.errors import (DomainMismatchError, InvalidFunctionError, NoBoundError,
-                             UnsupportedDomainError)
+from quantmon.errors import (DomainMismatchError, InputError, InvalidFunctionError,
+                             NoBoundError, UnsupportedDomainError)
 from quantmon.trace import Alphabet, FiniteTrace, lasso, parse_lasso
 from quantmon.verdict import (FunctionStepper, LimitBudget, LimitKind, LimitResult,
                               Monotonicity, VerdictFunction, check_monotone, combine_max,
@@ -39,7 +40,7 @@ def alternating_verdict():
 
 def _counter_mod(n):
     # its configuration (the step count) never repeats, so only the window
-    # rules could settle it, but its per-iteration extrema are periodic
+    # rule could settle it, but its per-iteration extrema are periodic
     factory = lambda alphabet: FunctionStepper(0, lambda k, sym: k + 1, lambda k: k % n)
     return VerdictFunction(dom.NATINF, factory, name=f"mod{n}")
 
@@ -67,7 +68,7 @@ class TestLimits:
     def test_periodic_extrema_without_configs_are_undetermined(self, v):
         # none exposes a configuration, and the per-iteration extrema
         # repeat: never equal over the final window, and a ramp (mod n
-        # climbs 0 1 .. n-1) wraps inside the escape tail at any budget
+        # climbs 0 1 .. n-1) wraps inside the window at any budget
         t = lasso((), ("a",), A)
         for evaluate in (eval_limsup, eval_liminf):
             for iters in (1024, 1025, 1026):
@@ -154,6 +155,10 @@ class TestLimits:
         with pytest.raises(ValueError):
             LimitBudget(max_loop_iterations=2)
         assert LimitBudget(3).max_loop_iterations == 3
+        # only an int is a number of iterations; a bool is not one
+        for bad in (3.5, "9", True):
+            with pytest.raises(InputError, match=re.escape(repr(bad))):
+                LimitBudget(bad)
 
     def test_mrt_verdict_on_figure_lasso(self, server):
         t = parse_lasso("req ack req other ack ; other", server)
@@ -531,17 +536,18 @@ def _finite_number(v):
     return dom.is_numeric(v) and v != dom.INF and v != dom.NEG_INF
 
 
-# The window rules below are kept verbatim from before the engine folded
-# them into one equal window and one escape rule, so the differential test
-# compares the engine against an independent copy.  The engine's window
-# and escape tail are not imported: this copy states its own.
+# The window rules below are kept from before the engine folded them into
+# one rule, so the differential test compares the engine against an
+# independent copy: an equal check and an escape check, each over the whole
+# escape tail of more than WINDOW extrema.  The engine's window is not
+# imported: this copy states its own sizes.
 WINDOW = 3
 ESCAPE_TAIL = 18
 
 
-def _window_equal(maxima, window):
-    tail = maxima[-window:]
-    if len(tail) < window or any(m is None for m in tail):
+def _window_equal(maxima):
+    tail = maxima[-ESCAPE_TAIL:]
+    if len(tail) <= WINDOW or any(m is None for m in tail):
         return None
     first = tail[0]
     if all(m == first for m in tail[1:]):
@@ -621,7 +627,7 @@ def _reference_limit(verdict, t, budget, take_sup):
         except NoBoundError:
             maxima.append(None)
     used = budget.max_loop_iterations
-    m = _window_equal(maxima, WINDOW)
+    m = _window_equal(maxima)
     if m is not None:
         return LimitResult(m, LimitKind.EXACT, used)
     div = _window_diverged(d, maxima, WINDOW, take_sup)
@@ -664,17 +670,26 @@ class TestBudgetPath:
 
     # sha256 of one line per lasso of exhaustive_suite(alphabet, 2, 3):
     # the lasso, its limsup and its liminf.  Many of these limits run out
-    # the budget and are settled by the window rules, which CI pins only
-    # for the limsup side of mrt and art (through compare).
+    # the budget: the window rule settles those of the opaque verdicts and
+    # combinations, which CI pins only for the limsup side of mrt and art
+    # (through compare), and leaves Madd's undetermined.
     OPAQUE_LIMIT_DIGESTS = {
         "mrt": "ad3eb4059a85cadad1252f8d4b009e1bc4aca03f1ab25817e07830e7dbf3575e",
         "art": "d35c1a05adfd37958edc52572f2a20d57b890018e5bdb4fde8ed544935ecec41",
         "energy.waut": "c965522c565133722bf715b2730dba6bf3034304872c2ad00e264d5e93145384",
+        "max(Mfin2,Mmax)": "ad3eb4059a85cadad1252f8d4b009e1bc4aca03f1ab25817e07830e7dbf3575e",
+        "compl(mrt)": "04abdce879468df5999f543e3f999a7740867d1fbe978adf56763416f926c944",
+        "Madd": "e432f61fc384f50a2435a5d4479bf28bb0e6373ac53ab3201892a071877786b0",
+    }
+    COMBINED_VERDICTS = {
+        "max(Mfin2,Mmax)": lambda: (combine_max(BUNDLED_VERDICTS["Mfin2"]()[0],
+                                                BUNDLED_VERDICTS["Mmax"]()[0]), SERVER),
+        "compl(mrt)": lambda: (complement(qp.mrt_verdict()), SERVER),
     }
 
     @pytest.mark.parametrize("name", sorted(OPAQUE_LIMIT_DIGESTS))
     def test_bundled_opaque_limits_are_pinned(self, name):
-        verdict, alphabet = BUNDLED_VERDICTS[name]()
+        verdict, alphabet = {**BUNDLED_VERDICTS, **self.COMBINED_VERDICTS}[name]()
         up, lo = {}, {}
         lines = [f"{t.render()} {eval_limsup(verdict, t, memo=up).render()} "
                  f"{eval_liminf(verdict, t, memo=lo).render()}\n"
