@@ -14,6 +14,7 @@ seeded (default 42) so identical inputs produce byte-identical outputs.
 """
 
 import argparse
+import io
 import os
 import sys
 
@@ -44,10 +45,17 @@ def _int(text, what, least):
     return int(text)
 
 
+def _create(path):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise QuantmonError(f"cannot write {path}: {exc.strerror}")
+
+
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _create(out_path) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -109,22 +117,55 @@ def _suite_for(spec, alphabet, seed):
     raise QuantmonError(f"unknown suite spec {spec!r}")
 
 
+def _stream_verdicts(machine, out):
+    """Write to ``out`` one verdict per non-blank, non-comment line of
+    standard input.
+
+    Each read takes what input is available, up to one buffer, and waits only
+    when there is none.  The verdicts of its complete lines go out in one
+    write and one flush before the next read, so none is held back while the
+    monitor waits; the ``finally`` sends them also when a line fails."""
+    step = mc.MachineRun(machine).step
+    check, render = machine.output_domain.check, dom.render_value
+    stdin = sys.stdin.fileno()
+    lineno, pieces, more = 0, [], True  # pieces: the line in progress, per read
+    while more:
+        chunk = os.read(stdin, io.DEFAULT_BUFFER_SIZE)
+        more = bool(chunk)
+        lines = chunk.split(b"\n")
+        if more and len(lines) == 1:
+            pieces.append(chunk)  # a line longer than a read is joined once, at its end
+            continue
+        pieces.append(lines[0])
+        lines[0] = b"".join(pieces)
+        pieces = [lines.pop()] if more else []
+        verdicts = []
+        try:
+            for raw in lines:
+                lineno += 1
+                try:
+                    token = raw.decode("utf-8").split("#", 1)[0].strip()
+                except UnicodeDecodeError as exc:
+                    raise InputError(f"standard input line {lineno} is not UTF-8 text "
+                                     f"(byte {exc.start})") from None
+                if token:
+                    verdicts.append(render(check(step(token))))
+        finally:
+            if verdicts:
+                out.write("\n".join(verdicts) + "\n")
+                out.flush()
+
+
 def cmd_run(args):
     machine = _load_machine_file(args.machine, args.domain)
-    verdict = mc.generated_verdict(machine)
     if args.stdin:
-        run, check = mc.MachineRun(machine), machine.output_domain.check
-        for lineno, raw in enumerate(sys.stdin.buffer, 1):
-            try:
-                token = raw.decode("utf-8").split("#", 1)[0].strip()
-            except UnicodeDecodeError as exc:
-                raise InputError(f"standard input line {lineno} is not UTF-8 text "
-                                 f"(byte {exc.start})") from None
-            if not token:
-                continue
-            sys.stdout.write(dom.render_value(check(run.step(token))) + "\n")
-            sys.stdout.flush()
+        if args.output:
+            with _create(args.output) as out:
+                _stream_verdicts(machine, out)
+        else:
+            _stream_verdicts(machine, sys.stdout)
         return 0
+    verdict = mc.generated_verdict(machine)
     text = _read(args.trace)
     if args.lasso:
         if args.unroll < 0:
@@ -311,8 +352,8 @@ def main(argv=None):
     try:
         _check_global_options(sys.argv[1:] if argv is None else argv)
         args = parser.parse_args(argv)
-        if args.command == "run" and not args.stdin and args.trace is None:
-            parser.error("run needs a trace file (or --stdin)")
+        if args.command == "run" and args.stdin == (args.trace is not None):
+            parser.error("run needs either a trace file or --stdin")
         if args.command == "classify" and not args.obligation and args.automaton is None:
             parser.error("classify needs an automaton file or --obligation pairs")
         return args.fn(args)

@@ -184,12 +184,11 @@ class NumericDomain(ValueDomain):
 
     def __init__(self, name, contains_fn, bottom, top):
         self.name = name
-        self._contains = contains_fn
+        # an instance attribute, so that check calls the membership function
+        # directly: it runs once per streamed verdict
+        self.contains = contains_fn
         self.bottom = bottom
         self.top = top
-
-    def contains(self, v):
-        return self._contains(v)
 
     def leq(self, a, b):
         self.check(a)
@@ -350,6 +349,8 @@ def parse_domain(name):
 
 def render_value(v):
     """Canonical text form: T, F, bot, inf, -inf, integers, p/q, tuples."""
+    if type(v) is int:  # the common case; isinstance(v, Fraction) below is slow
+        return str(v)
     if isinstance(v, bool):
         return "T" if v else "F"
     if v is BOT:

@@ -1,8 +1,13 @@
 import hashlib
+import io
 import json
+import os
 import pathlib
+import random
+import select
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -47,9 +52,65 @@ FIG1_CSV = ["index,prefix_len,value"] + [f"{i},{i},{v}" for i, v in
 
 
 MMAX_TEXT = mc.render_machine(mc.build_mmax())
+MMAX_SPEC = DEMOS / "machines/mmax.mspec"
 # its output -x+1 is 0 after one event and leaves natinf after two
 COUNTDOWN_TEXT = ("registers: x\ninstruction-set: counter\nstates: q\ninitial: q\n"
                   "edge: q a / x:=x+1 -> q\noutput: q = -x+1\n")
+
+READ = io.DEFAULT_BUFFER_SIZE  # the bytes one read of --stdin takes at most
+
+
+def run_stdin(stdin, *options):
+    """``run Mmax --stdin`` as a child process reading ``stdin`` (a file)."""
+    return subprocess.run([sys.executable, "-m", "quantmon.cli", "run", str(MMAX_SPEC),
+                           "--stdin", *options], stdin=stdin, capture_output=True)
+
+
+def stepped(events):
+    """The rendered in-process verdicts of Mmax after each event."""
+    run = mc.MachineRun(mc.load_machine(MMAX_SPEC.read_text()))
+    return [dom.render_value(run.step(e)) for e in events]
+
+
+def read_line_within(stream, seconds):
+    """The next line of an unbuffered pipe, failing when it takes longer."""
+    deadline, line = time.monotonic() + seconds, b""
+    while not line.endswith(b"\n"):
+        ready, _, _ = select.select([stream], [], [], max(0, deadline - time.monotonic()))
+        if not ready:
+            pytest.fail(f"no complete line within {seconds} s, got {line!r}")
+        chunk = os.read(stream.fileno(), 4096)
+        if not chunk:
+            break
+        line += chunk
+    return line
+
+
+@pytest.fixture(scope="module")
+def boundary_stream(tmp_path_factory):
+    """(path, events): a --stdin input over three reads long, with blank and
+    comment lines, a two-byte character split by a read boundary, lines
+    longer than one read, and no newline after its last line."""
+    events = random.Random(1).choices(["req", "ack", "other"], k=4000)
+    data = bytearray()
+    for i, event in enumerate(events):
+        if i == 1000:  # the character's first byte ends a read, its second begins one
+            data += b"# " + b"x" * ((-len(data) - 3) % READ) + "\u00e9".encode() + b"\n"
+        if i == 2000:
+            data += b"#" + b"y" * (READ + 5) + b"\n"
+        if i % 10 == 0:
+            data += b"\n"
+        if i == 3000:
+            data += b" " * (2 * READ) + event.encode() + b"\t\n"
+        elif i % 17 == 0:
+            data += f"{event}  # event {i}\n".encode()
+        else:
+            data += event.encode() + b"\n"
+    data = data[:-1]
+    assert len(data) > 3 * READ and data.index("\u00e9".encode()) % READ == READ - 1
+    path = tmp_path_factory.mktemp("stream") / "events.txt"
+    path.write_bytes(data)
+    return path, events
 
 
 class TestRun:
@@ -181,6 +242,56 @@ class TestRun:
             proc.stderr.close()
             assert proc.wait(timeout=60) == 141
         assert stderr == b""
+
+    def test_streaming_answers_each_event_before_the_next(self):
+        # a producer that waits for each verdict before it sends the next
+        # event gets every verdict: none is held back for more input
+        with subprocess.Popen(
+                [sys.executable, "-m", "quantmon.cli", "run", str(MMAX_SPEC), "--stdin"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0) as proc:
+            try:
+                for event, verdict in zip(["req", "ack", "req", "other", "ack"],
+                                          ["0", "1", "1", "1", "2"]):
+                    proc.stdin.write(event.encode() + b"\n")
+                    assert read_line_within(proc.stdout, 60) == verdict.encode() + b"\n"
+                proc.stdin.close()
+                assert proc.stdout.read() == b""
+                assert proc.wait(timeout=60) == 0
+            finally:
+                proc.kill()
+
+    def test_streaming_across_read_boundaries(self, boundary_stream):
+        path, events = boundary_stream
+        with path.open("rb") as stdin:
+            proc = run_stdin(stdin)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode().splitlines() == stepped(events)
+
+    def test_streaming_output_file_matches_stdout(self, boundary_stream, tmp_path):
+        path, _ = boundary_stream
+        target = tmp_path / "verdicts.txt"
+        with path.open("rb") as stdin:
+            to_stdout = run_stdin(stdin)
+        with path.open("rb") as stdin:
+            to_file = run_stdin(stdin, "-o", str(target))
+        assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+        assert target.read_bytes() == to_stdout.stdout
+
+    def test_streaming_non_utf8_line_after_the_first_read(self, tmp_path):
+        # a read boundary falls among the lines before the bad one: it keeps
+        # its line number, counted over blank and comment lines, and every
+        # earlier event keeps its verdict
+        events = ["req", "ack", "other"] * 1000
+        head = "\n# comment\n" + "\n".join(events) + "\n"
+        path = tmp_path / "events.txt"
+        path.write_bytes(head.encode() + b"req # caf\xe9\nack\n")
+        assert len(head) > READ
+        with path.open("rb") as stdin:
+            proc = run_stdin(stdin)
+        assert proc.returncode == 2
+        assert proc.stdout.decode().splitlines() == stepped(events)
+        assert proc.stderr.decode().splitlines() == [
+            f"error: standard input line {len(events) + 3} is not UTF-8 text (byte 9)"]
 
     @pytest.mark.parametrize("events,verdicts,error", [
         (b"req\n\xff\nack\n", ["0"], "standard input line 2 is not UTF-8 text (byte 0)"),
@@ -334,6 +445,9 @@ class TestInputErrors:
         ["compare", "machine:{work}/mmax.mspec", "mrt", "--suite", "exhaustive:1:1",
          "--side", "sideways"],
         ["run", "{work}/mmax.mspec"],
+        ["run", "{work}/mmax.mspec", "{work}/fig.trace", "--stdin"],
+        ["run", "{work}/mmax.mspec", "--stdin", "-o", "{bad}/no-dir/verdicts.txt"],
+        ["demo", "fig1", "-o", "{bad}/no-dir/fig1.csv"],
         ["classify"],
         ["classify", "{work}/never_b.aut", "--suite", "exhaustive:1:0"],
         ["run", "{work}/mmax.mspec", "{bad}/latin1.trace"],
