@@ -168,11 +168,12 @@ def cmd_run(args):
     verdict = mc.generated_verdict(machine)
     text = _read(args.trace)
     if args.lasso:
-        if args.unroll < 0:
-            raise InputError(f"--unroll must be an integer >= 0, got {args.unroll}")
+        unroll = 3 if args.unroll is None else args.unroll
+        if unroll < 0:
+            raise InputError(f"--unroll must be an integer >= 0, got {unroll}")
         t = parse_lasso(text, machine.alphabet)
         budget = LimitBudget(args.budget_iters)
-        window = t.prefix(len(t.stem) + args.unroll * len(t.loop))
+        window = t.prefix(len(t.stem) + unroll * len(t.loop))
         lines = verdict_csv_lines(verdict, window)
         up = eval_limsup(verdict, t, budget)
         lo = eval_liminf(verdict, t, budget)
@@ -310,8 +311,8 @@ def _build_parser():
     mode.add_argument("--finite", action="store_true")
     mode.add_argument("--stdin", action="store_true",
                       help="stream events from standard input, one token per line")
-    p.add_argument("--unroll", type=int, default=3,
-                   help="loop unrollings shown in lasso mode")
+    p.add_argument("--unroll", type=int, default=None,
+                   help="loop unrollings shown in lasso mode (default 3)")
     p.add_argument("--domain", default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_run)
@@ -354,6 +355,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.command == "run" and args.stdin == (args.trace is not None):
             parser.error("run needs either a trace file or --stdin")
+        if args.command == "run" and args.unroll is not None and not args.lasso:
+            parser.error("--unroll applies only to --lasso")
         if args.command == "classify" and not args.obligation and args.automaton is None:
             parser.error("classify needs an automaton file or --obligation pairs")
         return args.fn(args)

@@ -41,14 +41,18 @@ computable iteration, and each output position tends to its value, to
 ±inf, or to a ratio of slopes (taken through ``max`` and componentwise in
 a tuple).
 
-Instruction sets restrict which update and guard forms a machine may use:
+Instruction sets are the cost model.  Each update must be one of the six
+instructions of ``_INSTRUCTIONS`` (set to 0 or to 1, increment, decrement,
+add a register, assign a register), and ``_SETS`` lists per set the
+instructions it admits, the right operands its guard atoms compare against
+and whether its outputs may divide:
 
-* ``counter``: reset/increment updates, register-to-register comparisons;
-* ``counter+-``: reset/increment/decrement, comparisons against constants
+* ``counter``: reset and increment; atoms against registers or 0;
+* ``counter+-``: reset, increment and decrement; atoms against integers
   (a constant test is shorthand for the repeated decrement-and-test-zero
   idiom, so it costs no extra register);
-* ``adder``: set-to-one, add-register, copy updates, register comparisons;
-* ``extended``: anything, including outputs that divide registers.
+* ``adder``: set to one, add and assign a register; atoms against registers;
+* ``extended``: all six, any atom, and outputs that divide registers.
 
 Per-state outputs are ``OutputSpec`` expressions in one small grammar, the
 outputs of cost register automata: ``inf``; an affine form, integer
@@ -60,6 +64,7 @@ Every machine therefore renders to the file format, and every machine's
 loops can be composed for acceleration.
 """
 
+import collections
 import enum
 import functools
 import itertools
@@ -125,26 +130,26 @@ _INSTRUCTIONS = {"zero": (0, 0, 0), "one": (0, 0, 1), "inc": (1, 0, 1), "dec": (
                  "add": (1, 1, 0), "copy": (0, 1, 0)}
 
 
+def _instruction(t, form):
+    """The instruction that assigns ``form`` to register ``t``, or None.
+    The operand may be ``t`` itself, as in ``x:=x+x``."""
+    others = [c for i, c in enumerate(form[:-1]) if c and i != t]
+    for name, (own, other, const) in _INSTRUCTIONS.items():
+        if const == form[-1] and (form[t] == own and others == [other]
+                                  or form[t] == own + other and not others):
+            return name
+    return None
+
+
 @dataclass(frozen=True)
 class Update:
+    """``target := value`` for an affine output ``value``."""
+
     target: str
-    kind: str
-    operand: str = None
-
-    def __post_init__(self):
-        if self.kind not in _INSTRUCTIONS:
-            raise MachineError(f"unknown update kind {self.kind!r}")
-        if _INSTRUCTIONS[self.kind][1] and self.operand is None:
-            raise MachineError(f"update {self.kind} needs an operand register")
-
-    def value(self):
-        """The assigned value as an affine output."""
-        own, other, const = _INSTRUCTIONS[self.kind]
-        terms = ((self.target, own), (self.operand, other))
-        return OutputSpec("affine", tuple((r, c) for r, c in terms if c), const)
+    value: object
 
     def render(self):
-        return f"{self.target}:={self.value().render()}"
+        return f"{self.target}:={self.value.render()}"
 
 
 @dataclass(frozen=True)
@@ -257,22 +262,16 @@ def out_tuple(*parts):
     return OutputSpec("tuple", parts)
 
 
-_SET_UPDATES = {
-    InstructionSet.COUNTER: {"zero", "inc"},
-    InstructionSet.COUNTER_INC_DEC: {"zero", "inc", "dec"},
-    InstructionSet.ADDER: {"one", "add", "copy"},
-    InstructionSet.EXTENDED: set(_INSTRUCTIONS),
+# the cost model: per instruction set, its instructions, the right operands
+# its guard atoms may compare against (a register, 0 or another integer),
+# and whether its outputs may divide
+_Rules = collections.namedtuple("_Rules", "instructions operands divides")
+_SETS = {
+    InstructionSet.COUNTER: _Rules({"zero", "inc"}, {"register", 0}, False),
+    InstructionSet.COUNTER_INC_DEC: _Rules({"zero", "inc", "dec"}, {0, "integer"}, False),
+    InstructionSet.ADDER: _Rules({"one", "add", "copy"}, {"register"}, False),
+    InstructionSet.EXTENDED: _Rules(set(_INSTRUCTIONS), {"register", 0, "integer"}, True),
 }
-
-
-def _atom_allowed(atom, iset):
-    if iset is InstructionSet.EXTENDED:
-        return True
-    if iset is InstructionSet.COUNTER_INC_DEC:
-        return isinstance(atom.right, int)
-    if iset is InstructionSet.COUNTER:
-        return not isinstance(atom.right, int) or atom.right == 0
-    return not isinstance(atom.right, int)  # adder compares registers
 
 
 # the only names generated code can see
@@ -370,7 +369,6 @@ class RegisterMachine:
         lowered = {}
         outs = tuple(self._lower_output(q, rid, lowered) for q in self.states)
         rows = [{} for _ in self.states]
-        allowed = _SET_UPDATES[self.instruction_set]
         # each distinct atom and update list is lowered once, and each
         # update builder keeps the forms it assigns
         tested, builders, self._assigned = {}, {(): None}, {None: ()}
@@ -386,7 +384,7 @@ class RegisterMachine:
             try:
                 update = builders[e.updates]
             except KeyError:
-                assigned = self._lower_updates(e, rid, allowed)
+                assigned = self._lower_updates(e, rid)
                 update = builders[e.updates] = _compile(_update_source(len(rid), assigned))
                 self._assigned[update] = assigned
             arm = arms.get((dst, update))
@@ -422,7 +420,7 @@ class RegisterMachine:
             raise _OutputError(q, f"output of {q!r} uses unknown register {exc.args[0]!r}") \
                 from None
         # only a quotient generates a Fraction
-        if "Fraction" in source and self.instruction_set is not InstructionSet.EXTENDED:
+        if "Fraction" in source and not _SETS[self.instruction_set].divides:
             raise _OutputError(q, f"dividing output of {q!r} needs the extended "
                                   "instruction set")
         lowered[id(out)] = fn = _compile(f"lambda v: {source}")
@@ -434,25 +432,33 @@ class RegisterMachine:
             form = _affine_form(atom.difference(), rid)
         except KeyError:
             raise _edge_error(edge, f"guard {atom.render()} uses unknown register") from None
-        if not _atom_allowed(atom, self.instruction_set):
+        right = atom.right
+        operand = "register" if isinstance(right, str) else 0 if right == 0 else "integer"
+        if operand not in _SETS[self.instruction_set].operands:
             raise _edge_error(edge, f"guard atom {atom.render()} not allowed by "
                                     f"instruction set {self.instruction_set.value}")
         tested[atom] = lowered = form, atom.negated
         return lowered
 
-    def _lower_updates(self, edge, rid, allowed):
+    def _lower_updates(self, edge, rid):
         """The edge's updates as a tuple of (target index, form of the
         assigned value)."""
         assigned = []
         for u in edge.updates:
+            if u.value.kind != "affine":
+                raise _edge_error(edge, f"update {u.render()!r} is not an instruction")
             try:
-                assigned.append((rid[u.target], _affine_form(u.value(), rid)))
+                t, form = rid[u.target], _affine_form(u.value, rid)
             except KeyError:
                 raise _edge_error(edge, f"update {u.render()} uses unknown register") \
                     from None
-            if u.kind not in allowed:
+            name = _instruction(t, form)
+            if name is None:
+                raise _edge_error(edge, f"update {u.render()!r} is not an instruction")
+            if name not in _SETS[self.instruction_set].instructions:
                 raise _edge_error(edge, f"update {u.render()} not allowed by "
                                         f"instruction set {self.instruction_set.value}")
+            assigned.append((t, form))
         if len({t for t, _ in assigned}) != len(assigned):
             raise _edge_error(edge, f"edge {edge.render()} assigns a register twice")
         return tuple(assigned)
@@ -730,8 +736,9 @@ def _parse_guard(text):
 
 
 def _parse_update(text):
-    """Inverse of ``Update.render``: the right-hand side is an affine
-    output, and the update is the instruction with its form."""
+    """Inverse of ``Update.render``: ``target := affine output``, with the
+    target's terms first; whether it is an instruction is checked when the
+    machine is built."""
     text = text.strip()
     target, sep, rhs = text.partition(":=")
     try:
@@ -740,16 +747,13 @@ def _parse_update(text):
     except MachineError:
         raise MachineError(f"malformed update {text!r}") from None
     target = target.strip()
-    # the target's index is 0, and the other registers' are not
-    names = dict.fromkeys([target, *(r for r, _ in value.parts)])
-    rid = {r: i for i, r in enumerate(names)}
-    form = _affine_form(value, rid)
-    operand = next((r for r, i in rid.items() if i and form[i]), target)
-    for kind, (_, other, _) in _INSTRUCTIONS.items():
-        update = Update(target, kind, operand if other else None)
-        if _affine_form(update.value(), rid) == form:
-            return update
-    raise MachineError(f"update {text!r} is not an instruction")
+    parts = sorted(value.parts, key=lambda term: term[0] != target)
+    return Update(target, OutputSpec("affine", tuple(parts), value.const))
+
+
+def _parse_updates(text):
+    """The comma-separated updates of ``text``; none when it is blank."""
+    return tuple(_parse_update(u) for u in text.split(",")) if text.strip() else ()
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -800,9 +804,7 @@ def _parse_edge(body, line):
     updates = ()
     if "/" in head:
         head, _, update_text = head.partition("/")
-        update_text = update_text.strip()
-        if update_text:
-            updates = tuple(_parse_update(u) for u in update_text.split(","))
+        updates = _parse_updates(update_text)
     head = head.strip()
     guard = TRUE_GUARD
     if "[" in head:
@@ -853,7 +855,7 @@ def load_machine(text, output_domain=None, name="machine"):
         if e.symbol not in symbols:
             symbols.append(e.symbol)
     if output_domain is None:
-        output_domain = dom.RATINF if iset is InstructionSet.EXTENDED else dom.NATINF
+        output_domain = dom.RATINF if _SETS[iset].divides else dom.NATINF
         tuples = [o for o in outputs.values() if o.kind == "tuple"]
         if tuples:
             output_domain = dom.product(output_domain, len(tuples[0].parts))
@@ -884,15 +886,15 @@ def _max_tracking(x, m):
     """The max-tracking gadget: two ``(atom, updates)`` cases that count x
     and let m follow it once it has caught up.  Where m >= x before, m
     becomes max(m, x + 1) as x becomes x + 1."""
-    return ((GuardAtom(x, m), (Update(x, "inc"), Update(m, "inc"))),
-            (GuardAtom(x, m, negated=True), (Update(x, "inc"),)))
+    return ((GuardAtom(x, m), _parse_updates(f"{x}:={x}+1, {m}:={m}+1")),
+            (GuardAtom(x, m, negated=True), _parse_updates(f"{x}:={x}+1")))
 
 
 def _credit(x, m):
     """The credit gadget: where m >= x, m becomes max(m, x + 1) and x
     restarts at 0."""
-    return ((GuardAtom(x, m), (Update(m, "inc"), Update(x, "zero"))),
-            (GuardAtom(x, m, negated=True), (Update(x, "zero"),)))
+    return ((GuardAtom(x, m), _parse_updates(f"{m}:={m}+1, {x}:=0")),
+            (GuardAtom(x, m, negated=True), _parse_updates(f"{x}:=0")))
 
 
 def _guarded_edges(source, symbol, target, gadgets, extra=()):
@@ -919,7 +921,7 @@ def build_mmax():
     """
     alphabet = server_alphabet(1).alphabet
     edges = [
-        Edge("idle", "req", TRUE_GUARD, (Update("x", "zero"),), "pending"),
+        Edge("idle", "req", TRUE_GUARD, _parse_updates("x:=0"), "pending"),
         Edge("idle", "ack", TRUE_GUARD, (), "idle"),
         Edge("idle", "other", TRUE_GUARD, (), "idle"),
         Edge("pending", "req", TRUE_GUARD, (), "sink"),
@@ -942,14 +944,13 @@ def build_mavg():
     """
     alphabet = server_alphabet(1).alphabet
     edges = [
-        Edge("idle", "req", TRUE_GUARD, (Update("burst", "one"),), "pending"),
+        Edge("idle", "req", TRUE_GUARD, _parse_updates("burst:=1"), "pending"),
         Edge("idle", "ack", TRUE_GUARD, (), "idle"),
         Edge("idle", "other", TRUE_GUARD, (), "idle"),
         Edge("pending", "req", TRUE_GUARD, (), "sink"),
-        Edge("pending", "other", TRUE_GUARD, (Update("burst", "inc"),), "pending"),
+        Edge("pending", "other", TRUE_GUARD, _parse_updates("burst:=burst+1"), "pending"),
         Edge("pending", "ack", TRUE_GUARD,
-             (Update("total", "add", "burst"), Update("count", "inc"),
-              Update("burst", "zero")), "idle"),
+             _parse_updates("total:=total+burst, count:=count+1, burst:=0"), "idle"),
     ]
     edges += [Edge("sink", a, TRUE_GUARD, (), "sink") for a in alphabet]
     outputs = {"idle": out_div("total", "count"),
@@ -970,12 +971,12 @@ def build_mavg_running():
     """
     alphabet = server_alphabet(1).alphabet
     edges = [
-        Edge("idle", "req", TRUE_GUARD, (Update("rcount", "inc"),), "pending"),
+        Edge("idle", "req", TRUE_GUARD, _parse_updates("rcount:=rcount+1"), "pending"),
         Edge("idle", "ack", TRUE_GUARD, (), "idle"),
         Edge("idle", "other", TRUE_GUARD, (), "idle"),
         Edge("pending", "req", TRUE_GUARD, (), "sink"),
-        Edge("pending", "other", TRUE_GUARD, (Update("rtotal", "inc"),), "pending"),
-        Edge("pending", "ack", TRUE_GUARD, (Update("rtotal", "inc"),), "idle"),
+        Edge("pending", "other", TRUE_GUARD, _parse_updates("rtotal:=rtotal+1"), "pending"),
+        Edge("pending", "ack", TRUE_GUARD, _parse_updates("rtotal:=rtotal+1"), "idle"),
     ]
     edges += [Edge("sink", a, TRUE_GUARD, (), "sink") for a in alphabet]
     outputs = {"idle": out_div("rtotal", "rcount"),
@@ -1055,7 +1056,7 @@ def build_kpair_monitor(k):
     sa = server_alphabet(k)
     regs = [f"x{i}" for i in range(1, k + 1)] + [f"y{i}" for i in range(1, k + 1)]
     count = [_max_tracking(f"x{i}", f"y{i}") for i in range(1, k + 1)]
-    restart = [(Update(f"x{i}", "zero"),) for i in range(1, k + 1)]
+    restart = [_parse_updates(f"x{i}:=0") for i in range(1, k + 1)]
     edges = []
     outputs = {}
     for st in _status_states(k):
@@ -1089,7 +1090,7 @@ def _build_kpair_shared(k, max_reg_of, regs, name):
     sa = server_alphabet(k)
     count = {j: _max_tracking("x", max_reg_of(j)) for j in range(1, k + 1)}
     credit = {j: _credit("x", max_reg_of(j)) for j in range(1, k + 1)}
-    restart = (Update("x", "zero"),)
+    restart = _parse_updates("x:=0")
     edges = []
     outputs = {}
     for st in _status_states(k):
@@ -1149,7 +1150,7 @@ def build_kpair_sequential(k):
     states = [f"{st}_t{t}_{ph}" for st in _status_states(k)
               for t in range(1, k + 1) for ph in "wc"]
     states.append("alldead")
-    count, arm, raise_z = (Update("x", "inc"),), (Update("x", "zero"),), (Update("z", "inc"),)
+    count, arm, raise_z = map(_parse_updates, ("x:=x+1", "x:=0", "z:=z+1"))
     success = Guard((GuardAtom("x", "z"),))
     failure = Guard((GuardAtom("x", "z", negated=True),))
     for statuses in _status_states(k):
@@ -1211,16 +1212,16 @@ def _ordering_step(source, symbol, j, trackers, clock, target):
     counts it, d_j counts it while 1 <= j < trackers, and, for
     2 <= j <= trackers, d_(j-1) pays for it under [d_(j-1)>=1]; without the
     payment the clock counts it and the run moves to ``frozen``."""
-    counted = (Update(clock, "inc"),)
+    counted = _parse_updates(f"{clock}:={clock}+1")
     if 1 <= j < trackers:
-        counted += (Update(f"d{j}", "inc"),)
+        counted += _parse_updates(f"d{j}:=d{j}+1")
     if not 2 <= j <= trackers:
         return [Edge(source, symbol, TRUE_GUARD, counted, target)]
     payer = f"d{j - 1}"
     return [Edge(source, symbol, Guard((GuardAtom(payer, 1),)),
-                 counted + (Update(payer, "dec"),), target),
+                 counted + _parse_updates(f"{payer}:={payer}-1"), target),
             Edge(source, symbol, Guard((GuardAtom(payer, 1, negated=True),)),
-                 (Update(clock, "inc"),), "frozen")]
+                 _parse_updates(f"{clock}:={clock}+1"), "frozen")]
 
 
 def _build_pk(k, trackers, name):
@@ -1414,13 +1415,13 @@ def build_doubling_adder():
     """
     alphabet = DOUBLING_ALPHABET
     edges = [
-        Edge("virgin", "a", TRUE_GUARD, (Update("x", "one"),), "inblock"),
+        Edge("virgin", "a", TRUE_GUARD, _parse_updates("x:=1"), "inblock"),
         Edge("virgin", "b", TRUE_GUARD, (), "virgin"),
-        Edge("inblock", "a", TRUE_GUARD, (Update("x", "add", "x"),), "inblock"),
+        Edge("inblock", "a", TRUE_GUARD, _parse_updates("x:=x+x"), "inblock"),
         Edge("inblock", "b", Guard((GuardAtom("x", "y"),)),
-             (Update("y", "copy", "x"),), "outside"),
+             _parse_updates("y:=x"), "outside"),
         Edge("inblock", "b", Guard((GuardAtom("x", "y", negated=True),)), (), "outside"),
-        Edge("outside", "a", TRUE_GUARD, (Update("x", "one"),), "inblock"),
+        Edge("outside", "a", TRUE_GUARD, _parse_updates("x:=1"), "inblock"),
         Edge("outside", "b", TRUE_GUARD, (), "outside"),
     ]
     outputs = {"virgin": out_const(1),
@@ -1435,7 +1436,7 @@ def build_doubling_counter():
     """Two-counter machine whose verdict is twice the longest run of a's."""
     alphabet = DOUBLING_ALPHABET
     edges = _guarded_edges("q", "a", "q", [_max_tracking("c", "m")])
-    edges.append(Edge("q", "b", TRUE_GUARD, (Update("c", "zero"),), "q"))
+    edges.append(Edge("q", "b", TRUE_GUARD, _parse_updates("c:=0"), "q"))
     outputs = {"q": _parse_output("2*m")}
     return RegisterMachine("Mcount", ("c", "m"), ("q",), alphabet, "q", edges,
                            outputs, InstructionSet.COUNTER, dom.NATINF)

@@ -189,13 +189,18 @@ def hierarchy_experiment(family, suite, side=Side.BELOW, budget=DEFAULT_BUDGET,
 
 
 def report_jsonl(report, name_1="v1", name_2="v2"):
-    """One JSON record per suite trace plus a summary record."""
+    """One JSON record per suite trace plus a summary record.  The limits
+    are keyed ``limit_<name>``, and ``limit_<name>#1``/``#2`` when both
+    names are equal."""
+    key_1, key_2 = f"limit_{name_1}", f"limit_{name_2}"
+    if key_1 == key_2:
+        key_1, key_2 = f"{key_1}#1", f"{key_2}#2"
     lines = []
     for row in report.rows:
         lines.append(json.dumps({
             "trace": row.trace.render(),
-            f"limit_{name_1}": row.limit_1.render(),
-            f"limit_{name_2}": row.limit_2.render(),
+            key_1: row.limit_1.render(),
+            key_2: row.limit_2.render(),
             "relation": row.relation,
         }, sort_keys=True))
     summary = {

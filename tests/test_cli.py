@@ -372,6 +372,16 @@ class TestCompare:
         assert json.loads(out.splitlines()[-1])["summary"] == expected_summary
 
 
+    def test_self_comparison_prints_both_limits(self, workdir, capsys):
+        machine = f"machine:{workdir / 'mmax.mspec'}"
+        for argv, name in ((["art", "art"], "art"), ([machine, machine], machine)):
+            code, out, _ = run_cli(["compare", *argv, "--suite", "exhaustive:0:1"], capsys)
+            assert code == 0
+            rows = [json.loads(line) for line in out.splitlines()[:-1]]
+            assert len(rows) == 3
+            assert all(set(r) == {"trace", f"limit_{name}#1", f"limit_{name}#2", "relation"}
+                       for r in rows)
+
     def test_const_selector_names_product_domain(self):
         verdict, alphabet = _verdict_for("const:prod:natinf:2:(0,0)")
         assert alphabet is None
@@ -442,6 +452,9 @@ class TestInputErrors:
          "--suite", "exhaustive:1:1"],
         ["run", "{work}/mmax.mspec", "{work}/fig.lasso", "--lasso", "--unroll", "x"],
         ["run", "{work}/mmax.mspec", "{work}/fig.lasso", "--lasso", "--unroll", "-2"],
+        ["run", "{work}/mmax.mspec", "{work}/fig.trace", "--finite", "--unroll", "7"],
+        ["run", "{work}/mmax.mspec", "{work}/fig.trace", "--unroll", "7"],
+        ["run", "{work}/mmax.mspec", "--stdin", "--unroll", "7"],
         ["compare", "machine:{work}/mmax.mspec", "mrt", "--suite", "exhaustive:1:1",
          "--side", "sideways"],
         ["run", "{work}/mmax.mspec"],

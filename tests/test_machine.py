@@ -100,11 +100,20 @@ class TestValidation:
 
     def test_counter_instruction_restriction(self):
         a = Alphabet(("a",))
-        edges = [mc.Edge("q", "a", mc.TRUE_GUARD, (mc.Update("x", "dec"),), "q")]
+        edges = [mc.Edge("q", "a", mc.TRUE_GUARD, mc._parse_updates("x:=x-1"), "q")]
         with pytest.raises(MachineError, match="not allowed"):
             mc.RegisterMachine("bad", ("x",), ("q",), a, "q", edges,
                                {"q": mc.OUT_ZERO}, mc.InstructionSet.COUNTER,
                                dom.NATINF)
+
+    def test_updates_must_assign_affine_values(self):
+        a = Alphabet(("a",))
+        for value in (mc.OUT_INF, mc.out_div("x", "x"), mc._parse_output("max(x,1)")):
+            edges = [mc.Edge("q", "a", mc.TRUE_GUARD, (mc.Update("x", value),), "q")]
+            with pytest.raises(MachineError, match="is not an instruction"):
+                mc.RegisterMachine("bad", ("x",), ("q",), a, "q", edges,
+                                   {"q": mc.OUT_ZERO}, mc.InstructionSet.EXTENDED,
+                                   dom.NATINF)
 
     def test_probe_invariant_random_machines(self):
         # every loaded machine satisfies exactly-one-guard on random probes
@@ -271,8 +280,9 @@ class TestFileFormat:
 
 
 class TestUpdateGrammar:
-    """An update's right-hand side is an affine output that must name one of
-    the six instructions; spaces and term order are free."""
+    """An update's right-hand side is an affine output, with the target's
+    terms first, that must name one of the six instructions when the machine
+    is built; spaces and term order are free."""
 
     @pytest.mark.parametrize("text,kind,operand,rendered", [
         ("x := 0", "zero", None, "x:=0"),
@@ -286,7 +296,12 @@ class TestUpdateGrammar:
     ])
     def test_parse_render_parse(self, text, kind, operand, rendered):
         u = mc._parse_update(text)
-        assert (u.target, u.kind, u.operand) == ("x", kind, operand)
+        assert u.target == "x"
+        assert mc._instruction(0, mc._affine_form(u.value, {"x": 0, "y": 1})) == kind
+        own, other, const = mc._INSTRUCTIONS[kind]
+        valuation = {"x": 3, "y": 5}
+        assert _reference_output(u.value, valuation) == \
+            own * valuation["x"] + other * valuation.get(operand, 0) + const
         assert u.render() == rendered
         assert mc._parse_update(u.render()) == u
 
@@ -296,15 +311,16 @@ class TestUpdateGrammar:
         assert mc.render_machine(spaced) == text
         added = mc.load_machine(text.replace("counter", "extended")
                                 .replace("y:=y+1", "y:=x+y"))
-        assert mc.Update("y", "add", "x") in {u for e in added.edges for u in e.updates}
+        assert mc._parse_update("y:=y+x") in {u for e in added.edges for u in e.updates}
 
-    @pytest.mark.parametrize("update", ["x:=y+1", "x:=2", "x:=3*x", "x:=x+1+1"])
+    @pytest.mark.parametrize("update", ["x:=y+1", "x:=2", "x:=3*x", "x:=x+1+1", "x:=y-x"])
     def test_non_instructions_rejected(self, update):
-        with pytest.raises(MachineError, match=re.escape(f"update {update!r} is not an "
-                                                         "instruction")):
-            mc._parse_update(update)
+        # the update parses, and building the machine quotes it as it renders
+        rendered = {"x:=x+1+1": "x:=x+2", "x:=y-x": "x:=-x+y"}.get(update, update)
+        assert mc._parse_update(update).render() == rendered
         text = (DEMO_MACHINES / "mmax.mspec").read_text().replace("x:=0", update)
-        with pytest.raises(MachineError, match=re.escape(repr(update))):
+        with pytest.raises(MachineError, match=re.escape(
+                f"line 5: update {rendered!r} is not an instruction")):
             mc.load_machine(text)
 
     @pytest.mark.parametrize("update", ["x", "x:=", "x:=x+", "x:=inf", "x:=(x)/(y)"])
@@ -321,6 +337,86 @@ class TestUpdateGrammar:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == ["error: line 5: update 'x:=y+1' is not an instruction"]
+
+
+# each update text with the instruction it names and its rendering, or None
+# when its right-hand side is well formed but not one of the six
+LANGUAGE_UPDATES = {
+    "x:=0": ("zero", "x:=0"), "x:=1": ("one", "x:=1"), "x:=x+1": ("inc", "x:=x+1"),
+    "x:=x-1": ("dec", "x:=x-1"), "x:=x+y": ("add", "x:=x+y"),
+    "x := y + x": ("add", "x:=x+y"), "x:=y": ("copy", "x:=y"), "x:=x+x": ("add", "x:=x+x"),
+    "x:=y+1": None, "x:=2": None, "x:=3*x": None, "x:=x+1+1": None, "x:=-x": None,
+    "x:=y-x": None, "x:=0+0": ("zero", "x:=0"), "x:=1+x": ("inc", "x:=x+1"),
+    "x:=x+0": ("copy", "x:=x"), "x:=x": ("copy", "x:=x"), "x:=y+y": None,
+    "x:=x+x+1": None,
+}
+# each atom with the kind of its right operand
+LANGUAGE_ATOMS = {"x>=y": "register", "x>=0": 0, "x>=3": "integer", "x>=-1": "integer",
+                  "x>=x": "register"}
+# per instruction set, its instructions and the right operands its atoms take
+LANGUAGE_SETS = {
+    "counter": ({"zero", "inc"}, {"register", 0}),
+    "counter+-": ({"zero", "inc", "dec"}, {0, "integer"}),
+    "adder": ({"one", "add", "copy"}, {"register"}),
+    "extended": ({"zero", "one", "inc", "dec", "add", "copy"}, {"register", 0, "integer"}),
+}
+
+
+def _language_case(iset, update, atom):
+    """``SET | UPDATE | ATOM | ok <first edge line>`` for a one-state
+    machine guarded by ``atom`` and updating by ``update``, or ``... |
+    rejected`` when it does not load."""
+    text = (f"registers: x y\ninstruction-set: {iset}\nstates: q\ninitial: q\n"
+            f"edge: q a [{atom}] / {update} -> q\nedge: q a [!({atom})] -> q\n"
+            "output: q = 0\n")
+    try:
+        machine = mc.load_machine(text)
+    except MachineError:
+        return f"{iset} | {update} | {atom} | rejected"
+    edge = next(line for line in mc.render_machine(machine).splitlines()
+                if line.startswith("edge:"))
+    return f"{iset} | {update} | {atom} | ok {edge}"
+
+
+class TestMachineLanguage:
+    """Which update and atom each instruction set admits, and how an
+    admitted update renders."""
+
+    @pytest.mark.parametrize("iset,update,atom", itertools.product(
+        LANGUAGE_SETS, LANGUAGE_UPDATES, LANGUAGE_ATOMS))
+    def test_set_admits_its_instructions_and_atoms(self, iset, update, atom):
+        instructions, operands = LANGUAGE_SETS[iset]
+        named = LANGUAGE_UPDATES[update]
+        got = _language_case(iset, update, atom)
+        if named and named[0] in instructions and LANGUAGE_ATOMS[atom] in operands:
+            assert got == f"{iset} | {update} | {atom} | ok edge: q a [{atom}] / " \
+                          f"{named[1]} -> q"
+        else:
+            assert got.endswith(" | rejected")
+
+    def test_language_is_pinned(self):
+        lines = [_language_case(*case) for case in itertools.product(
+            LANGUAGE_SETS, LANGUAGE_UPDATES, LANGUAGE_ATOMS)]
+        assert sum(" | ok " in line for line in lines) == 101
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            "d0dea35ddaf9e36a5e59a4826d5f88414b51fa75a1e26c9cf4a049c4f3a1eaba"
+
+    def test_bundled_renderings_are_pinned(self):
+        """Every builder's machine, edge and update order included."""
+        builders = [partial(build, k) for build, ks in (
+            (mc.build_kpair_monitor, (2, 3, 4)), (mc.build_kpair_priority, (2, 3, 4)),
+            (mc.build_kpair_sequential, (2, 3, 4)), (mc.build_kpair_grouped, (3, 4, 5)))
+            for k in ks]
+        builders += [mc.build_mmax, mc.build_doubling_counter, mc.build_mavg,
+                     mc.build_doubling_adder, mc.build_mavg_running]
+        builders += [partial(build, k) for build, ks in (
+            (mc.build_finite_state_mrt, (1, 2, 3, 4)), (mc.build_pk_monitor, (2, 3, 4, 5)),
+            (mc.build_binary_pk, (2, 3, 4, 5))) for k in ks]
+        builders += [partial(mc.build_pk_approx, 4, 2), partial(mc.build_pk_approx, 4, 3)]
+        text = "".join(mc.render_machine(build()) for build in builders).encode()
+        assert len(text) == 928140
+        assert hashlib.sha256(text).hexdigest() == \
+            "4dab07a5a189f61b89397640c773a2220d20e9d40c5cebe738e4618c65c54563"
 
 
 class TestMmax:
@@ -808,18 +904,6 @@ def _built(name):
     return machine, groups
 
 
-def _reference_update(u, valuation):
-    if u.kind in ("zero", "one"):
-        return int(u.kind == "one")
-    if u.kind == "inc":
-        return valuation[u.target] + 1
-    if u.kind == "dec":
-        return valuation[u.target] - 1
-    if u.kind == "add":
-        return valuation[u.target] + valuation[u.operand]
-    return valuation[u.operand]
-
-
 def _reference_output(out, valuation):
     """The value of the output expression ``out`` over the name-keyed
     valuation."""
@@ -850,7 +934,7 @@ def reference_run(machine, groups, symbols):
         edge = fired[0]
         updated = dict(valuation)
         for u in edge.updates:
-            updated[u.target] = _reference_update(u, valuation)
+            updated[u.target] = _reference_output(u.value, valuation)
         state, valuation = edge.target, updated
         seen.append(snapshot())
     return seen
@@ -1023,11 +1107,11 @@ class TestLoopAcceleration:
         # y counts up until x reaches 3, then is reset in every iteration;
         # the output right after ``a`` reads y from before the reset
         ab = Alphabet(("a", "b"))
-        edges = [mc.Edge("q", "a", mc.TRUE_GUARD, (mc.Update("x", "inc"),), "q"),
+        edges = [mc.Edge("q", "a", mc.TRUE_GUARD, mc._parse_updates("x:=x+1"), "q"),
                  mc.Edge("q", "b", mc.Guard((mc.GuardAtom("x", 3),)),
-                         (mc.Update("y", "zero"),), "q"),
+                         mc._parse_updates("y:=0"), "q"),
                  mc.Edge("q", "b", mc.Guard((mc.GuardAtom("x", 3, negated=True),)),
-                         (mc.Update("y", "inc"),), "q")]
+                         mc._parse_updates("y:=y+1"), "q")]
         m = mc.RegisterMachine("reset", ("x", "y"), ("q",), ab, "q", edges,
                                {"q": mc.out_reg("y")}, mc.InstructionSet.COUNTER_INC_DEC,
                                dom.NATINF)
@@ -1054,7 +1138,7 @@ class TestLoopAcceleration:
         out = mc._parse_output(text)
         codomain = dom.product(dom.RATINF, 2) if out.kind == "tuple" else dom.RATINF
         m = mc.RegisterMachine("forms", ("x", "y"), ("q",), a, "q",
-                               [mc.Edge("q", "a", mc.TRUE_GUARD, (mc.Update("x", "inc"),), "q")],
+                               [mc.Edge("q", "a", mc.TRUE_GUARD, mc._parse_updates("x:=x+1"), "q")],
                                {"q": out}, mc.InstructionSet.EXTENDED, codomain)
         res = eval_limsup(mc.generated_verdict(m), lasso(("a",) * 3000, ("a",), a))
         assert (res.value, res.kind, res.iterations_used) == (value, kind, 2)
@@ -1074,10 +1158,10 @@ class TestLoopAcceleration:
         # b raises the bound y; a counts x up and stops once x reaches y,
         # freezing x as the output: a jump past the catch-up point shows
         ab = Alphabet(("a", "b"))
-        edges = [mc.Edge("run", "b", mc.TRUE_GUARD, (mc.Update("y", "inc"),), "run"),
+        edges = [mc.Edge("run", "b", mc.TRUE_GUARD, mc._parse_updates("y:=y+1"), "run"),
                  mc.Edge("run", "a", mc.Guard((mc.GuardAtom("x", "y"),)), (), "stop"),
                  mc.Edge("run", "a", mc.Guard((mc.GuardAtom("x", "y", negated=True),)),
-                         (mc.Update("x", "inc"),), "run"),
+                         mc._parse_updates("x:=x+1"), "run"),
                  mc.Edge("stop", "a", mc.TRUE_GUARD, (), "stop"),
                  mc.Edge("stop", "b", mc.TRUE_GUARD, (), "stop")]
         m = mc.RegisterMachine("catch", ("x", "y"), ("run", "stop"), ab, "run", edges,

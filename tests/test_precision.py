@@ -205,6 +205,15 @@ class TestReporting:
         assert {"trace", "limit_vab", "limit_va", "relation"} <= set(rows[0])
         assert rows[-1]["summary"] == "more-precise"
 
+    def test_jsonl_keys_both_limits_of_a_self_comparison(self, eventually_family, abc_suite):
+        # equal names get numbered keys, so neither limit overwrites the other
+        report = pr.compare(eventually_family["ab"], eventually_family["ab"],
+                            abc_suite, Side.BELOW, SMALL)
+        rows = [json.loads(line) for line in pr.report_jsonl(report, "vab", "vab")[:-1]]
+        assert all(set(r) == {"trace", "limit_vab#1", "limit_vab#2", "relation"}
+                   for r in rows)
+        assert all(r["limit_vab#1"] == r["limit_vab#2"] for r in rows)
+
     def test_incomparable_report_names_a_witness_pair(self, eventually_family, abc_suite):
         report = pr.compare(eventually_family["ab"], eventually_family["bc"],
                             abc_suite, Side.BELOW, SMALL)
