@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import domain as dom
-from .errors import AcceptanceKindError, AutomatonError
+from .errors import AcceptanceKindError, AutomatonError, UnsupportedDomainError
 from .trace import Alphabet, all_finite_traces, all_lassos, read_sections
 from .verdict import (
     FunctionStepper, VerdictFunction,
-    DEFAULT_BUDGET, eval_liminf, eval_limsup,
+    DEFAULT_BUDGET, _derived, eval_liminf, eval_limsup,
 )
 
 
@@ -416,26 +416,14 @@ def monitor_reactivity(reactivity):
 def smooth_bot(v):
     """Flatten a bottomed boolean verdict onto the flat domain by repeating
     the last non-bottom output (T before any output arrives)."""
+    if v.codomain != dom.BBOT:
+        raise UnsupportedDomainError(
+            f"smooth_bot needs a verdict on {dom.BBOT.name}, not on {v.codomain.name}")
 
-    class _Smooth:
-        def __init__(self, alphabet):
-            self._inner = v.stepper(alphabet)
-            self._last = True if self._inner.value is dom.BOT else self._inner.value
-            self.value = self._last
+    def smooth(last, x):
+        return (last, last) if x is dom.BOT else (x, x)
 
-        def step(self, symbol):
-            x = self._inner.step(symbol)
-            if x is not dom.BOT:
-                self._last = x
-            self.value = self._last
-            return self.value
-
-        def config(self):
-            c = self._inner.config()
-            return None if c is None else (c, self._last)
-
-    return VerdictFunction(dom.B, stepper_factory=_Smooth,
-                           name=f"smooth({v.name})")
+    return _derived(dom.B, (v,), smooth, f"smooth({v.name})", memory=True)
 
 
 # -- empirical modality checks -----------------------------------------

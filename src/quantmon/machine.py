@@ -751,8 +751,10 @@ def _parse_update(text):
     return Update(target, OutputSpec("affine", tuple(parts), value.const))
 
 
+@functools.lru_cache(maxsize=1024)
 def _parse_updates(text):
-    """The comma-separated updates of ``text``; none when it is blank."""
+    """The comma-separated updates of ``text``; none when it is blank.
+    Update texts repeat across letters and builds, so each is parsed once."""
     return tuple(_parse_update(u) for u in text.split(",")) if text.strip() else ()
 
 

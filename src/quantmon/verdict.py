@@ -4,8 +4,7 @@ A verdict function maps finite traces into a value domain.  It is a
 codomain plus a stepper factory: ``stepper(alphabet)`` starts a run at the
 empty prefix, whose ``step(symbol)`` returns the next ``value`` and whose
 ``config()`` is a hashable run configuration or None.  Calling a verdict
-steps a fresh run over the trace.  A function of whole prefixes becomes a
-verdict through ``prefix_verdict``, which replays it on every prefix.
+steps a fresh run over the trace.
 
 The monitor's estimate for an infinite trace is the limsup (or liminf) of
 the verdict values along its prefixes.  On a lasso ``u ; v`` the engine
@@ -65,35 +64,12 @@ from fractions import Fraction
 
 from . import domain as dom
 from .errors import InputError, InvalidFunctionError, NoBoundError, UnsupportedDomainError
-from .trace import _check_symbol, _checked_trace
 
 
 class Monotonicity(enum.Enum):
     INCREASING = "increasing"
     DECREASING = "decreasing"
     UNRESTRICTED = "unrestricted"
-
-
-class _ReplayStepper:
-    """Stepper of a prefix function: re-evaluates it on each grown prefix.
-    It checks each symbol once, as it is stepped, unless alphabet is None."""
-
-    def __init__(self, fn, alphabet):
-        self._fn = fn
-        self._alphabet = alphabet
-        self._symbols = []
-        self.value = fn(_checked_trace((), alphabet))
-
-    def step(self, symbol):
-        alphabet = self._alphabet
-        if alphabet is not None:
-            _check_symbol(symbol, alphabet)
-        self._symbols.append(symbol)
-        self.value = self._fn(_checked_trace(tuple(self._symbols), alphabet))
-        return self.value
-
-    def config(self):
-        return None
 
 
 class FunctionStepper:
@@ -140,12 +116,6 @@ class VerdictFunction:
 
     def __repr__(self):
         return f"<verdict {self.name} on {self.codomain.name}>"
-
-
-def prefix_verdict(codomain, fn, name="v"):
-    """The verdict of a prefix function ``fn(finite_trace) -> value``.  Its
-    stepper replays ``fn`` on each prefix and exposes no configuration."""
-    return VerdictFunction(codomain, lambda alphabet: _ReplayStepper(fn, alphabet), name)
 
 
 def constant_verdict(codomain, value):
@@ -387,32 +357,38 @@ def check_monotone(verdict, suite, depth):
     return Monotonicity.INCREASING
 
 
-class _PairStepper:
-    def __init__(self, st1, st2, combine):
-        self._st1 = st1
-        self._st2 = st2
-        self._combine = combine
-        self.value = combine(st1.value, st2.value)
+class _DerivedStepper:
+    """A run derived from its operands' runs: it steps them all, and its
+    value is set by ``fn(memory, *operand values) -> (memory, value)``.
+    Its configuration is the memory with the operands' configurations, or
+    None when some operand has none."""
+
+    def __init__(self, fn, memory, runs):
+        self._fn = fn
+        self._runs = runs
+        self._memory, self.value = fn(memory, *[st.value for st in runs])
 
     def step(self, symbol):
-        a = self._st1.step(symbol)
-        b = self._st2.step(symbol)
-        self.value = self._combine(a, b)
+        self._memory, self.value = self._fn(self._memory, *[st.step(symbol) for st in self._runs])
         return self.value
 
     def config(self):
-        c1, c2 = self._st1.config(), self._st2.config()
-        if c1 is None or c2 is None:
-            return None
-        return (c1, c2)
+        configs = [st.config() for st in self._runs]
+        return None if None in configs else (self._memory, *configs)
+
+
+def _derived(codomain, operands, fn, name, memory=None):
+    """The verdict whose runs are ``_DerivedStepper``s over runs of the
+    verdicts ``operands``, starting from ``memory``."""
+    return VerdictFunction(codomain, lambda alphabet: _DerivedStepper(
+        fn, memory, [v.stepper(alphabet) for v in operands]), name)
 
 
 def _combine(v1, v2, pointwise, name):
     if v1.codomain != v2.codomain:
         raise UnsupportedDomainError(
             f"cannot combine verdicts over {v1.codomain.name} and {v2.codomain.name}")
-    factory = lambda alphabet: _PairStepper(v1.stepper(alphabet), v2.stepper(alphabet), pointwise)
-    return VerdictFunction(v1.codomain, factory, name)
+    return _derived(v1.codomain, (v1, v2), lambda m, a, b: (m, pointwise(a, b)), name)
 
 
 def combine_max(v1, v2):
@@ -483,20 +459,7 @@ def map_continuous(verdict, fn):
                     f"function is not monotone: maps {dom.render_value(a)} <= "
                     f"{dom.render_value(b)} to incomparable/decreasing images")
 
-    class _MapStepper:
-        def __init__(self, inner):
-            self._inner = inner
-            self.value = fn(inner.value)
-
-        def step(self, symbol):
-            self.value = fn(self._inner.step(symbol))
-            return self.value
-
-        def config(self):
-            return self._inner.config()
-
-    return VerdictFunction(d, lambda a: _MapStepper(verdict.stepper(a)),
-                           f"map({verdict.name})")
+    return _derived(d, (verdict,), lambda m, x: (m, fn(x)), f"map({verdict.name})")
 
 
 def complement(verdict):

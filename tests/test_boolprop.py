@@ -7,12 +7,13 @@ from quantmon import boolprop as bp
 from quantmon import domain as dom
 from quantmon import qprop as qp
 from quantmon.boolprop import AcceptanceKind, Side
-from quantmon.errors import AcceptanceKindError, AutomatonError
+from quantmon.errors import AcceptanceKindError, AutomatonError, UnsupportedDomainError
 from quantmon.trace import (Alphabet, FiniteTrace, all_finite_traces, all_lassos,
                             lasso, parse_lasso)
-from quantmon.verdict import (LimitBudget, LimitKind, Monotonicity, check_monotone,
+from quantmon.verdict import (FunctionStepper, LimitBudget, LimitKind, Monotonicity,
+                              VerdictFunction, check_monotone, complement,
                               constant_verdict, count_switches, eval_limsup,
-                              prefix_verdict, verdict_sequence)
+                              verdict_sequence)
 
 SMALL = LimitBudget(max_loop_iterations=48)
 
@@ -455,12 +456,21 @@ class TestClassifyModality:
         assert under.summary() == \
             "side=below approximate=pass universal=FAIL existential=FAIL"
         assert [s.render() for s in under.existential_witnesses] == ["", "a", "b"]
-        switching = prefix_verdict(dom.B, lambda s: len(s) % 2 == 0)
+        # T and F by turns, which have no bound in B
+        switching = VerdictFunction(dom.B, lambda alphabet: FunctionStepper(
+            True, lambda b, sym: not b, lambda b: b))
         unresolved = bp.classify_modality(switching, always_true, Side.BELOW, suite,
                                           budget=SMALL)
         assert len(unresolved.unresolved) == len(suite) == 6
         assert unresolved.summary() == \
             "side=below approximate=FAIL universal=FAIL unresolved=6"
+
+
+def state_verdict(P, codomain, out, name):
+    """The verdict ``out(q)`` of P's automaton state ``q`` after each prefix;
+    the state is the run configuration."""
+    return VerdictFunction(codomain, lambda alphabet: FunctionStepper(P.initial, P.step, out),
+                           name)
 
 
 class TestEquivalenceConstructions:
@@ -470,15 +480,14 @@ class TestEquivalenceConstructions:
         P = bp.first_symbol_is(ab, "a")
         pos, neg = P.pos_states, P.neg_states
 
-        def three_valued(s):
-            q = P.run_state(s)
+        def three_valued(q):
             if q in pos:
                 return True
             if q in neg:
                 return False
             return dom.BOT
 
-        v = prefix_verdict(dom.BBOT, three_valued, name="complete")
+        v = state_verdict(P, dom.BBOT, three_valued, name="complete")
         flat = bp.smooth_bot(v)
         assert flat.codomain == dom.B
         for t in all_lassos(ab, 2, 2):
@@ -492,9 +501,8 @@ class TestEquivalenceConstructions:
         # negative-determination verdict on the F-topped domain is monotone,
         # never overshoots, and stays existential
         for P in (never_b, eventually_a, inf_often_a):
-            u = prefix_verdict(dom.BF,
-                               lambda s, P=P: not bp.determines(P, s, "neg"),
-                               name="neg-det")
+            u = state_verdict(P, dom.BF, lambda q, P=P: q not in P.neg_states,
+                              name="neg-det")
             assert check_monotone(u, list(all_lassos(ab, 1, 2)), 5) is \
                 Monotonicity.INCREASING
             for t in all_lassos(ab, 2, 2):
@@ -504,6 +512,15 @@ class TestEquivalenceConstructions:
                 assert any(eval_limsup(u, g.prepend(s.symbols), SMALL).value ==
                            bp.membership(P, g.prepend(s.symbols))
                            for g in all_lassos(ab, 2, 2)), (P, s.symbols)
+
+    def test_smoothing_needs_a_bottomed_operand(self):
+        # smoothing reads bottom as "no answer yet"; on any other codomain
+        # it would pass values that B does not hold
+        for v in (qp.mrt_verdict(), constant_verdict(dom.B, True),
+                  constant_verdict(dom.BT, False),
+                  complement(constant_verdict(dom.BBOT, dom.BOT))):
+            with pytest.raises(UnsupportedDomainError, match="Bbot"):
+                bp.smooth_bot(v)
 
 
 class TestFlatDomainLimitations:

@@ -10,11 +10,16 @@ from quantmon.boolprop import Side
 from quantmon.errors import UnsupportedDomainError
 from quantmon.trace import Alphabet, parse_lasso
 from quantmon.verdict import (FunctionStepper, LimitBudget, VerdictFunction,
-                              constant_verdict, eval_liminf, eval_limsup,
-                              prefix_verdict)
+                              constant_verdict, eval_liminf, eval_limsup)
 
 SMALL = LimitBudget(max_loop_iterations=48)
 ABC = Alphabet(("a", "b", "c"))
+
+
+def squares_verdict():
+    # the squared prefix length, which no limit rule settles
+    factory = lambda alphabet: FunctionStepper(0, lambda k, sym: k + 1, lambda k: k * k)
+    return VerdictFunction(dom.NATINF, factory, name="sq")
 
 
 def contains_verdict(symbols, name):
@@ -91,7 +96,7 @@ class TestCompare:
     def test_undetermined_blocks_dominance(self):
         a = Alphabet(("a", "b"))
         # one verdict resolves everywhere, the other never does
-        wild = prefix_verdict(dom.NATINF, lambda s: len(s) ** 2, name="sq")
+        wild = squares_verdict()
         flat = constant_verdict(dom.NATINF, 0)
         suite = pr.LassoSuite((parse_lasso("; a", a),), "one")
         report = pr.compare(flat, wild, suite, Side.BELOW, SMALL)
@@ -224,7 +229,7 @@ class TestReporting:
 
     def test_summary_counts_unresolved_traces(self):
         ab = Alphabet(("a", "b"))
-        wild = prefix_verdict(dom.NATINF, lambda s: len(s) ** 2, name="sq")
+        wild = squares_verdict()
         suite = pr.LassoSuite((parse_lasso("; a", ab), parse_lasso("a ; b", ab),
                                parse_lasso("b ; a b", ab)), "three")
         report = pr.compare(constant_verdict(dom.NATINF, 0), wild, suite, Side.BELOW, SMALL)

@@ -20,16 +20,47 @@ from quantmon.verdict import (FunctionStepper, LimitBudget, LimitKind, LimitResu
                               Monotonicity, VerdictFunction, check_monotone, combine_max,
                               combine_min, combine_product, combine_sum, complement,
                               constant_verdict, count_switches, eval_liminf,
-                              eval_limsup, map_continuous, prefix_verdict,
-                              verdict_csv_lines, verdict_sequence)
+                              eval_limsup, map_continuous, verdict_csv_lines,
+                              verdict_sequence)
 from test_machine import BUILT_MACHINES
 
 A = Alphabet(("a",))
 AB = Alphabet(("a", "b"))
 
 
+def function_verdict(codomain, init, step_fn, out_fn=lambda state: state, name="v"):
+    factory = lambda alphabet: FunctionStepper(init, step_fn, out_fn)
+    return VerdictFunction(codomain, factory, name)
+
+
+def length_function(codomain, fn, name="v"):
+    # fn of the prefix length; its configuration, the step count, never
+    # repeats, so no cycle settles its limits
+    return function_verdict(codomain, 0, lambda k, sym: k + 1, fn, name)
+
+
 def length_verdict(codomain=dom.NATINF):
-    return prefix_verdict(codomain, lambda s: len(s), name="len")
+    return length_function(codomain, lambda n: n, name="len")
+
+
+class _Unconfigured:
+    """A run of another verdict that hides its configuration."""
+
+    def __init__(self, run):
+        self._run = run
+        self.value = run.value
+
+    def step(self, symbol):
+        self.value = self._run.step(symbol)
+        return self.value
+
+    def config(self):
+        return None
+
+
+def unconfigured(v):
+    return VerdictFunction(v.codomain, lambda alphabet: _Unconfigured(v.stepper(alphabet)),
+                           v.name)
 
 
 def alternating_verdict():
@@ -39,10 +70,9 @@ def alternating_verdict():
 
 
 def _counter_mod(n):
-    # its configuration (the step count) never repeats, so only the window
-    # rule could settle it, but its per-iteration extrema are periodic
-    factory = lambda alphabet: FunctionStepper(0, lambda k, sym: k + 1, lambda k: k % n)
-    return VerdictFunction(dom.NATINF, factory, name=f"mod{n}")
+    # only the window rule could settle it, but its per-iteration extrema
+    # are periodic
+    return length_function(dom.NATINF, lambda k: k % n, name=f"mod{n}")
 
 
 class TestLimits:
@@ -63,10 +93,10 @@ class TestLimits:
         assert eval_limsup(alternating_verdict(), t).value is True
 
     @pytest.mark.parametrize("v", [
-        prefix_verdict(dom.BT, lambda s: len(s) % 2 == 0, name="alt2"),
+        length_function(dom.BT, lambda n: n % 2 == 0, name="alt2"),
         _counter_mod(5), _counter_mod(6)], ids=lambda v: v.name)
     def test_periodic_extrema_without_configs_are_undetermined(self, v):
-        # none exposes a configuration, and the per-iteration extrema
+        # no configuration repeats, and the per-iteration extrema
         # repeat: never equal over the final window, and a ramp (mod n
         # climbs 0 1 .. n-1) wraps inside the window at any budget
         t = lasso((), ("a",), A)
@@ -77,23 +107,23 @@ class TestLimits:
 
     def test_flat_boolean_switching_is_undetermined(self):
         # infinitely switching values on the flat domain have no limit
-        v = prefix_verdict(dom.B, lambda s: len(s) % 2 == 0, name="altB")
+        v = length_function(dom.B, lambda n: n % 2 == 0, name="altB")
         res = eval_limsup(v, lasso((), ("a",), A))
         assert res.kind is LimitKind.UNDETERMINED and res.value is None
 
     def test_eventually_constant_after_long_transient(self):
-        v = prefix_verdict(dom.NATINF, lambda s: min(len(s), 17), name="sat")
+        v = length_function(dom.NATINF, lambda n: min(n, 17), name="sat")
         res = eval_limsup(v, lasso((), ("a",), A))
         assert res.kind is LimitKind.EXACT and res.value == 17
 
     def test_nonlinear_growth_is_undetermined(self):
-        v = prefix_verdict(dom.NATINF, lambda s: len(s) ** 2, name="sq")
+        v = length_function(dom.NATINF, lambda n: n ** 2, name="sq")
         res = eval_limsup(v, lasso((), ("a",), A), LimitBudget(max_loop_iterations=64))
         assert res.kind is LimitKind.UNDETERMINED
 
     def test_product_divergence_extrapolates_componentwise(self):
         d = dom.product(dom.NATINF, 2)
-        v = prefix_verdict(d, lambda s: (len(s), 3), name="pair")
+        v = length_function(d, lambda n: (n, 3), name="pair")
         res = eval_limsup(v, lasso((), ("a",), A))
         assert res.kind is LimitKind.DIVERGED_TO_TOP
         assert res.value == (dom.INF, 3)
@@ -107,7 +137,7 @@ class TestLimits:
         for evaluate in (eval_limsup, eval_liminf):
             res = evaluate(mc.generated_verdict(m), t)
             assert (res.value, res.kind) == ((dom.INF, dom.INF), LimitKind.DIVERGED_TO_TOP)
-        v = prefix_verdict(dom.product(dom.NATINF, 2), lambda s: (dom.INF, len(s)))
+        v = length_function(dom.product(dom.NATINF, 2), lambda n: (dom.INF, n))
         res = eval_limsup(v, lasso((), ("a",), A))
         assert (res.value, res.kind) == ((dom.INF, dom.INF), LimitKind.DIVERGED_TO_TOP)
 
@@ -115,10 +145,10 @@ class TestLimits:
         # a component climbing to inf in prod:inv:natinf escapes to the
         # bottom of its inverse order, as a scalar in inv:natinf does
         t = lasso((), ("a",), A)
-        scalar = prefix_verdict(dom.inverse(dom.NATINF), lambda s: len(s))
+        scalar = length_verdict(dom.inverse(dom.NATINF))
         res = eval_limsup(scalar, t)
         assert (res.value, res.kind) == (dom.INF, LimitKind.DIVERGED_TO_BOTTOM)
-        pair = prefix_verdict(dom.product(dom.inverse(dom.NATINF), 2), lambda s: (len(s), 3))
+        pair = length_function(dom.product(dom.inverse(dom.NATINF), 2), lambda n: (n, 3))
         res = eval_limsup(pair, t)
         assert (res.value, res.kind) == ((dom.INF, 3), LimitKind.DIVERGED_TO_BOTTOM)
 
@@ -192,11 +222,11 @@ class TestMonotonicity:
 
     def test_incomparable_steps_are_unrestricted(self):
         # every step switches between T and F, which B leaves incomparable
-        v = prefix_verdict(dom.B, lambda s: len(s) % 2 == 0)
+        v = length_function(dom.B, lambda n: n % 2 == 0)
         assert check_monotone(v, [lasso((), ("a",), A)], depth=4) is Monotonicity.UNRESTRICTED
 
     def test_decreasing(self):
-        v = prefix_verdict(dom.NATINF, lambda s: max(0, 10 - len(s)))
+        v = length_function(dom.NATINF, lambda n: max(0, 10 - n))
         assert check_monotone(v, [lasso((), ("a",), A)], depth=6) is Monotonicity.DECREASING
 
 
@@ -320,9 +350,10 @@ class TestCombinators:
     def test_pair_has_a_configuration_only_when_both_operands_do(self, server):
         st = combine_max(constant_verdict(dom.NATINF, 3), qp.mrt_verdict()).stepper(server)
         st.step("req")
-        assert st.config() == ((), ("p", 0, 0))
-        replayed = combine_max(qp.mrt_verdict(), length_verdict())
-        assert replayed.stepper(server).config() is None
+        # no memory, then each operand's configuration
+        assert st.config() == (None, (), ("p", 0, 0))
+        hidden = combine_max(qp.mrt_verdict(), unconfigured(length_verdict()))
+        assert hidden.stepper(server).config() is None
 
     def test_sum_requires_numeric(self):
         with pytest.raises(UnsupportedDomainError):
@@ -388,30 +419,28 @@ class TestComplement:
 SERVER = qp.server_alphabet(1).alphabet
 
 
-def _acks(s):
-    return sum(1 for sym in s if sym == "ack")
+def _count_acks(acks, sym):
+    return acks + (sym == "ack")
 
 
-def _last_answer(s):
+def _last_answer(last, sym):
     # bottom until the latest event is a request or an answer
-    if not len(s) or s[len(s) - 1] == "other":
-        return dom.BOT
-    return s[len(s) - 1] == "ack"
+    return dom.BOT if sym == "other" else sym == "ack"
 
 
 # operands over the server alphabet, grouped by shared codomain: machine,
-# hand-written stepper, constant and prefix-function verdicts
+# hand-written stepper, constant and summary verdicts
 NUMERIC_OPERANDS = [
     [mc.generated_verdict(mc.build_mmax()), qp.mrt_verdict(),
      constant_verdict(dom.NATINF, 2), constant_verdict(dom.NATINF, dom.INF),
-     prefix_verdict(dom.NATINF, _acks, name="acks")],
+     function_verdict(dom.NATINF, 0, _count_acks, name="acks")],
     [mc.generated_verdict(mc.build_mavg()), qp.art_verdict(),
      constant_verdict(dom.RATINF, Fraction(1, 2)), constant_verdict(dom.RATINF, 0),
-     prefix_verdict(dom.RATINF, lambda s: Fraction(len(s), 3), name="len/3")],
+     length_function(dom.RATINF, lambda n: Fraction(n, 3), name="len/3")],
 ]
 BOTTOMED_OPERANDS = [
     constant_verdict(dom.BBOT, dom.BOT), constant_verdict(dom.BBOT, False),
-    prefix_verdict(dom.BBOT, _last_answer, name="last-answer"),
+    function_verdict(dom.BBOT, dom.BOT, _last_answer, name="last-answer"),
     bp.monitor_reactivity(bp.ReactivityList((
         (bp.buchi_infinitely_often(SERVER, "ack"),
          bp.cobuchi_eventually_always(SERVER, "other")),))),
@@ -463,39 +492,6 @@ class TestCombinatorSemantics:
     @given(st.sampled_from(BOTTOMED_OPERANDS), server_traces)
     def test_smooth_bot(self, v, s):
         assert verdict_sequence(bp.smooth_bot(v), s) == _smoothed(verdict_sequence(v, s))
-
-    def test_prefix_verdict_steps_without_an_alphabet(self):
-        st = prefix_verdict(dom.NATINF, len).stepper(None)
-        assert st.value == 0
-        assert [st.step(sym) for sym in ("a", "b", "a")] == [1, 2, 3]
-
-    def test_prefix_verdict_checks_each_stepped_symbol_once(self):
-        # stepping n distinct symbols looks each up once: n lookups, not the
-        # n(n+1)/2 of checking the whole prefix again on every step
-        class CountingSymbols(tuple):
-            lookups = 0
-
-            def __contains__(self, symbol):
-                CountingSymbols.lookups += 1
-                return tuple.__contains__(self, symbol)
-
-        n = 40
-        alphabet = Alphabet(tuple(f"s{i}" for i in range(n)))
-        object.__setattr__(alphabet, "symbols", CountingSymbols(alphabet.symbols))
-        st = prefix_verdict(dom.NATINF, len).stepper(alphabet)
-        assert [st.step(sym) for sym in alphabet] == list(range(1, n + 1))
-        assert CountingSymbols.lookups == n
-        with pytest.raises(ValueError, match="symbol 'z' not in alphabet"):
-            st.step("z")
-        assert st.value == n
-
-    @settings(max_examples=50, deadline=None)
-    @given(server_traces)
-    def test_prefix_verdict_replays_its_function(self, s):
-        v = prefix_verdict(dom.NATINF, _acks)
-        want = [_acks(s.symbols[:i]) for i in range(len(s) + 1)]
-        assert verdict_sequence(v, s) == want
-        assert v(s) == want[-1]
 
 
 class TestSequencesAndCsv:
@@ -642,10 +638,14 @@ OPAQUE = {
     "alternating": VerdictFunction(dom.BT, lambda alphabet: FunctionStepper(
         True, lambda b, sym: not b, lambda b: b), name="alt"),
     "mod6": _counter_mod(6),
-    "pair": prefix_verdict(dom.product(dom.NATINF, 2), lambda s: (
-        _acks(s), dom.INF if s.symbols.count("req") > 1 else len(s) % 2), name="pair"),
-    "bool": prefix_verdict(dom.BT, lambda s: len(s) % 3 == 0, name="len%3"),
-    "flat": prefix_verdict(dom.B, lambda s: _acks(s) % 2 == 0, name="even-acks"),
+    # the step count, the acks and the requests up to two
+    "pair": function_verdict(
+        dom.product(dom.NATINF, 2), (0, 0, 0),
+        lambda st, sym: (st[0] + 1, _count_acks(st[1], sym), min(st[2] + (sym == "req"), 2)),
+        lambda st: (st[1], dom.INF if st[2] > 1 else st[0] % 2), name="pair"),
+    "bool": length_function(dom.BT, lambda n: n % 3 == 0, name="len%3"),
+    "flat": function_verdict(dom.B, 0, _count_acks, lambda acks: acks % 2 == 0,
+                             name="even-acks"),
 }
 small_budgets = st.builds(LimitBudget, max_loop_iterations=st.integers(4, 40))
 server_lassos = st.builds(lambda stem, loop: lasso(stem, loop, SERVER),
@@ -713,6 +713,55 @@ class TestBudgetPath:
             with pytest.raises(DomainMismatchError):
                 evaluate(v, lasso((), ("a", "b"), AB))
             assert steps[-1] == 6
+
+
+def _energy_oracle():
+    A = qp.load_weighted_automaton((DEMO_DIR / "automata/energy.waut").read_text())
+    return lambda t: qp.eval_energy(A, t)
+
+
+def _witness_subjects():
+    """Each verdict of the witness table, as (verdict, alphabet, oracle)."""
+    mmax = mc.generated_verdict(mc.build_mmax())
+    server = lambda v: (v, SERVER, qp.eval_mrt)
+    return {
+        "mrt": lambda: server(qp.mrt_verdict()),
+        "compl(mrt)": lambda: server(complement(qp.mrt_verdict())),
+        "max(Mfin2,Mmax)": lambda: server(combine_max(
+            mc.generated_verdict(mc.build_finite_state_mrt(2)), mmax)),
+        "Mmax": lambda: server(mmax),
+        "compl(Mmax)": lambda: server(complement(mmax)),
+        "energy.waut": lambda: (*_energy_verdict(), _energy_oracle()),
+    }
+
+
+WITNESS_SUBJECTS = _witness_subjects()
+_LONG_WAIT = "req " + "other " * 2000 + "ack req ; other"
+# The window rule settles these limits wrongly: on its witness lasso each
+# verdict gets the pinned limsup and liminf, where its oracle gives another
+# value.  A change that fixes a verdict deletes its entry.
+KNOWN_WRONG = {
+    "mrt": (_LONG_WAIT, "exact,2001"),
+    "compl(mrt)": (_LONG_WAIT, "exact,2001"),
+    "max(Mfin2,Mmax)": (_LONG_WAIT, "exact,2001"),
+    "energy.waut": ("b " * 5000 + "; a", "exact,0"),
+}
+# register machines prove their oracle's value on the same lasso
+PROVEN_ON_WITNESS = {
+    "Mmax": (_LONG_WAIT, "diverged-to-top,inf"),
+    "compl(Mmax)": (_LONG_WAIT, "diverged-to-bottom,inf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted({**KNOWN_WRONG, **PROVEN_ON_WITNESS}))
+def test_known_wrong_limits_are_pinned(name):
+    verdict, alphabet, oracle = WITNESS_SUBJECTS[name]()
+    text, answer = {**KNOWN_WRONG, **PROVEN_ON_WITNESS}[name]
+    t = parse_lasso(text, alphabet)
+    results = [eval_limsup(verdict, t), eval_liminf(verdict, t)]
+    assert [res.render() for res in results] == [answer, answer]
+    assert oracle(t) == dom.INF
+    assert (results[0].value == oracle(t)) is (name in PROVEN_ON_WITNESS)
 
 
 def _machine_subject(build):
@@ -816,10 +865,10 @@ class TestSuiteMemo:
                 assert _fields(memoized) == _fields([evaluate(v, t) for t in suite])
                 assert len(memo) == len(_config_loop_pairs(v, suite)) < len(suite)
 
-    def test_prefix_verdicts_are_not_memoized(self):
+    def test_steppers_without_a_configuration_are_not_memoized(self):
         suite = pr.exhaustive_suite(SERVER, 1, 2)
         budget = LimitBudget(max_loop_iterations=24)
-        for v in (OPAQUE["pair"], OPAQUE["bool"], length_verdict()):
+        for v in map(unconfigured, (OPAQUE["pair"], OPAQUE["bool"], length_verdict())):
             memo = {}
             memoized = [eval_limsup(v, t, budget, memo) for t in suite]
             assert memo == {}
