@@ -14,8 +14,10 @@ seeded (default 42) so identical inputs produce byte-identical outputs.
 """
 
 import argparse
+import gc
 import io
 import os
+import re
 import sys
 
 from . import boolprop as bp
@@ -117,39 +119,56 @@ def _suite_for(spec, alphabet, seed):
     raise QuantmonError(f"unknown suite spec {spec!r}")
 
 
+_COMMENT = re.compile("#[^\n]*")
+
+
 def _stream_verdicts(machine, out):
     """Write to ``out`` one verdict per non-blank, non-comment line of
     standard input.
 
     Each read takes what input is available, up to one buffer, and waits only
-    when there is none.  The verdicts of its complete lines go out in one
-    write and one flush before the next read, so none is held back while the
-    monitor waits; the ``finally`` sends them also when a line fails."""
+    when there is none.  Its complete lines, with the line a read before it
+    left open, are decoded at once and split once; a line that is not UTF-8
+    is named by its number over the whole input and the offset of its bad
+    byte, after the lines before it are answered.  A verdict is checked and
+    rendered only when its value is another object than the one before: runs
+    repeat their value objects, and equality would not do, since ``1 ==
+    True`` while only ``True`` is boolean.  The verdicts of a read go out in
+    one write and one flush before the next read, so none is held back while
+    the monitor waits; the ``finally`` sends them also when a line fails."""
     step = mc.MachineRun(machine).step
     check, render = machine.output_domain.check, dom.render_value
     stdin = sys.stdin.fileno()
     lineno, pieces, more = 0, [], True  # pieces: the line in progress, per read
+    last = shown = object()  # the last verdict object and its text
     while more:
         chunk = os.read(stdin, io.DEFAULT_BUFFER_SIZE)
         more = bool(chunk)
-        lines = chunk.split(b"\n")
-        if more and len(lines) == 1:
+        end = chunk.rfind(b"\n") + 1
+        if more and not end:
             pieces.append(chunk)  # a line longer than a read is joined once, at its end
             continue
-        pieces.append(lines[0])
-        lines[0] = b"".join(pieces)
-        pieces = [lines.pop()] if more else []
+        pieces.append(chunk[:end])
+        block = b"".join(pieces)
+        pieces = [chunk[end:]]
+        try:
+            text, bad = block.decode("utf-8"), None
+        except UnicodeDecodeError as exc:  # bad: the byte's offset in its line
+            good = block.rfind(b"\n", 0, exc.start) + 1
+            text, bad = block[:good].decode("utf-8"), exc.start - good
+        lines = _COMMENT.sub("", text).split("\n")
+        lineno += len(lines) - 1  # the complete lines decoded, up to a bad one
         verdicts = []
         try:
-            for raw in lines:
-                lineno += 1
-                try:
-                    token = raw.decode("utf-8").split("#", 1)[0].strip()
-                except UnicodeDecodeError as exc:
-                    raise InputError(f"standard input line {lineno} is not UTF-8 text "
-                                     f"(byte {exc.start})") from None
+            for token in map(str.strip, lines):
                 if token:
-                    verdicts.append(render(check(step(token))))
+                    value = step(token)
+                    if value is not last:
+                        last, shown = value, render(check(value))
+                    verdicts.append(shown)
+            if bad is not None:
+                raise InputError(f"standard input line {lineno + 1} is not UTF-8 text "
+                                 f"(byte {bad})")
         finally:
             if verdicts:
                 out.write("\n".join(verdicts) + "\n")
@@ -349,6 +368,11 @@ def _build_parser():
 
 
 def main(argv=None):
+    if argv is None:
+        # the program: keep the collector, during the run and at exit, off
+        # the objects that the imports made; a caller's own main(argv) keeps
+        # its collector as it is
+        gc.freeze()
     parser = _build_parser()
     try:
         _check_global_options(sys.argv[1:] if argv is None else argv)

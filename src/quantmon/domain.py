@@ -120,17 +120,15 @@ class BooleanDomain(ValueDomain):
     def __init__(self, name, carrier, strict, bottom=None, top=None, is_lattice=False):
         self.name = name
         self._carrier = tuple(carrier)
+        self._members = frozenset(self._carrier)
         self._strict = frozenset(strict)
         self.bottom = bottom
         self.top = top
         self.is_lattice = is_lattice
 
     def contains(self, v):
-        if isinstance(v, bool):
-            return v in tuple(c for c in self._carrier if isinstance(c, bool))
-        if isinstance(v, _Extremum):
-            return any(c is v for c in self._carrier)
-        return False
+        # the type comes first: the ints 0 and 1 equal False and True
+        return isinstance(v, (bool, _Extremum)) and v in self._members
 
     def leq(self, a, b):
         self.check(a)

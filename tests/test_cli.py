@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -53,6 +54,7 @@ FIG1_CSV = ["index,prefix_len,value"] + [f"{i},{i},{v}" for i, v in
 
 MMAX_TEXT = mc.render_machine(mc.build_mmax())
 MMAX_SPEC = DEMOS / "machines/mmax.mspec"
+MAVG_SPEC = DEMOS / "machines/mavg.mspec"
 # its output -x+1 is 0 after one event and leaves natinf after two
 COUNTDOWN_TEXT = ("registers: x\ninstruction-set: counter\nstates: q\ninitial: q\n"
                   "edge: q a / x:=x+1 -> q\noutput: q = -x+1\n")
@@ -60,16 +62,23 @@ COUNTDOWN_TEXT = ("registers: x\ninstruction-set: counter\nstates: q\ninitial: q
 READ = io.DEFAULT_BUFFER_SIZE  # the bytes one read of --stdin takes at most
 
 
-def run_stdin(stdin, *options):
-    """``run Mmax --stdin`` as a child process reading ``stdin`` (a file)."""
-    return subprocess.run([sys.executable, "-m", "quantmon.cli", "run", str(MMAX_SPEC),
-                           "--stdin", *options], stdin=stdin, capture_output=True)
+def run_stdin(stdin, *options, spec=MMAX_SPEC):
+    """``run Mmax --stdin`` (or another machine file ``spec``) as a child
+    process reading ``stdin`` (a file or bytes)."""
+    data = {"input": stdin} if isinstance(stdin, bytes) else {"stdin": stdin}
+    return subprocess.run([sys.executable, "-m", "quantmon.cli", "run", str(spec),
+                           "--stdin", *options], capture_output=True, **data)
 
 
-def stepped(events):
-    """The rendered in-process verdicts of Mmax after each event."""
-    run = mc.MachineRun(mc.load_machine(MMAX_SPEC.read_text()))
+def stepped(events, spec=MMAX_SPEC):
+    """The rendered in-process verdicts of Mmax (or ``spec``) after each event."""
+    run = mc.MachineRun(mc.load_machine(spec.read_text()))
     return [dom.render_value(run.step(e)) for e in events]
+
+
+def comment_to(size):
+    """A comment line of ``size`` bytes, its newline included."""
+    return b"# " + b"x" * (size - 3) + b"\n"
 
 
 def read_line_within(stream, seconds):
@@ -293,6 +302,69 @@ class TestRun:
         assert proc.stderr.decode().splitlines() == [
             f"error: standard input line {len(events) + 3} is not UTF-8 text (byte 9)"]
 
+    def test_streaming_crlf_lines(self):
+        proc = run_stdin(b"req\r\nack\r\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0\n1\n", b"")
+
+    def test_streaming_read_ending_on_a_newline(self):
+        # the first read ends with the line "ack": the second starts a line,
+        # and the line count goes on across the boundary
+        head = b"req\n" + comment_to(READ - 8) + b"ack\n"
+        assert len(head) == READ
+        proc = run_stdin(head + b"req\nother\n\xff\nack\n")
+        assert proc.returncode == 2
+        assert proc.stdout.decode().splitlines() == stepped(["req", "ack", "req", "other"])
+        assert proc.stderr.decode().splitlines() == [
+            "error: standard input line 6 is not UTF-8 text (byte 0)"]
+
+    @pytest.mark.parametrize("data,events,line", [
+        # the first read ends inside "other"; the bad line follows it and
+        # two good lines of the second read
+        ((b"req\nack\n" * 100 + comment_to(READ - 803), b"oth",
+          b"er\nreq\nack\nreq # caf\xe9\nack\n"), ["req", "ack"] * 100 + ["other", "req", "ack"],
+         205),
+        # the bad line itself is carried over, its bad byte the last of the
+        # first read: the offset counts from its start in that read
+        ((b"req\nack\n" * 100 + comment_to(READ - 810), b"req # caf\xe9",
+          b" more\nack\n"), ["req", "ack"] * 100, 202),
+    ], ids=["after-a-carried-line", "carried-bad-line"])
+    def test_streaming_non_utf8_line_across_reads(self, data, events, line):
+        first, carried, rest = data
+        assert len(first + carried) == READ
+        proc = run_stdin(first + carried + rest)
+        assert proc.returncode == 2
+        assert proc.stdout.decode().splitlines() == stepped(events)
+        assert proc.stderr.decode().splitlines() == [
+            f"error: standard input line {line} is not UTF-8 text (byte 9)"]
+
+    def test_streaming_mavg_across_read_boundaries(self, boundary_stream):
+        # a random stream sends Mavg to its sink (inf) within a few events
+        path, events = boundary_stream
+        with path.open("rb") as stdin:
+            proc = run_stdin(stdin, spec=MAVG_SPEC)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode().splitlines() == stepped(events, MAVG_SPEC)
+
+    def test_streaming_fraction_verdicts_across_read_boundaries(self):
+        # well-formed requests keep Mavg off its sink: p/q verdicts throughout
+        r = random.Random(7)
+        events = [e for _ in range(2000)
+                  for e in ["req"] + ["other"] * r.randrange(4) + ["ack"]]
+        data = ("\n".join(events) + "\n").encode()
+        assert len(data) > 3 * READ
+        proc = run_stdin(data, spec=MAVG_SPEC)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        verdicts = proc.stdout.decode().splitlines()
+        assert verdicts == stepped(events, MAVG_SPEC)
+        assert sum("/" in v for v in verdicts) > len(events) // 2
+
+    def test_streaming_repeated_verdict_printed_for_every_event(self):
+        # one value over more than three reads, after the first changes
+        events = ["req", "ack"] + ["other"] * (4 * READ // 6)
+        proc = run_stdin(("\n".join(events) + "\n").encode())
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode().splitlines() == ["0"] + ["1"] * (len(events) - 1)
+
     @pytest.mark.parametrize("events,verdicts,error", [
         (b"req\n\xff\nack\n", ["0"], "standard input line 2 is not UTF-8 text (byte 0)"),
         (b"req\nack\n# \xc3\x28\nreq\n", ["0", "1"],
@@ -308,6 +380,26 @@ class TestRun:
         assert proc.returncode == 2
         assert proc.stdout.decode().splitlines() == verdicts
         assert proc.stderr.decode().splitlines() == [f"error: {error}"]
+
+
+class TestCollector:
+    def test_in_process_main_keeps_the_freeze_count(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["demo", "fig1"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_program_main_freezes_the_imported_objects(self):
+        # as the console script calls it: no arguments, sys.argv set
+        code = ("import gc, sys\n"
+                "from quantmon import cli\n"
+                "sys.argv = ['quantmon', 'demo', 'fig1']\n"
+                "code = cli.main()\n"
+                "print(gc.get_freeze_count(), file=sys.stderr)\n"
+                "sys.exit(code)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines() == FIG1_CSV
+        assert int(proc.stderr) > 0
 
 
 class TestEval:

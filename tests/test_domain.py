@@ -105,6 +105,13 @@ class TestBounds:
         with pytest.raises(DomainMismatchError):
             dom.NATINF.check(True)  # booleans are not numbers here
 
+    @pytest.mark.parametrize("d", [dom.B, dom.BBOT, dom.BT, dom.BF], ids=lambda d: d.name)
+    @pytest.mark.parametrize("v", [True, False, dom.BOT, 0, 1, None], ids=repr)
+    def test_boolean_contains(self, d, v):
+        # 0 and 1 equal False and True but are numbers, not truth values
+        members = (True, False, dom.BOT) if d is dom.BBOT else (True, False)
+        assert d.contains(v) is any(v is m for m in members)
+
     def test_numeric_carriers(self):
         for d in (dom.NATINF, dom.INTINF, dom.RATINF):
             assert not d.contains(True) and not d.contains(False)
