@@ -204,7 +204,7 @@ def characteristic_property(P):
 
 
 def _state_output_verdict(P, out_fn, codomain, name):
-    factory = lambda alphabet: FunctionStepper(P.initial, P.step, out_fn)
+    factory = lambda: FunctionStepper(P.initial, P.step, out_fn)
     return VerdictFunction(codomain, factory, name)
 
 
@@ -337,7 +337,7 @@ def monitor_obligation(obligation):
         return all(q_s not in neg or q_c in pos
                    for (neg, pos), q_s, q_c in zip(alive, states[0::2], states[1::2]))
 
-    factory = lambda alphabet: FunctionStepper(init, step, out)
+    factory = lambda: FunctionStepper(init, step, out)
     return VerdictFunction(dom.B, stepper_factory=factory,
                            name=f"obligation-monitor(k={len(pairs)})")
 
@@ -408,7 +408,7 @@ def monitor_reactivity(reactivity):
         return dom.BOT
 
     start = (init, (_RESP,) * k, (False,) * k, True)
-    factory = lambda alphabet: FunctionStepper(start, step, out)
+    factory = lambda: FunctionStepper(start, step, out)
     return VerdictFunction(dom.BBOT, stepper_factory=factory,
                            name=f"reactivity-monitor(k={k})")
 

@@ -30,6 +30,9 @@ NEG_INF = float("-inf")
 
 
 class _Extremum:
+    """A named extremal value; with no __eq__ or __hash__ it compares and
+    hashes by identity."""
+
     __slots__ = ("_name",)
 
     def __init__(self, name):
@@ -135,9 +138,9 @@ class BooleanDomain(ValueDomain):
         self.check(b)
         if a == b and type(a) is type(b):
             return True
-        if (_key(a), _key(b)) in self._strict:
+        if (a, b) in self._strict:
             return True
-        if (_key(b), _key(a)) in self._strict:
+        if (b, a) in self._strict:
             return False
         return INCOMPARABLE
 
@@ -167,11 +170,6 @@ class BooleanDomain(ValueDomain):
 
     def inf(self, vs):
         return self._bound(vs, upper=False)
-
-
-def _key(v):
-    # BOT identity-keyed; booleans by value.
-    return id(v) if isinstance(v, _Extremum) else v
 
 
 class NumericDomain(ValueDomain):
@@ -293,7 +291,7 @@ B = BooleanDomain("B", (True, False), strict=())
 
 #: B extended with a least element below both truth values.
 BBOT = BooleanDomain("Bbot", (True, False, BOT),
-                     strict={(id(BOT), True), (id(BOT), False)},
+                     strict={(BOT, True), (BOT, False)},
                      bottom=BOT)
 
 #: Truth values with F < T (positive verdicts are irrevocable upward).

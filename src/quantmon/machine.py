@@ -707,8 +707,7 @@ def run(machine, s):
 
 def generated_verdict(machine):
     """The verdict function generated by the machine's output stream."""
-    return VerdictFunction(machine.output_domain, lambda alphabet: MachineRun(machine),
-                           machine.name)
+    return VerdictFunction(machine.output_domain, lambda: MachineRun(machine), machine.name)
 
 
 # -- machine text format -------------------------------------------------

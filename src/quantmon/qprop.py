@@ -87,7 +87,7 @@ def mrt(s):
 
 
 def mrt_verdict(req="req", ack="ack"):
-    factory = lambda alphabet: FunctionStepper(
+    factory = lambda: FunctionStepper(
         (_IDLE, 0, 0), lambda st, sym: _mrt_step(st, sym, req, ack), _mrt_out)
     return VerdictFunction(dom.NATINF, stepper_factory=factory, name="mrt")
 
@@ -153,7 +153,7 @@ def art(s):
 
 
 def art_verdict():
-    factory = lambda alphabet: FunctionStepper((_IDLE, 0, 0, 0), _art_step, _art_out)
+    factory = lambda: FunctionStepper((_IDLE, 0, 0, 0), _art_step, _art_out)
     return VerdictFunction(dom.RATINF, stepper_factory=factory, name="art")
 
 
@@ -345,8 +345,7 @@ def energy_verdict(A):
         q2, w = A.step(q, symbol)
         return (q2, total + w, min(lowest, total + w))
 
-    factory = lambda alphabet: FunctionStepper((A.initial, 0, 0), step,
-                                               lambda st: -st[2])
+    factory = lambda: FunctionStepper((A.initial, 0, 0), step, lambda st: -st[2])
     return VerdictFunction(dom.INTINF, stepper_factory=factory, name="energy")
 
 

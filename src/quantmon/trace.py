@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, TraceParseError
 
-_TOKEN_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class Alphabet:
         if len(set(self.symbols)) != len(self.symbols):
             raise InputError("alphabet symbols must be distinct")
         for s in self.symbols:
-            if not _TOKEN_RE.match(s):
+            if not _TOKEN_RE.fullmatch(s):
                 raise InputError(f"bad alphabet token {s!r}")
 
     def __iter__(self):
@@ -39,16 +39,14 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class FiniteTrace:
-    """A finite word; with ``alphabet`` None its symbols go unchecked, as
-    for steppers started without an alphabet."""
+    """A finite word over ``alphabet``; each distinct symbol is checked
+    once when the trace is built."""
 
     symbols: tuple
     alphabet: Alphabet
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple(self.symbols))
-        if self.alphabet is None:
-            return
         for s in dict.fromkeys(self.symbols):
             _check_symbol(s, self.alphabet)
 
@@ -183,16 +181,19 @@ def parse_finite(text, alphabet):
 def read_sections(text, required, error, optional=()):
     """Split a machine or automaton file, comments and blank lines dropped,
     into its ``key: words`` header and its other ``(lineno, line)`` lines.
-    Every ``required`` key must occur and ``initial:`` must name one state,
-    or ``error`` is raised."""
+    Every ``required`` key must occur once, an ``optional`` key at most
+    once, and ``initial:`` must name one state, or ``error`` is raised."""
     header, body = {}, []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, rest = line.partition(":")
-        if sep and key.strip() in required + optional:
-            header[key.strip()] = rest.split()
+        key = key.strip()
+        if sep and key in required + optional:
+            if key in header:
+                raise error(f"line {lineno}: second '{key}:' line")
+            header[key] = rest.split()
         else:
             body.append((lineno, line))
     for key in required:

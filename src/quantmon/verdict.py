@@ -1,10 +1,11 @@
 """Verdict functions and their limits along lasso traces.
 
 A verdict function maps finite traces into a value domain.  It is a
-codomain plus a stepper factory: ``stepper(alphabet)`` starts a run at the
-empty prefix, whose ``step(symbol)`` returns the next ``value`` and whose
-``config()`` is a hashable run configuration or None.  Calling a verdict
-steps a fresh run over the trace.
+codomain plus a stepper factory: ``stepper()`` starts a run at the empty
+prefix, whose ``step(symbol)`` returns the next ``value`` and whose
+``config()`` is a hashable run configuration or None.  A run reads only
+the symbols it is fed, so it needs no alphabet.  A finite trace is stepped
+one way, by ``verdict_sequence``; calling a verdict gives its last value.
 
 The monitor's estimate for an infinite trace is the limsup (or liminf) of
 the verdict values along its prefixes.  On a lasso ``u ; v`` the engine
@@ -97,7 +98,7 @@ class FunctionStepper:
 
 class VerdictFunction:
     """A total, deterministic map from finite traces to domain values, given
-    by its codomain and a factory of steppers over an alphabet."""
+    by its codomain and a factory of steppers at the empty prefix."""
 
     def __init__(self, codomain, stepper_factory, name="v"):
         self.codomain = codomain
@@ -105,14 +106,12 @@ class VerdictFunction:
         self._stepper_factory = stepper_factory
 
     def __call__(self, trace):
-        st = self.stepper(trace.alphabet)
-        for sym in trace:
-            st.step(sym)
-        return st.value
+        return verdict_sequence(self, trace)[-1]
 
-    def stepper(self, alphabet):
-        """A fresh stepper at the empty prefix."""
-        return self._stepper_factory(alphabet)
+    def stepper(self, _alphabet=None):
+        """A fresh stepper at the empty prefix.  The argument is accepted and
+        ignored, since ``benchmarks/workloads.py`` calls ``stepper(None)``."""
+        return self._stepper_factory()
 
     def __repr__(self):
         return f"<verdict {self.name} on {self.codomain.name}>"
@@ -120,7 +119,7 @@ class VerdictFunction:
 
 def constant_verdict(codomain, value):
     codomain.check(value)
-    factory = lambda alphabet: FunctionStepper((), lambda st, sym: st, lambda st: value)
+    factory = lambda: FunctionStepper((), lambda st, sym: st, lambda st: value)
     return VerdictFunction(codomain, factory, f"const({dom.render_value(value)})")
 
 
@@ -236,7 +235,7 @@ def _extremum(combine, vals):
 
 
 def _eval_limit(verdict, t, budget, take_sup, memo):
-    st = verdict.stepper(t.alphabet)
+    st = verdict.stepper()
     for sym in t.stem:
         st.step(sym)
     loop = t.loop.symbols
@@ -337,10 +336,8 @@ def check_monotone(verdict, suite, depth):
     d = verdict.codomain
     saw_inc = saw_dec = saw_incomparable = False
     for t in suite:
-        st = verdict.stepper(t.alphabet)
-        prev = st.value
-        for i in range(depth):
-            cur = st.step(t.symbol_at(i))
+        values = verdict_sequence(verdict, t.prefix(depth))
+        for prev, cur in zip(values, values[1:]):
             rel = d.leq(prev, cur)
             if rel is dom.INCOMPARABLE:
                 saw_incomparable = True
@@ -349,7 +346,6 @@ def check_monotone(verdict, suite, depth):
                     saw_inc = True
             else:
                 saw_dec = True
-            prev = cur
     if saw_incomparable or (saw_inc and saw_dec):
         return Monotonicity.UNRESTRICTED
     if saw_dec:
@@ -380,8 +376,8 @@ class _DerivedStepper:
 def _derived(codomain, operands, fn, name, memory=None):
     """The verdict whose runs are ``_DerivedStepper``s over runs of the
     verdicts ``operands``, starting from ``memory``."""
-    return VerdictFunction(codomain, lambda alphabet: _DerivedStepper(
-        fn, memory, [v.stepper(alphabet) for v in operands]), name)
+    return VerdictFunction(codomain, lambda: _DerivedStepper(
+        fn, memory, [v.stepper() for v in operands]), name)
 
 
 def _combine(v1, v2, pointwise, name):
@@ -470,7 +466,7 @@ def complement(verdict):
 
 def verdict_sequence(verdict, finite_trace):
     """Verdict values over all prefixes of a finite trace, empty prefix included."""
-    st = verdict.stepper(finite_trace.alphabet)
+    st = verdict.stepper()
     values = [st.value]
     for sym in finite_trace:
         values.append(st.step(sym))

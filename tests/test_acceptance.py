@@ -278,8 +278,7 @@ def _random_moore_verdict(rng, alphabet, name):
     states = tuple(range(rng.randint(1, 3)))
     table = {(q, a): rng.choice(states) for q in states for a in alphabet}
     outs = {q: rng.randint(0, 5) for q in states}
-    factory = lambda al: FunctionStepper(states[0], lambda q, a: table[(q, a)],
-                                         lambda q: outs[q])
+    factory = lambda: FunctionStepper(states[0], lambda q, a: table[(q, a)], lambda q: outs[q])
     return VerdictFunction(dom.NATINF, stepper_factory=factory, name=name)
 
 

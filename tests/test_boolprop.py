@@ -457,7 +457,7 @@ class TestClassifyModality:
             "side=below approximate=pass universal=FAIL existential=FAIL"
         assert [s.render() for s in under.existential_witnesses] == ["", "a", "b"]
         # T and F by turns, which have no bound in B
-        switching = VerdictFunction(dom.B, lambda alphabet: FunctionStepper(
+        switching = VerdictFunction(dom.B, lambda: FunctionStepper(
             True, lambda b, sym: not b, lambda b: b))
         unresolved = bp.classify_modality(switching, always_true, Side.BELOW, suite,
                                           budget=SMALL)
@@ -469,8 +469,7 @@ class TestClassifyModality:
 def state_verdict(P, codomain, out, name):
     """The verdict ``out(q)`` of P's automaton state ``q`` after each prefix;
     the state is the run configuration."""
-    return VerdictFunction(codomain, lambda alphabet: FunctionStepper(P.initial, P.step, out),
-                           name)
+    return VerdictFunction(codomain, lambda: FunctionStepper(P.initial, P.step, out), name)
 
 
 class TestEquivalenceConstructions:

@@ -569,6 +569,26 @@ class TestInputErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("name,text,argv,error", [
+        ("states.mspec", MMAX_SPEC.read_text().replace("states:", "states: idle\nstates:"),
+         ["run", "{file}", "{work}/fig.trace", "--finite"], "line 4: second 'states:' line"),
+        ("initial.aut", (DEMOS / "automata/never_b.aut").read_text().replace(
+            "initial: ok", "initial: ok\ninitial: bad"),
+         ["classify", "{file}"], "line 4: second 'initial:' line"),
+        ("initial.waut", "alphabet: a b\nstates: q r\ninitial: q\ninitial: r\n"
+         "q a -> q -3\nq b -> q 1\nr a -> r 1\nr b -> r 1\n",
+         ["eval", "energy:{file}", "{work}/ab.lasso"], "line 4: second 'initial:' line"),
+    ], ids=["mspec", "aut", "waut"])
+    def test_second_header_line_is_named(self, workdir, tmp_path, name, text, argv, error,
+                                         capsys):
+        # the last of two header lines used to win, while a second output
+        # line or transition was rejected
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli([a.format(file=path, work=workdir) for a in argv], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {error}"]
+
     def test_obligation_pair_over_different_alphabets(self, tmp_path, capsys):
         # a safety automaton over a b c paired with the demo co-safety
         # automaton over a b used to end in a KeyError traceback

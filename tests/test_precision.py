@@ -18,13 +18,13 @@ ABC = Alphabet(("a", "b", "c"))
 
 def squares_verdict():
     # the squared prefix length, which no limit rule settles
-    factory = lambda alphabet: FunctionStepper(0, lambda k, sym: k + 1, lambda k: k * k)
+    factory = lambda: FunctionStepper(0, lambda k, sym: k + 1, lambda k: k * k)
     return VerdictFunction(dom.NATINF, factory, name="sq")
 
 
 def contains_verdict(symbols, name):
     """T once any of the given symbols occurred (irrevocable)."""
-    factory = lambda alphabet: FunctionStepper(
+    factory = lambda: FunctionStepper(
         False, lambda st, sym: st or sym in symbols, lambda st: st)
     return VerdictFunction(dom.BT, stepper_factory=factory, name=name)
 

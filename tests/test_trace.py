@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from quantmon.errors import TraceParseError
+from quantmon.errors import InputError, TraceParseError
 from quantmon.trace import (Alphabet, FiniteTrace, LassoTrace, _tokenize, all_lassos,
                             all_finite_traces, lasso, parse_finite, parse_lasso,
                             random_finite_trace, random_lasso)
@@ -25,6 +25,9 @@ class TestAlphabet:
             Alphabet(("a b",))
         with pytest.raises(ValueError):
             Alphabet(())
+        # no trace file can hold "a\n", which a `$` anchor lets through
+        with pytest.raises(InputError, match=r"bad alphabet token 'a\\n'"):
+            Alphabet(("a\n", "b"))
 
 
 class TestPrefix:
@@ -255,8 +258,6 @@ class TestLassoLaws:
             t.prepend(("c",))
         with pytest.raises(ValueError):
             t.prepend(FiniteTrace(("c",), Alphabet(("a", "c"))))
-        with pytest.raises(ValueError):
-            t.prepend(FiniteTrace(("c",), None))
 
 
 class TestEnumerationShapes:

@@ -29,7 +29,7 @@ AB = Alphabet(("a", "b"))
 
 
 def function_verdict(codomain, init, step_fn, out_fn=lambda state: state, name="v"):
-    factory = lambda alphabet: FunctionStepper(init, step_fn, out_fn)
+    factory = lambda: FunctionStepper(init, step_fn, out_fn)
     return VerdictFunction(codomain, factory, name)
 
 
@@ -59,13 +59,12 @@ class _Unconfigured:
 
 
 def unconfigured(v):
-    return VerdictFunction(v.codomain, lambda alphabet: _Unconfigured(v.stepper(alphabet)),
-                           v.name)
+    return VerdictFunction(v.codomain, lambda: _Unconfigured(v.stepper()), v.name)
 
 
 def alternating_verdict():
     # T on even prefix lengths, F on odd ones
-    factory = lambda alphabet: FunctionStepper(True, lambda st, sym: not st, lambda st: st)
+    factory = lambda: FunctionStepper(True, lambda st, sym: not st, lambda st: st)
     return VerdictFunction(dom.BT, stepper_factory=factory, name="alt")
 
 
@@ -155,7 +154,7 @@ class TestLimits:
     def test_cycle_without_bound_in_flat_b_is_undetermined(self):
         # the configuration recurs after two iterations, but T and F have
         # no sup in B, so the cycle proves nothing
-        factory = lambda alphabet: FunctionStepper(True, lambda st, sym: not st, lambda st: st)
+        factory = lambda: FunctionStepper(True, lambda st, sym: not st, lambda st: st)
         v = VerdictFunction(dom.B, stepper_factory=factory)
         res = eval_limsup(v, lasso((), ("a",), A))
         assert (res.kind, res.value, res.iterations_used) == (LimitKind.UNDETERMINED, None, 2)
@@ -163,7 +162,7 @@ class TestLimits:
     def test_escape_out_of_the_domain_is_undetermined(self):
         # the countdown falls by 1 per iteration towards -inf, which natinf
         # lacks; intinf holds it
-        factory = lambda alphabet: FunctionStepper(5000, lambda st, sym: st - 1, lambda st: st)
+        factory = lambda: FunctionStepper(5000, lambda st, sym: st - 1, lambda st: st)
         t = lasso((), ("a",), A)
         res = eval_limsup(VerdictFunction(dom.NATINF, factory), t)
         assert (res.kind, res.value, res.iterations_used) == \
@@ -347,13 +346,13 @@ class TestCombinators:
             s = FiniteTrace(tuple(text.split()), sa2)
             assert joint(s) == dom.NATINF.sup([v1(s), v2(s)])
 
-    def test_pair_has_a_configuration_only_when_both_operands_do(self, server):
-        st = combine_max(constant_verdict(dom.NATINF, 3), qp.mrt_verdict()).stepper(server)
+    def test_pair_has_a_configuration_only_when_both_operands_do(self):
+        st = combine_max(constant_verdict(dom.NATINF, 3), qp.mrt_verdict()).stepper()
         st.step("req")
         # no memory, then each operand's configuration
         assert st.config() == (None, (), ("p", 0, 0))
         hidden = combine_max(qp.mrt_verdict(), unconfigured(length_verdict()))
-        assert hidden.stepper(server).config() is None
+        assert hidden.stepper().config() is None
 
     def test_sum_requires_numeric(self):
         with pytest.raises(UnsupportedDomainError):
@@ -602,7 +601,7 @@ def _reference_limit(verdict, t, budget, take_sup):
     read the whole list.  For opaque steppers (no ``accelerate``)."""
     d = verdict.codomain
     combine = d.sup if take_sup else d.inf
-    st = verdict.stepper(t.alphabet)
+    st = verdict.stepper()
     for sym in t.stem:
         st.step(sym)
     maxima, iteration_values, seen = [], [], {}
@@ -635,7 +634,7 @@ def _reference_limit(verdict, t, budget, take_sup):
 OPAQUE = {
     "art": qp.art_verdict(),
     "mrt": qp.mrt_verdict(),
-    "alternating": VerdictFunction(dom.BT, lambda alphabet: FunctionStepper(
+    "alternating": VerdictFunction(dom.BT, lambda: FunctionStepper(
         True, lambda b, sym: not b, lambda b: b), name="alt"),
     "mod6": _counter_mod(6),
     # the step count, the acks and the requests up to two
@@ -706,7 +705,7 @@ class TestBudgetPath:
             steps.append(k + 1)
             return k + 1
 
-        factory = lambda alphabet: FunctionStepper(0, step, lambda k: -1 if k == 5 else k)
+        factory = lambda: FunctionStepper(0, step, lambda k: -1 if k == 5 else k)
         v = VerdictFunction(dom.NATINF, factory, name="dips")
         for evaluate in (eval_limsup, eval_liminf):
             steps.clear()
@@ -816,7 +815,7 @@ def _fields(results):
 def _config_loop_pairs(v, suite):
     pairs = set()
     for t in suite:
-        st_ = v.stepper(t.alphabet)
+        st_ = v.stepper()
         for sym in t.stem:
             st_.step(sym)
         pairs.add((st_.config(), t.loop.symbols))
@@ -877,7 +876,7 @@ class TestSuiteMemo:
     def test_out_of_codomain_value_still_raises(self):
         # -1 is no natinf value; a failed limit stores nothing, so the
         # second lasso to reach the same configuration raises as well
-        factory = lambda alphabet: FunctionStepper(
+        factory = lambda: FunctionStepper(
             0, lambda k, sym: k + 1, lambda k: -1 if k == 5 else k)
         v = VerdictFunction(dom.NATINF, factory, name="dips")
         for evaluate in (eval_limsup, eval_liminf):
