@@ -132,10 +132,12 @@ def _stream_verdicts(machine, out):
     is named by its number over the whole input and the offset of its bad
     byte, after the lines before it are answered.  A verdict is checked and
     rendered only when its value is another object than the one before: runs
-    repeat their value objects, and equality would not do, since ``1 ==
-    True`` while only ``True`` is boolean.  The verdicts of a read go out in
-    one write and one flush before the next read, so none is held back while
-    the monitor waits; the ``finally`` sends them also when a line fails."""
+    repeat their value objects, as a machine run keeps its value object on a
+    step whose arm has no output (one that cannot change the value), and
+    equality would not do, since ``1 == True`` while only ``True`` is
+    boolean.  The verdicts of a read go out in one write and one flush before
+    the next read, so none is held back while the monitor waits; the
+    ``finally`` sends them also when a line fails."""
     step = mc.MachineRun(machine).step
     check, render = machine.output_domain.check, dom.render_value
     stdin = sys.stdin.fileno()

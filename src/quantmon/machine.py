@@ -13,9 +13,16 @@ guard).
 The same pass over the edges compiles the machine to one flat form, and
 runs step only that form.  States and registers become integer ids and a
 valuation is the tuple of register values in ``registers`` order.  Each
-state's row maps a symbol to its lone edge's ``(target, update)`` or, for a
-guarded group, to a function of the values tuple giving the group's sign
-pattern plus a table from pattern to ``(target, update)``.  Updates, guard
+state's row maps a symbol to its lone edge's arm or, for a guarded group,
+to a function of the values tuple giving the group's sign pattern plus a
+table from pattern to arm.  An arm is ``(target, row, update, output or
+None)``: the target's id and row, the update builder (None for an edge
+without updates) and the target's output function.  The output is None
+when the step cannot change the value: the source state has the same
+output function (outputs of one source text share one function) and the
+update writes none of the registers that function reads.  A run then
+keeps its value object, so a reader can tell an unchanged value by
+identity; an accelerated jump sets the value afresh.  Updates, guard
 atoms and affine outputs share one lowered form: integer coefficients in
 ``registers`` order plus a constant.  An update's form is the assigned
 value, an atom's is ``left - right`` (or ``left - const``), tested for
@@ -279,6 +286,12 @@ _CODE_GLOBALS = {"__builtins__": {}, "Fraction": Fraction, "INF": dom.INF, "max"
 
 
 @functools.lru_cache(maxsize=1024)
+def _read_mask(source):
+    """The mask of the registers that ``source`` reads: bit i for ``v[i]``."""
+    return sum(1 << i for i in set(map(int, re.findall(r"v\[(\d+)\]", source))))
+
+
+@functools.lru_cache(maxsize=1024)
 def _compile(source):
     """The function that ``source``, a lambda over the values tuple ``v``
     written from register indices and integer literals, denotes."""
@@ -366,17 +379,22 @@ class RegisterMachine:
             if q not in sid:
                 raise _OutputError(q, f"output for unknown state {q!r}")
         symbols = set(self.alphabet)
-        lowered = {}
-        outs = tuple(self._lower_output(q, rid, lowered) for q in self.states)
+        lowered, reads = {}, {}
+        outs = tuple(self._lower_output(q, rid, lowered, reads) for q in self.states)
         rows = [{} for _ in self.states]
         # each distinct atom and update list is lowered once, and each
-        # update builder keeps the forms it assigns
-        tested, builders, self._assigned = {}, {(): None}, {None: ()}
-        arms, groups = {}, {}
+        # update builder keeps the forms it assigns and the mask of the
+        # registers it writes
+        tested, builders, self._assigned, writes = {}, {(): None}, {None: ()}, {None: 0}
+        # arms by (target, update), apart for edges whose source has the
+        # target's output function: there an update that writes no register
+        # the output reads cannot change the value, and the arm's output is None
+        arms, kept, groups = {}, {}, {}
         for e in self.edges:
-            src, dst = sid.get(e.source), sid.get(e.target)
-            if src is None or dst is None:
-                raise _edge_error(e, f"edge {e.render()} references unknown states")
+            try:
+                src, dst = sid[e.source], sid[e.target]
+            except KeyError:
+                raise _edge_error(e, f"edge {e.render()} references unknown states") from None
             if e.symbol not in symbols:
                 raise _edge_error(e, f"edge {e.render()} uses symbol outside the alphabet")
             atoms = tuple(tested.get(atom) or self._lower_atom(e, atom, rid, tested)
@@ -387,9 +405,17 @@ class RegisterMachine:
                 assigned = self._lower_updates(e, rid)
                 update = builders[e.updates] = _compile(_update_source(len(rid), assigned))
                 self._assigned[update] = assigned
-            arm = arms.get((dst, update))
-            if arm is None:
-                arm = arms[dst, update] = (dst, rows[dst], update, outs[dst])
+                writes[update] = sum(1 << t for t, _ in assigned)
+            out = outs[dst]
+            if out is outs[src]:
+                arm = kept.get((dst, update))
+                if arm is None:
+                    arm = kept[dst, update] = (dst, rows[dst], update,
+                                               out if writes[update] & reads[out] else None)
+            else:
+                arm = arms.get((dst, update))
+                if arm is None:
+                    arm = arms[dst, update] = (dst, rows[dst], update, out)
             groups.setdefault((src, e.symbol), []).append((e, atoms, arm))
         if len(groups) != len(rows) * len(symbols):
             for q in self.states:
@@ -398,15 +424,18 @@ class RegisterMachine:
                         raise MachineError(f"missing case: no edge from {q!r} on {a!r}")
         self._tests = {}
         for (src, a), group in groups.items():
-            rows[src][a] = self._lower_group(self.states[src], a, group)
+            # a lone unguarded edge is its own entry
+            rows[src][a] = (None, group[0][2]) if len(group) == 1 and not group[0][1] \
+                else self._lower_group(self.states[src], a, group)
         self._initial_id = sid[self.initial]
         self._rows = rows
         self._outputs = outs
         self._register_ids = rid
 
-    def _lower_output(self, q, rid, lowered):
+    def _lower_output(self, q, rid, lowered, reads):
         """The output function of state ``q``, shared through ``lowered``
-        with every state whose output is the same object."""
+        with every state whose output is the same object.  ``reads`` keeps
+        the mask of the registers each function reads."""
         if q not in self.outputs:
             raise MachineError(f"state {q!r} has no output")
         out = self.outputs[q]
@@ -424,6 +453,7 @@ class RegisterMachine:
             raise _OutputError(q, f"dividing output of {q!r} needs the extended "
                                   "instruction set")
         lowered[id(out)] = fn = _compile(f"lambda v: {source}")
+        reads[fn] = _read_mask(source)
         return fn
 
     def _lower_atom(self, edge, atom, rid, tested):
@@ -464,19 +494,15 @@ class RegisterMachine:
         return tuple(assigned)
 
     def _lower_group(self, q, a, group):
-        """The transition entry of the (q, a) edges: ``(None, arm)`` for a
-        lone edge, else the sign-pattern function and the arm per pattern.
+        """The transition entry of the (q, a) edges, which are not one
+        unguarded edge: the sign-pattern function and the arm per pattern.
         Raises unless the guards enumerate every sign pattern of one atom
         set exactly once, which makes exactly one edge fire.  Records the
         atom forms of each sign-pattern function in ``_tests``."""
         if len(group) == 1:
-            edge, atoms, arm = group[0]
-            if atoms:
-                raise _edge_error(
-                    edge,
-                    f"single edge from {q!r} on {a!r} must carry the trivial guard; "
-                    f"got [{edge.guard.render()}]")
-            return None, arm
+            edge = group[0][0]
+            raise _edge_error(edge, f"single edge from {q!r} on {a!r} must carry the "
+                                    f"trivial guard; got [{edge.guard.render()}]")
         tests = tuple(test for test, _ in group[0][1])
         position = {test: i for i, test in enumerate(tests)}
         table = [None] * (1 << len(tests))
@@ -642,6 +668,8 @@ class MachineRun:
         self._state, self._row, update, out = arm
         if update is not None:
             self._values = values = update(values)
+        if out is None:
+            return self.value
         self.value = value = out(values)
         return value
 

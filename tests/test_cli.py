@@ -17,7 +17,7 @@ from quantmon import machine as mc
 from quantmon import domain as dom
 from quantmon.cli import _build_parser, _verdict_for, main
 from quantmon.trace import Alphabet
-from quantmon.verdict import DEFAULT_BUDGET, LimitBudget
+from quantmon.verdict import DEFAULT_BUDGET, LimitBudget, verdict_sequence
 
 
 @pytest.fixture(scope="module")
@@ -364,6 +364,28 @@ class TestRun:
         proc = run_stdin(("\n".join(events) + "\n").encode())
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert proc.stdout.decode().splitlines() == ["0"] + ["1"] * (len(events) - 1)
+
+    def test_streaming_renders_once_per_new_value_object(self, capsys, monkeypatch,
+                                                         tmp_path):
+        # an idle event writes no register of Mavg, so its step keeps the
+        # value object and its verdict is not rendered again
+        events = "req other ack other other req other ack".split()
+        source = tmp_path / "events.txt"
+        source.write_text("\n".join(events) + "\n")
+        machine = mc.load_machine(MAVG_SPEC.read_text())
+        expected = [dom.render_value(v)
+                    for v in verdict_sequence(mc.generated_verdict(machine), events)[1:]]
+        run = mc.MachineRun(machine)
+        values = [run.value] + [run.step(e) for e in events]
+        changes = sum(a is not b for a, b in zip(values, values[1:]))
+        render, rendered = dom.render_value, []
+        monkeypatch.setattr(dom, "render_value", lambda v: rendered.append(v) or render(v))
+        monkeypatch.chdir(DEMOS.parent)
+        with source.open("rb") as stdin:
+            monkeypatch.setattr(sys, "stdin", stdin)
+            assert main(["run", "demos/machines/mavg.mspec", "--stdin"]) == 0
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+        assert len(rendered) == changes == 6
 
     @pytest.mark.parametrize("events,verdicts,error", [
         (b"req\n\xff\nack\n", ["0"], "standard input line 2 is not UTF-8 text (byte 0)"),

@@ -968,6 +968,130 @@ class TestCompiledStepper:
             run.step("bogus")
 
 
+def _arms(machine):
+    """The arms of the machine's flat form, one per edge."""
+    for row in machine._rows:
+        for select, entry in row.values():
+            yield from (entry,) if select is None else entry
+
+
+def _step_checked(machine, run, symbols):
+    """Step ``run`` on ``symbols``.  After each step its value is the output
+    recomputed from its configuration, and after a step on an arm that keeps
+    its value it is the value object from before the step."""
+    for sym in symbols:
+        select, entry = machine._rows[run._state][sym]
+        arm = entry if select is None else entry[select(run._values)]
+        before = run.value
+        value = run.step(sym)
+        assert run._state == arm[0]
+        fresh = machine._outputs[run._state](run._values)
+        # repr tells 1 from Fraction(1), inside tuples too
+        assert value is run.value and repr(value) == repr(fresh), (sym, run.config())
+        if arm[3] is None:
+            assert value is before, (sym, run.config())
+
+
+def _server_traffic(rng, sa, n):
+    """``n`` events of well-formed traffic over the server alphabet ``sa``: a
+    pair is requested only while idle and acknowledged only while pending."""
+    pending, out = [False] * len(sa.req_tokens), []
+    for _ in range(n):
+        i = rng.randrange(len(pending))
+        if rng.random() < 0.3:
+            out.append((sa.ack_tokens if pending[i] else sa.req_tokens)[i])
+            pending[i] = not pending[i]
+        else:
+            out.append(sa.other_token)
+    return out
+
+
+SERVER_ALPHABETS = {qp.server_alphabet(k).alphabet: qp.server_alphabet(k) for k in (1, 2, 3, 4)}
+
+# on the loop ``c a b``, x and y both count iterations until x reaches 100
+SHIFTING_MACHINE = """registers: x y
+instruction-set: counter+-
+states: q r
+initial: q
+edge: q a [x>=100] -> r
+edge: q a [!(x>=100)] / x:=x+1 -> q
+edge: q b [true] / y:=y+1 -> q
+edge: q c [true] -> q
+edge: r a [true] -> r
+edge: r b [true] -> r
+edge: r c [true] -> r
+output: q = y
+output: r = 2*y
+"""
+
+# per machine: the edges whose arm keeps the value, and all edges
+KEPT_ARMS = {
+    "Madd": (2, 7), "Mavg": (5, 9), "Mavg2": (5, 9), "Mbin3": (18, 20), "Mcount": (2, 3),
+    "Mfin1": (18, 21), "Mfin2": (29, 39), "Mfin3": (42, 63), "Mfin4": (57, 93),
+    "Mkgrp3": (162, 303), "Mkpair2": (39, 72), "Mkpair3": (162, 400),
+    "Mkprio3": (162, 303), "Mkseq3": (993, 1168), "Mkseq4": (5045, 5949),
+    "Mmax": (8, 11), "Mpk4": (8, 11), "Mpk4l2": (8, 9), "Mpk4l3": (8, 10),
+    "mavg.mspec": (5, 9), "mmax.mspec": (8, 11),
+}
+
+
+class TestKeptValues:
+    """An arm whose target has its source's output function, and whose
+    update writes no register that output reads, keeps the value object."""
+
+    def test_kept_arm_counts_are_pinned(self):
+        counts = {}
+        for name in BUILT_MACHINES:
+            machine, _ = _built(name)
+            arms = list(_arms(machine))
+            assert len(arms) == len(machine.edges)
+            counts[name] = (sum(arm[3] is None for arm in arms), len(arms))
+        assert counts == KEPT_ARMS
+
+    @pytest.mark.parametrize("name", sorted(BUILT_MACHINES))
+    def test_values_match_the_configuration(self, name):
+        """Every trace of length <= 6 over alphabets of at most three
+        symbols, else 300 seeded traces; then 2,000 events of well-formed
+        traffic, or of seeded symbols off the server alphabets."""
+        machine, _ = _built(name)
+        symbols = machine.alphabet.symbols
+        rng = random.Random(name)
+        if len(symbols) <= 3:
+            frontier = [mc.MachineRun(machine)]
+            for _ in range(6):
+                reached = []
+                for run in frontier:
+                    for sym in symbols:
+                        reached.append(copy.copy(run))
+                        _step_checked(machine, reached[-1], [sym])
+                frontier = reached
+        else:
+            for _ in range(300):
+                trace = rng.choices(symbols, k=rng.randrange(1, 40))
+                _step_checked(machine, mc.MachineRun(machine), trace)
+        sa = SERVER_ALPHABETS.get(machine.alphabet)
+        events = _server_traffic(rng, sa, 2000) if sa else rng.choices(symbols, k=2000)
+        _step_checked(machine, mc.MachineRun(machine), events)
+
+    @pytest.mark.parametrize("build,stem,loop,value", [
+        (partial(mc.build_pk_monitor, 2), "1 " * 1500, "1 2 2", 6003),
+        # the jump moves y, and the first step after it keeps the value
+        (partial(mc.load_machine, SHIFTING_MACHINE), "", "c a b", 200),
+    ], ids=["Mpk2", "shifting"])
+    def test_values_after_an_acceleration_jump(self, build, stem, loop, value):
+        m = build()
+        run = mc.MachineRun(m)
+        _step_checked(m, run, stem.split())
+        for _ in range(8):
+            if run.accelerate(loop.split())[0] is None:
+                break
+        else:
+            pytest.fail("no jump within 8 iterations")
+        assert repr(run.value) == repr(m._outputs[run._state](run._values))
+        _step_checked(m, run, loop.split() * 10)
+        assert run.value == value
+
+
 class TestRendering:
     @pytest.mark.parametrize("name", sorted(BUILT_MACHINES))
     def test_render_load_round_trip(self, name):

@@ -1,13 +1,13 @@
 """Every bundled verdict against its ground-truth oracle.
 
-``ORACLES`` gives each entry of ``BUNDLED_VERDICTS`` an oracle (an
-``eval_*`` evaluator or automaton membership), the relation in which its
-limits stand to the oracle's value (``eq``, or ``le``/``ge`` for an
-approximation from below/above), the sides on which they do (``Side.BELOW``
-reads the limsup and ``Side.ABOVE`` the liminf, as ``classify_modality``
-does) and the number of limits it leaves undetermined on its default suite.
-A determined limit must stand in its relation, and a divergent one must name
-an infinite extreme of its codomain.
+``ORACLES`` gives each entry of ``BUNDLED_VERDICTS`` and of
+``COMBINED_VERDICTS`` an oracle (an ``eval_*`` evaluator or automaton
+membership), the relation in which its limits stand to the oracle's value
+(``eq``, or ``le``/``ge`` for an approximation from below/above), the sides
+on which they do (``Side.BELOW`` reads the limsup and ``Side.ABOVE`` the
+liminf, as ``classify_modality`` does) and the number of limits it leaves
+undetermined on its default suite.  A determined limit must stand in its
+relation, and a divergent one must name an infinite extreme of its codomain.
 """
 
 import random
@@ -25,7 +25,7 @@ from quantmon import qprop as qp
 from quantmon.boolprop import Side
 from quantmon.trace import lasso
 from quantmon.verdict import DEFAULT_BUDGET, LimitKind, eval_liminf, eval_limsup
-from test_verdict import BUNDLED_VERDICTS, DEMO_DIR, KNOWN_WRONG
+from test_verdict import BUNDLED_VERDICTS, COMBINED_VERDICTS, DEMO_DIR, KNOWN_WRONG
 
 BOTH = (Side.BELOW, Side.ABOVE)
 LIMITS = {Side.BELOW: eval_limsup, Side.ABOVE: eval_liminf}
@@ -95,16 +95,21 @@ ORACLES = {
     "mmax.mspec": (qp.eval_mrt, "eq", BOTH, 0),
     "mrt": (qp.eval_mrt, "eq", BOTH, 0),
     "never_b.aut": (_membership("never_b.aut"), "eq", BOTH, 0),
+    # COMBINED_VERDICTS: the max is a derived run, which keeps its value
+    # object while no operand value object changes
+    "max(Mfin2,Mmax)": (qp.eval_mrt, "eq", BOTH, 0),
+    "compl(mrt)": (qp.eval_mrt, "eq", BOTH, 0),
 }
+SUBJECTS = {**BUNDLED_VERDICTS, **COMBINED_VERDICTS}
 
 
 def test_every_bundled_verdict_has_an_oracle():
-    assert set(ORACLES) == set(BUNDLED_VERDICTS)
+    assert set(ORACLES) == set(SUBJECTS)
 
 
 @lru_cache(maxsize=None)
 def _subject(name):
-    return BUNDLED_VERDICTS[name]()
+    return SUBJECTS[name]()
 
 
 def _runs(symbols):

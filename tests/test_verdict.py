@@ -652,6 +652,14 @@ server_lassos = st.builds(lambda stem, loop: lasso(stem, loop, SERVER),
                           st.lists(st.sampled_from(SERVER.symbols), min_size=1, max_size=4))
 
 
+# combinations of bundled verdicts, by name, as thunks for (verdict, alphabet)
+COMBINED_VERDICTS = {
+    "max(Mfin2,Mmax)": lambda: (combine_max(BUNDLED_VERDICTS["Mfin2"]()[0],
+                                            BUNDLED_VERDICTS["Mmax"]()[0]), SERVER),
+    "compl(mrt)": lambda: (complement(qp.mrt_verdict()), SERVER),
+}
+
+
 class TestBudgetPath:
     """The budget path folds extrema once, over the judged final iterations,
     and still checks every value as it is stepped."""
@@ -680,15 +688,10 @@ class TestBudgetPath:
         "compl(mrt)": "04abdce879468df5999f543e3f999a7740867d1fbe978adf56763416f926c944",
         "Madd": "e432f61fc384f50a2435a5d4479bf28bb0e6373ac53ab3201892a071877786b0",
     }
-    COMBINED_VERDICTS = {
-        "max(Mfin2,Mmax)": lambda: (combine_max(BUNDLED_VERDICTS["Mfin2"]()[0],
-                                                BUNDLED_VERDICTS["Mmax"]()[0]), SERVER),
-        "compl(mrt)": lambda: (complement(qp.mrt_verdict()), SERVER),
-    }
 
     @pytest.mark.parametrize("name", sorted(OPAQUE_LIMIT_DIGESTS))
     def test_bundled_opaque_limits_are_pinned(self, name):
-        verdict, alphabet = {**BUNDLED_VERDICTS, **self.COMBINED_VERDICTS}[name]()
+        verdict, alphabet = {**BUNDLED_VERDICTS, **COMBINED_VERDICTS}[name]()
         up, lo = {}, {}
         lines = [f"{t.render()} {eval_limsup(verdict, t, memo=up).render()} "
                  f"{eval_liminf(verdict, t, memo=lo).render()}\n"
