@@ -337,18 +337,6 @@ def eval_energy(A, t):
     raise AssertionError("loop boundary state must repeat within |Q|+1 iterations")
 
 
-def energy_verdict(A):
-    """Monotone deficit tracker: the least credit covering the prefixes so far."""
-
-    def step(state, symbol):
-        q, total, lowest = state
-        q2, w = A.step(q, symbol)
-        return (q2, total + w, min(lowest, total + w))
-
-    factory = lambda: FunctionStepper((A.initial, 0, 0), step, lambda st: -st[2])
-    return VerdictFunction(dom.INTINF, stepper_factory=factory, name="energy")
-
-
 def load_weighted_automaton(text):
     """Line-based weighted automaton: header lines plus ``q a -> q2 w``."""
     header, alphabet, transitions = read_transition_table(

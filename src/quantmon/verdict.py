@@ -60,7 +60,6 @@ its stem.  Steppers without a configuration are never memoized.
 
 import enum
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -358,23 +357,15 @@ class _DerivedStepper:
     """A run derived from its operands' runs: it steps them all, and its
     value is set by ``fn(memory, *operand values) -> (memory, value)``.
     Its configuration is the memory with the operands' configurations, or
-    None when some operand has none.
-
-    ``fn`` is pure, so a step whose memory is None, as was the memory the
-    last call read, and whose operand values are the same objects as at
-    that call keeps its value object and skips ``fn``."""
+    None when some operand has none."""
 
     def __init__(self, fn, memory, runs):
         self._fn = fn
         self._runs = runs
-        self._args = args = (memory, *[st.value for st in runs])
-        self._memory, self.value = fn(*args)
+        self._memory, self.value = fn(memory, *[st.value for st in runs])
 
     def step(self, symbol):
-        args = (self._memory, *[st.step(symbol) for st in self._runs])
-        if args[0] is not None or any(map(operator.is_not, args, self._args)):
-            self._memory, self.value = self._fn(*args)
-        self._args = args
+        self._memory, self.value = self._fn(self._memory, *[st.step(symbol) for st in self._runs])
         return self.value
 
     def config(self):

@@ -15,8 +15,9 @@ import pytest
 from quantmon import boolprop as bp
 from quantmon import machine as mc
 from quantmon import domain as dom
+from quantmon import qprop as qp
 from quantmon.cli import _build_parser, _verdict_for, main
-from quantmon.trace import Alphabet
+from quantmon.trace import Alphabet, all_lassos
 from quantmon.verdict import DEFAULT_BUDGET, LimitBudget, verdict_sequence
 
 
@@ -438,6 +439,21 @@ class TestEval:
                                 workdir / "ab.lasso"], capsys)
         assert code == 0 and out.strip() == "3"
 
+    def test_energy_long_surplus_then_drain(self, workdir, capsys, tmp_path):
+        path = tmp_path / "drain.lasso"
+        path.write_text("b " * 5000 + "; a\n")
+        code, out, _ = run_cli(["eval", f"energy:{workdir / 'energy.waut'}", path], capsys)
+        assert code == 0 and out.strip() == "inf"
+
+    def test_energy_agrees_with_eval_energy_on_a_suite(self, workdir, capsys, tmp_path):
+        A = qp.load_weighted_automaton((workdir / "energy.waut").read_text())
+        path = tmp_path / "t.lasso"
+        for t in all_lassos(A.alphabet, 2, 3):
+            path.write_text(t.render() + "\n")
+            code, out, _ = run_cli(["eval", f"energy:{workdir / 'energy.waut'}", path],
+                                   capsys)
+            assert code == 0 and out.strip() == dom.render_value(qp.eval_energy(A, t))
+
     def test_discounted(self, workdir, capsys):
         code, out, _ = run_cli(["eval", f"disc-safe:{workdir / 'never_b.aut'}",
                                 workdir / "ab.lasso"], capsys)
@@ -759,3 +775,22 @@ class TestDemo:
     def test_unknown_figure(self, capsys):
         code, _, err = run_cli(["demo", "fig9"], capsys)
         assert code == 2 and "unknown demo" in err
+
+
+_CORE_MODULES = {"domain", "errors", "trace", "verdict"}
+# the package modules each import loads in a fresh interpreter: boolprop,
+# qprop and precision come only from machine.py and cli.py
+IMPORTED_MODULES = {
+    "quantmon": _CORE_MODULES,
+    "quantmon.machine": _CORE_MODULES | {"boolprop", "machine", "qprop"},
+    "quantmon.cli": _CORE_MODULES | {"boolprop", "cli", "machine", "precision", "qprop"},
+}
+
+
+@pytest.mark.parametrize("module", IMPORTED_MODULES)
+def test_imported_modules(module):
+    probe = (f"import sys, {module}; "
+             "print(*sorted(k for k in sys.modules if k.startswith('quantmon.')))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert set(proc.stdout.split()) == {f"quantmon.{m}" for m in IMPORTED_MODULES[module]}

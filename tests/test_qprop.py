@@ -12,6 +12,7 @@ from quantmon.errors import AcceptanceKindError, AutomatonError, DomainMismatchE
 from quantmon.trace import (Alphabet, FiniteTrace, all_finite_traces, all_lassos, lasso,
                             parse_lasso)
 from quantmon.verdict import eval_limsup, verdict_sequence
+from test_verdict import DEMO_DIR
 
 FIG_TRACE = "req ack req other ack req ack other"
 
@@ -153,10 +154,25 @@ class TestDiscounted:
 
 class TestEnergy:
     def brute_force_energy(self, A, t, prefixes=200):
-        worst = 0
-        for i in range(prefixes + 1):
-            worst = min(worst, A.level(t.prefix(i)))
+        """The least credit that keeps the level of each of the first
+        ``prefixes`` prefixes nonnegative, read off one walk of the longest."""
+        q, level, worst = A.initial, 0, 0
+        for sym in t.prefix(prefixes).symbols:
+            q, w = A.step(q, sym)
+            level += w
+            worst = min(worst, level)
         return -worst
+
+    def check_against_brute_force(self, A, t):
+        """Assert that eval_energy agrees with the brute-force minimum, or
+        that the deficit still grows when it says ``inf``; return its value."""
+        got = qp.eval_energy(A, t)
+        brute = self.brute_force_energy(A, t)
+        if got == dom.INF:
+            assert self.brute_force_energy(A, t, 400) > brute or brute > 0
+        else:
+            assert got == brute
+        return got
 
     def test_zero_weights(self):
         a = Alphabet(("a",))
@@ -168,11 +184,26 @@ class TestEnergy:
         A = qp.WeightedAutomaton(a, ("q",), "q", {("q", "a"): ("q", -1)})
         assert qp.eval_energy(A, lasso((), ("a",), a)) == dom.INF
 
-    def test_drain_then_recover(self, ab):
-        A = qp.WeightedAutomaton(ab, ("q",), "q",
-                                 {("q", "a"): ("q", -3), ("q", "b"): ("q", 1)})
-        t = parse_lasso("a ; b", ab)
-        assert qp.eval_energy(A, t) == 3 == self.brute_force_energy(A, t, 50)
+    def test_drain_then_recover(self):
+        # the shipped automaton: a drains 3, b recovers 1
+        A = qp.load_weighted_automaton((DEMO_DIR / "automata/energy.waut").read_text())
+        assert qp.eval_energy(A, parse_lasso("a ; b", A.alphabet)) == 3
+        values = [self.check_against_brute_force(A, t) for t in all_lassos(A.alphabet, 2, 3)]
+        assert (len(values), values.count(dom.INF)) == (98, 77)
+
+    def test_shipped_weights(self):
+        A = qp.load_weighted_automaton((DEMO_DIR / "automata/energy.waut").read_text())
+        assert (A.alphabet.symbols, A.states, A.initial) == (("a", "b"), ("q",), "q")
+        assert A.transitions == {("q", "a"): ("q", -3), ("q", "b"): ("q", 1)}
+
+    def test_long_surplus_then_drain(self):
+        # 5000 units of credit hide the drain from any window shorter than the stem
+        A = qp.load_weighted_automaton((DEMO_DIR / "automata/energy.waut").read_text())
+        t = parse_lasso("b " * 5000 + "; a", A.alphabet)
+        assert self.brute_force_energy(A, t, 5000 + 1666) == 0
+        assert self.brute_force_energy(A, t, 5000 + 1667) == 1
+        assert self.brute_force_energy(A, t, 5000 + 4000) == 7000
+        assert qp.eval_energy(A, t) == dom.INF
 
     def test_random_instances_match_brute_force(self, ab):
         rng = random.Random(7)
@@ -185,22 +216,7 @@ class TestEnergy:
             t = lasso(tuple(rng.choice(ab.symbols) for _ in range(rng.randint(0, 3))),
                       tuple(rng.choice(ab.symbols) for _ in range(rng.randint(1, 3))),
                       ab)
-            got = qp.eval_energy(A, t)
-            brute = self.brute_force_energy(A, t)
-            if got == dom.INF:
-                assert self.brute_force_energy(A, t, 400) > brute or brute > 0
-            else:
-                assert got == brute
-
-    def test_energy_verdict_monotone_and_agreeing(self, ab):
-        A = qp.WeightedAutomaton(ab, ("q",), "q",
-                                 {("q", "a"): ("q", -2), ("q", "b"): ("q", 1)})
-        v = qp.energy_verdict(A)
-        t = parse_lasso("a b a ; b", ab)
-        seq = verdict_sequence(v, t.prefix(8))
-        assert all(x <= y for x, y in zip(seq, seq[1:]))
-        assert eval_limsup(v, t).value == qp.eval_energy(A, t)
-
+            self.check_against_brute_force(A, t)
 
     def test_load_rejects_empty_initial(self):
         with pytest.raises(AutomatonError, match="initial"):

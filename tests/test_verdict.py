@@ -237,11 +237,6 @@ def _machine_verdict(build):
     return mc.generated_verdict(machine), machine.alphabet
 
 
-def _energy_verdict():
-    A = qp.load_weighted_automaton((DEMO_DIR / "automata/energy.waut").read_text())
-    return qp.energy_verdict(A), A.alphabet
-
-
 def _canonical_monitor(path):
     P = bp.load_automaton(path.read_text())
     return bp.canonical_monitor(P), P.alphabet
@@ -252,7 +247,6 @@ BUNDLED_VERDICTS = {
     **{name: partial(_machine_verdict, build) for name, build in BUILT_MACHINES.items()},
     "mrt": lambda: (qp.mrt_verdict(), qp.server_alphabet(1).alphabet),
     "art": lambda: (qp.art_verdict(), qp.server_alphabet(1).alphabet),
-    "energy.waut": _energy_verdict,
     **{path.name: partial(_canonical_monitor, path)
        for path in sorted((DEMO_DIR / "automata").glob("*.aut"))},
 }
@@ -269,9 +263,9 @@ BUNDLED_MONOTONICITY = {
     "Mfin1": _INC, "Mfin2": _INC, "Mfin3": _INC, "Mfin4": _INC, "Mkgrp3": _INC,
     "Mkpair2": _INC, "Mkpair3": _INC, "Mkprio3": _INC, "Mkseq3": _INC,
     "Mkseq4": _INC, "Mmax": _INC, "Mpk4": _DEC, "Mpk4l2": _DEC, "Mpk4l3": _DEC,
-    "art": _UNR, "energy.waut": _INC, "ev_always_a.aut": _UNR,
-    "eventually_a.aut": _INC, "inf_often_a.aut": _UNR, "mavg.mspec": _UNR,
-    "mmax.mspec": _INC, "mrt": _INC, "never_b.aut": _INC,
+    "art": _UNR, "ev_always_a.aut": _UNR, "eventually_a.aut": _INC,
+    "inf_often_a.aut": _UNR, "mavg.mspec": _UNR, "mmax.mspec": _INC,
+    "mrt": _INC, "never_b.aut": _INC,
 }
 
 
@@ -683,7 +677,6 @@ class TestBudgetPath:
     OPAQUE_LIMIT_DIGESTS = {
         "mrt": "ad3eb4059a85cadad1252f8d4b009e1bc4aca03f1ab25817e07830e7dbf3575e",
         "art": "d35c1a05adfd37958edc52572f2a20d57b890018e5bdb4fde8ed544935ecec41",
-        "energy.waut": "c965522c565133722bf715b2730dba6bf3034304872c2ad00e264d5e93145384",
         "max(Mfin2,Mmax)": "ad3eb4059a85cadad1252f8d4b009e1bc4aca03f1ab25817e07830e7dbf3575e",
         "compl(mrt)": "04abdce879468df5999f543e3f999a7740867d1fbe978adf56763416f926c944",
         "Madd": "e432f61fc384f50a2435a5d4479bf28bb0e6373ac53ab3201892a071877786b0",
@@ -717,11 +710,6 @@ class TestBudgetPath:
             assert steps[-1] == 6
 
 
-def _energy_oracle():
-    A = qp.load_weighted_automaton((DEMO_DIR / "automata/energy.waut").read_text())
-    return lambda t: qp.eval_energy(A, t)
-
-
 def _witness_subjects():
     """Each verdict of the witness table, as (verdict, alphabet, oracle)."""
     mmax = mc.generated_verdict(mc.build_mmax())
@@ -733,7 +721,6 @@ def _witness_subjects():
             mc.generated_verdict(mc.build_finite_state_mrt(2)), mmax)),
         "Mmax": lambda: server(mmax),
         "compl(Mmax)": lambda: server(complement(mmax)),
-        "energy.waut": lambda: (*_energy_verdict(), _energy_oracle()),
     }
 
 
@@ -746,7 +733,6 @@ KNOWN_WRONG = {
     "mrt": (_LONG_WAIT, "exact,2001"),
     "compl(mrt)": (_LONG_WAIT, "exact,2001"),
     "max(Mfin2,Mmax)": (_LONG_WAIT, "exact,2001"),
-    "energy.waut": ("b " * 5000 + "; a", "exact,0"),
 }
 # register machines prove their oracle's value on the same lasso
 PROVEN_ON_WITNESS = {
