@@ -5,8 +5,7 @@ Subcommands:
 * ``run``      replay a machine over a trace file, emitting a verdict CSV;
 * ``eval``     print a property's exact value on a lasso;
 * ``compare``  precision-compare two verdicts over a suite (JSON lines);
-* ``classify`` determination structure and monitor modality of an automaton;
-* ``demo``     emit the bundled response-time demonstration series.
+* ``classify`` determination structure and monitor modality of an automaton.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on usage or
 parse errors, 141 when standard output closes early.  All randomness is
@@ -272,20 +271,6 @@ def cmd_classify(args):
     return 0 if switches_ok and wanted_ok else 1
 
 
-_FIG_TRACE = "req ack req other ack req ack other"
-_FIGURES = {"fig1": mc.build_mmax, "fig2": mc.build_mavg}
-
-
-def cmd_demo(args):
-    if args.figure not in _FIGURES:
-        raise QuantmonError(f"unknown demo id {args.figure!r} (use fig1 or fig2)")
-    machine = _FIGURES[args.figure]()
-    verdict = mc.generated_verdict(machine)
-    s = parse_finite(_FIG_TRACE, machine.alphabet)
-    _emit(verdict_csv_lines(verdict, s), args.output)
-    return 0
-
-
 # the options before the subcommand, each taking one integer, and defaults
 _GLOBAL_OPTIONS = {"--seed": 42, "--budget-iters": DEFAULT_BUDGET.max_loop_iterations}
 
@@ -361,11 +346,6 @@ def _build_parser():
     p.add_argument("--modality", choices=("universal", "existential", "approximate"),
                    default="universal")
     p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("demo", help="bundled figure data series")
-    p.add_argument("figure")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_demo)
     return parser
 
 

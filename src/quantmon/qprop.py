@@ -495,14 +495,15 @@ def _stalled_gap(d, values, pv, above):
     return d.lt(pv, tail[0]) if above else d.lt(tail[0], pv)
 
 
-def check_continuity(p, suite, depth=6, search=DEFAULT_SEARCH):
+def check_continuity(p, suite):
     d = p.codomain
     continuity_witness = None
     cocontinuity_witness = None
     for t in suite:
         pv = p.eval_lasso(t)
-        nus = [nu(p, t.prefix(i), search) for i in range(depth + 1)]
-        mus = [mu(p, t.prefix(i), search) for i in range(depth + 1)]
+        # the functionals on the prefixes of up to 6 symbols
+        nus = [nu(p, t.prefix(i)) for i in range(7)]
+        mus = [mu(p, t.prefix(i)) for i in range(7)]
         if continuity_witness is None and _stalled_gap(d, nus, pv, above=True):
             continuity_witness = (t, nus[-1], pv)
         if cocontinuity_witness is None and _stalled_gap(d, mus, pv, above=False):

@@ -257,6 +257,7 @@ def _loop_limit(d, st, loop, budget, take_sup):
     step, check = st.step, d.check
     iteration_values = []
     seen = {}
+    last = object()  # the value object checked last; the stem's are not checked
     for k in range(budget.max_loop_iterations):
         cfg = st.config()
         if cfg is not None:
@@ -283,9 +284,13 @@ def _loop_limit(d, st, loop, budget, take_sup):
                 if res is not None:
                     return res
         # a value outside the codomain fails in the iteration that yields
-        # it, whether or not a window rule would read that iteration
+        # it, whether or not a window rule would read that iteration; a run
+        # that repeats a value object repeats a checked value (identity, not
+        # equality, since 1 == True while only True is boolean)
         for v in vals:
-            check(v)
+            if v is not last:
+                check(v)
+                last = v
         iteration_values.append(vals)
     # a machine run's limit is proven above or not at all
     used = budget.max_loop_iterations

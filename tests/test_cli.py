@@ -56,6 +56,7 @@ FIG1_CSV = ["index,prefix_len,value"] + [f"{i},{i},{v}" for i, v in
 MMAX_TEXT = mc.render_machine(mc.build_mmax())
 MMAX_SPEC = DEMOS / "machines/mmax.mspec"
 MAVG_SPEC = DEMOS / "machines/mavg.mspec"
+FIG_RUN = ["run", str(MMAX_SPEC), str(DEMOS / "traces/fig.trace"), "--finite"]
 # its output -x+1 is 0 after one event and leaves natinf after two
 COUNTDOWN_TEXT = ("registers: x\ninstruction-set: counter\nstates: q\ninitial: q\n"
                   "edge: q a / x:=x+1 -> q\noutput: q = -x+1\n")
@@ -136,6 +137,17 @@ class TestRun:
         assert code == 0
         values = [line.split(",")[2] for line in out.splitlines()[1:]]
         assert values == ["0", "0", "1", "1/2", "1", "3/2", "1", "4/3", "4/3"]
+
+    @pytest.mark.parametrize("spec,digest", [
+        (MMAX_SPEC, "7d7b14ca70ceb4a67198e308f79a0b6f62475d85bfcce7a03d445eeb65284be0"),
+        (MAVG_SPEC, "5de01cb66cdbd61476b02bf650788af1192ef9f3366d82686548f6465212881d")],
+        ids=["mmax", "mavg"])
+    def test_shipped_figure_files_give_the_pinned_series(self, spec, digest, capsys):
+        # the paper's two series from the shipped files, the same bytes CI pins
+        code, out, _ = run_cli(["run", spec, DEMOS / "traces/fig.trace", "--finite"],
+                               capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_lasso_mode_appends_limits(self, workdir, capsys):
         code, out, _ = run_cli(["run", workdir / "mmax.mspec",
@@ -408,14 +420,14 @@ class TestRun:
 class TestCollector:
     def test_in_process_main_keeps_the_freeze_count(self, capsys):
         before = gc.get_freeze_count()
-        assert main(["demo", "fig1"]) == 0
+        assert main(FIG_RUN) == 0
         assert gc.get_freeze_count() == before
 
     def test_program_main_freezes_the_imported_objects(self):
         # as the console script calls it: no arguments, sys.argv set
         code = ("import gc, sys\n"
                 "from quantmon import cli\n"
-                "sys.argv = ['quantmon', 'demo', 'fig1']\n"
+                f"sys.argv = ['quantmon', *{FIG_RUN!r}]\n"
                 "code = cli.main()\n"
                 "print(gc.get_freeze_count(), file=sys.stderr)\n"
                 "sys.exit(code)\n")
@@ -590,7 +602,9 @@ class TestInputErrors:
         ["run", "{work}/mmax.mspec"],
         ["run", "{work}/mmax.mspec", "{work}/fig.trace", "--stdin"],
         ["run", "{work}/mmax.mspec", "--stdin", "-o", "{bad}/no-dir/verdicts.txt"],
-        ["demo", "fig1", "-o", "{bad}/no-dir/fig1.csv"],
+        ["run", "{work}/mmax.mspec", "{work}/fig.trace", "--finite",
+         "-o", "{bad}/no-dir/fig1.csv"],
+        ["demo", "fig1"],
         ["classify"],
         ["classify", "{work}/never_b.aut", "--suite", "exhaustive:1:0"],
         ["run", "{work}/mmax.mspec", "{bad}/latin1.trace"],
@@ -699,7 +713,7 @@ class TestInputErrors:
                                              "exhaustive:1:1"], capsys)[1]
 
     def test_global_option_defaults_are_the_default_budget(self):
-        args = _build_parser().parse_args(["demo", "fig1"])
+        args = _build_parser().parse_args(FIG_RUN)
         assert LimitBudget(args.budget_iters) == DEFAULT_BUDGET
 
     @pytest.mark.parametrize("argv", [["-h"], ["--he"], ["--seed", "3", "--help"]])
@@ -760,21 +774,6 @@ class TestClassify:
         assert code == 0
         assert out.splitlines()[-1] == ("modality: side=below approximate=pass "
                                         "universal=pass existential=pass")
-
-
-class TestDemo:
-    def test_fig1(self, capsys):
-        code, out, _ = run_cli(["demo", "fig1"], capsys)
-        assert code == 0 and out.splitlines() == FIG1_CSV
-
-    def test_fig2(self, capsys):
-        code, out, _ = run_cli(["demo", "fig2"], capsys)
-        assert code == 0
-        assert out.splitlines()[-1] == "8,8,4/3"
-
-    def test_unknown_figure(self, capsys):
-        code, _, err = run_cli(["demo", "fig9"], capsys)
-        assert code == 2 and "unknown demo" in err
 
 
 _CORE_MODULES = {"domain", "errors", "trace", "verdict"}

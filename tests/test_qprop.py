@@ -169,7 +169,7 @@ class TestEnergy:
         got = qp.eval_energy(A, t)
         brute = self.brute_force_energy(A, t)
         if got == dom.INF:
-            assert self.brute_force_energy(A, t, 400) > brute or brute > 0
+            assert self.brute_force_energy(A, t, 400) > brute
         else:
             assert got == brute
         return got
@@ -348,8 +348,7 @@ class TestContinuity:
         p = qp.QuantitativeProperty("art-search", dom.RATINF, qp.eval_art,
                                     alphabet=server)
         witness = parse_lasso("; req other ack", server)
-        rep = qp.check_continuity(p, [witness], depth=4,
-                                  search=qp.LassoSearchBudget(max_stem=2, max_loop=2))
+        rep = qp.check_continuity(p, [witness])
         assert not rep.cocontinuous_consistent
         assert rep.cocontinuity_witness[0] == witness
 

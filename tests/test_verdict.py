@@ -709,6 +709,17 @@ class TestBudgetPath:
                 evaluate(v, lasso((), ("a", "b"), AB))
             assert steps[-1] == 6
 
+    def test_repeated_out_of_codomain_object_from_the_stem_raises(self):
+        # the stem ends on -1, no natinf value, and the loop returns that
+        # same object again: the stem's values are not checked, so the
+        # loop's first one must be
+        minus_one = -1
+        factory = lambda: FunctionStepper(0, lambda k, sym: 1 - k, lambda k: minus_one)
+        v = VerdictFunction(dom.NATINF, factory, name="below")
+        for evaluate in (eval_limsup, eval_liminf):
+            with pytest.raises(DomainMismatchError):
+                evaluate(v, lasso(("a",), ("a",), A))
+
 
 def _witness_subjects():
     """Each verdict of the witness table, as (verdict, alphabet, oracle)."""
