@@ -227,6 +227,11 @@ class OutputSpec:
         if not ok:
             raise MachineError(f"malformed {kind!r} output")
 
+    def divides(self):
+        """Whether a quotient occurs anywhere in this output."""
+        return self.kind == "div" or self.kind in ("max", "tuple") and any(
+            p.divides() for p in self.parts)
+
     def render(self):
         if self.kind == "inf":
             return "inf"
@@ -282,7 +287,8 @@ _SETS = {
 
 
 # the only names generated code can see
-_CODE_GLOBALS = {"__builtins__": {}, "Fraction": Fraction, "INF": dom.INF, "max": max}
+_CODE_GLOBALS = {"__builtins__": {}, "Fraction": Fraction, "fraction": dom.fraction,
+                 "INF": dom.INF, "max": max}
 
 
 @functools.lru_cache(maxsize=1024)
@@ -332,7 +338,7 @@ def _output_source(out, rid):
     parts = [_output_source(p, rid) for p in out.parts]
     if out.kind == "div":
         num, den = parts
-        return f"Fraction({num}, {den}) if {den} else Fraction(0)"
+        return f"fraction({num}, {den}) if {den} else Fraction(0)"
     if out.kind == "max":
         return f"max({', '.join(parts)})"
     return f"({', '.join(parts)},)"
@@ -448,8 +454,7 @@ class RegisterMachine:
         except KeyError as exc:
             raise _OutputError(q, f"output of {q!r} uses unknown register {exc.args[0]!r}") \
                 from None
-        # only a quotient generates a Fraction
-        if "Fraction" in source and not _SETS[self.instruction_set].divides:
+        if out.divides() and not _SETS[self.instruction_set].divides:
             raise _OutputError(q, f"dividing output of {q!r} needs the extended "
                                   "instruction set")
         lowered[id(out)] = fn = _compile(f"lambda v: {source}")

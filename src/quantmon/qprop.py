@@ -132,7 +132,7 @@ def _art_step(state, symbol):
 def _ratio(n, d):
     """n/d: the integer when d divides n, else the reduced Fraction."""
     q, r = divmod(n, d)
-    return Fraction(n, d) if r else q
+    return dom.fraction(n, d) if r else q
 
 
 def _art_out(state):
@@ -305,14 +305,6 @@ class WeightedAutomaton:
 
     def step(self, state, symbol):
         return self.transitions[(state, symbol)]
-
-    def level(self, s):
-        """Sum of edge weights along the run of a finite trace."""
-        q, total = self.initial, 0
-        for sym in s:
-            q, w = self.step(q, sym)
-            total += w
-        return total
 
 
 def eval_energy(A, t):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from quantmon import domain as dom
 from quantmon.errors import (DomainMismatchError, InputError, NoBoundError,
@@ -152,6 +152,26 @@ class TestLawsByProperty:
         assert d.leq((3, 5), (1, 2)) is False
 
 
+# magnitudes up to past 2**64, where ints stop fitting a machine word
+quotient_parts = st.one_of(st.integers(-40, 40), st.integers(-2**100, 2**100))
+
+
+class TestFraction:
+    @given(quotient_parts, quotient_parts.filter(bool))
+    @example(0, 7)
+    @example(0, -7)
+    @example(6, -4)
+    @example(-6, -4)
+    @example(2**64 * 6, -(2**64 * 4))
+    @example(3**50, 2**70 + 1)
+    def test_matches_the_constructor(self, n, d):
+        """``fraction`` sets Fraction's slots itself, so check it against the
+        constructor: reduced, with the sign on the numerator."""
+        got, want = dom.fraction(n, d), Fraction(n, d)
+        assert type(got) is Fraction
+        assert got == want and repr(got) == repr(want) and hash(got) == hash(want)
+
+
 class TestNamesAndRendering:
     @pytest.mark.parametrize("name", ["B", "Bbot", "Bt", "Bf", "natinf", "intinf",
                                       "ratinf", "prod:natinf:2", "inv:Bt",
@@ -173,7 +193,8 @@ class TestNamesAndRendering:
     @pytest.mark.parametrize("value,text", [
         (True, "T"), (False, "F"), (dom.BOT, "bot"), (dom.INF, "inf"),
         (dom.NEG_INF, "-inf"), (7, "7"), (Fraction(4, 3), "4/3"),
-        (Fraction(3, 1), "3"), ((1, dom.INF), "(1,inf)"),
+        (Fraction(-4, 3), "-4/3"), (Fraction(3, 1), "3"), ((1, dom.INF), "(1,inf)"),
+        ((Fraction(1, 2), 3), "(1/2,3)"),
     ])
     def test_render_value(self, value, text):
         assert dom.render_value(value) == text

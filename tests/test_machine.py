@@ -219,6 +219,8 @@ class TestFileFormat:
         ("output: q = y", "output: q = w", "line 9: output of 'q' uses unknown register 'w'"),
         ("output: q = y", "output: q = (x)/(x)",
          "line 9: dividing output of 'q' needs the extended instruction set"),
+        ("output: q = y", "output: q = (max(y, (x)/(x)), y)",
+         "line 9: dividing output of 'q' needs the extended instruction set"),
         ("output: q = y\n", "output: q = y\noutput: z = x\n",
          "line 10: output for unknown state 'z'"),
     ], ids=["duplicate-register", "duplicate-state", "unknown-initial", "undeclared-target",
@@ -227,7 +229,7 @@ class TestFileFormat:
             "split-cases", "missing-sign-pattern", "malformed-atom", "no-arrow",
             "open-bracket", "text-after-bracket", "edge-head", "output-without-eq",
             "unparsable-line", "instruction-set", "output-register", "dividing-output",
-            "output-state"])
+            "nested-dividing-output", "output-state"])
     def test_bad_machine_files(self, old, new, error):
         """Each reachable MachineError of loading and lowering a file; the
         errors met while reading an edge or output line name that line."""
@@ -1090,6 +1092,47 @@ class TestKeptValues:
         assert repr(run.value) == repr(m._outputs[run._state](run._values))
         _step_checked(m, run, loop.split() * 10)
         assert run.value == value
+
+
+class TestQuotients:
+    """A dividing output's value is the Fraction that ``Fraction(num, den)``
+    builds from the configuration.  ``_step_checked`` recomputes each value
+    with the same compiled output function, so it cannot tell a wrong
+    quotient; ``_reference_output`` evaluates the output spec on its own."""
+
+    DIVIDING = ("Mavg", "Mavg2", "mavg.mspec")
+
+    def test_dividing_machines(self):
+        assert {name for name in BUILT_MACHINES
+                if any(out.divides() for out in _built(name)[0].outputs.values())} \
+            == set(self.DIVIDING)
+
+    @pytest.mark.parametrize("name", DIVIDING)
+    def test_values_are_the_constructors_quotients(self, name):
+        """Every trace of length <= 6, then 2,000 events of well-formed traffic."""
+        machine, _ = _built(name)
+
+        def check(run):
+            state, values = run.config()
+            want = _reference_output(machine.outputs[state],
+                                     dict(zip(machine.registers, values)))
+            # repr tells 1 from Fraction(1) and a reduced quotient from another
+            assert repr(run.value) == repr(want), run.config()
+
+        frontier = [mc.MachineRun(machine)]
+        check(frontier[0])
+        for _ in range(6):
+            reached = []
+            for run in frontier:
+                for sym in machine.alphabet.symbols:
+                    reached.append(copy.copy(run))
+                    reached[-1].step(sym)
+                    check(reached[-1])
+            frontier = reached
+        run = mc.MachineRun(machine)
+        for sym in _server_traffic(random.Random(name), SERVER_ALPHABETS[machine.alphabet], 2000):
+            run.step(sym)
+            check(run)
 
 
 class TestRendering:
