@@ -452,18 +452,17 @@ class ModalityReport:
 
 
 def classify_modality(verdict, prop, side, suite, *, budget=DEFAULT_BUDGET,
-                      existential_prefix_len=None, continuation_stems=2,
-                      continuation_loops=2):
+                      existential_prefix_len=None):
     """Empirically check approximate/universal/existential monitoring of
     ``prop`` by ``verdict`` on one side, over a finite lasso suite.
 
     ``prop`` is a lasso evaluator (or an object exposing ``eval_lasso``).
     The existential check is only run when ``existential_prefix_len`` is
     given: it asks, for every finite trace up to that length, whether some
-    bounded lasso continuation reaches the property value exactly.  Both
-    passes request one limit per lasso through one suite memo, so lassos
-    that reach the same configuration before the same loop share one loop
-    computation.
+    lasso continuation with stem and loop of at most 2 symbols each reaches
+    the property value exactly.  Both passes request one limit per lasso
+    through one suite memo, so lassos that reach the same configuration
+    before the same loop share one loop computation.
     """
     suite = list(suite)
     prop_fn = getattr(prop, "eval_lasso", prop)
@@ -493,7 +492,7 @@ def classify_modality(verdict, prop, side, suite, *, budget=DEFAULT_BUDGET,
         existential_ok = True
         for s in all_finite_traces(alphabet, existential_prefix_len):
             found = False
-            for g in all_lassos(alphabet, continuation_stems, continuation_loops):
+            for g in all_lassos(alphabet, 2, 2):
                 t = g.prepend(s)
                 res = limit(verdict, t, budget, memo)
                 if res.is_determined and res.value == prop_fn(t):

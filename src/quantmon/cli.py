@@ -24,7 +24,7 @@ from . import domain as dom
 from . import machine as mc
 from . import precision as pr
 from . import qprop as qp
-from .errors import InputError, QuantmonError, TraceParseError
+from .errors import InputError, MachineError, QuantmonError, TraceParseError
 from .trace import parse_finite, parse_lasso
 from .verdict import (DEFAULT_BUDGET, LimitBudget, constant_verdict, count_switches,
                       eval_liminf, eval_limsup, verdict_csv_lines, verdict_sequence)
@@ -129,14 +129,15 @@ def _stream_verdicts(machine, out):
     when there is none.  Its complete lines, with the line a read before it
     left open, are decoded at once and split once; a line that is not UTF-8
     is named by its number over the whole input and the offset of its bad
-    byte, after the lines before it are answered.  A verdict is checked and
-    rendered only when its value is another object than the one before: runs
-    repeat their value objects, as a machine run keeps its value object on a
-    step whose arm has no output (one that cannot change the value), and
-    equality would not do, since ``1 == True`` while only ``True`` is
-    boolean.  The verdicts of a read go out in one write and one flush before
-    the next read, so none is held back while the monitor waits; the
-    ``finally`` sends them also when a line fails."""
+    byte, after the lines before it are answered; so is a line whose symbol
+    is outside the machine's alphabet, counted once its step has failed.  A
+    verdict is checked and rendered only when its value is another object
+    than the one before: runs repeat their value objects, as a machine run
+    keeps its value object on a step whose arm has no output (one that
+    cannot change the value), and equality would not do, since ``1 == True``
+    while only ``True`` is boolean.  The verdicts of a read go out in one
+    write and one flush before the next read, so none is held back while the
+    monitor waits; the ``finally`` sends them also when a line fails."""
     step = mc.MachineRun(machine).step
     check, render = machine.output_domain.check, dom.render_value
     stdin = sys.stdin.fileno()
@@ -170,6 +171,10 @@ def _stream_verdicts(machine, out):
             if bad is not None:
                 raise InputError(f"standard input line {lineno + 1} is not UTF-8 text "
                                  f"(byte {bad})")
+        except MachineError as exc:  # the failed line is the next non-blank one
+            failed = [i for i, token in enumerate(lines) if token.strip()][len(verdicts)]
+            raise InputError(f"standard input line {lineno - len(lines) + failed + 2}: "
+                             f"{exc}") from None
         finally:
             if verdicts:
                 out.write("\n".join(verdicts) + "\n")

@@ -1022,37 +1022,37 @@ def build_mavg_running():
 
 
 def build_finite_state_mrt(cap):
-    """Finite-state under-approximation of maximal response time.
+    """Finite-state under-approximation of maximal response time, with the
+    fewest states.
 
-    All counting saturates at ``cap``; traces whose true maximum (possibly
-    infinite) exceeds the budget are reported as ``cap``.
+    ``i{m}`` is idle and ``p{m}_{n}`` waits ``n`` with maximum ``m`` so far
+    (``n <= m < cap``); both output ``m``.  Once the maximum reaches ``cap``,
+    or on a double request, the run is in ``sat``, which outputs ``cap`` for
+    good: traces whose true maximum (possibly infinite) exceeds the budget are
+    reported as ``cap``.
     """
     if cap < 1:
         raise MachineError("saturation budget must be >= 1")
     alphabet = server_alphabet(1).alphabet
-    states = [f"i{m}" for m in range(cap + 1)]
-    states += [f"p{m}_{n}" for m in range(cap + 1) for n in range(cap + 1)]
-    states.append("sat")
-    edges = []
-    values = {}
-    for m in range(cap + 1):
-        values[f"i{m}"] = m
-        edges.append(Edge(f"i{m}", "req", TRUE_GUARD, (), f"p{m}_0"))
-        edges.append(Edge(f"i{m}", "ack", TRUE_GUARD, (), f"i{m}"))
-        edges.append(Edge(f"i{m}", "other", TRUE_GUARD, (), f"i{m}"))
-        for n in range(cap + 1):
-            values[f"p{m}_{n}"] = max(m, n)
-            m_done = min(cap, max(m, n + 1))
-            edges.append(Edge(f"p{m}_{n}", "req", TRUE_GUARD, (), "sat"))
-            edges.append(Edge(f"p{m}_{n}", "ack", TRUE_GUARD, (), f"i{m_done}"))
-            edges.append(Edge(f"p{m}_{n}", "other", TRUE_GUARD, (),
-                              f"p{m}_{min(cap, n + 1)}"))
-    values["sat"] = cap
-    edges += [Edge("sat", a, TRUE_GUARD, (), "sat") for a in alphabet]
     consts = [out_const(c) for c in range(cap + 1)]
-    outputs = {q: consts[values[q]] for q in states}
-    return RegisterMachine(f"Mfin{cap}", (), tuple(states), alphabet, "i0", edges,
-                           outputs, InstructionSet.EXTENDED, dom.NATINF)
+
+    def state(m, n=None):  # idle when n is None, else waiting n
+        m = max(m, n or 0)
+        return "sat" if m >= cap else f"i{m}" if n is None else f"p{m}_{n}"
+
+    edges, outputs = [], {}
+    for m in range(cap):
+        for n in (None, *range(m + 1)):
+            q = state(m, n)
+            outputs[q] = consts[m]
+            # the targets on req, ack and other
+            targets = ((state(m, 0), q, q) if n is None
+                       else ("sat", state(max(m, n + 1)), state(m, n + 1)))
+            edges += [Edge(q, a, TRUE_GUARD, (), r) for a, r in zip(alphabet, targets)]
+    outputs["sat"] = consts[cap]
+    edges += [Edge("sat", a, TRUE_GUARD, (), "sat") for a in alphabet]
+    return RegisterMachine(f"Mfin{cap}", (), tuple(outputs), alphabet, "i0", edges,
+                           outputs, InstructionSet.COUNTER, dom.NATINF)
 
 
 # -- k-pair response-time machines ----------------------------------------
@@ -1179,11 +1179,7 @@ def build_kpair_sequential(k):
     """
     sa = server_alphabet(k)
     alphabet = sa.alphabet
-    edges = []
-    outputs = {}
-    states = [f"{st}_t{t}_{ph}" for st in _status_states(k)
-              for t in range(1, k + 1) for ph in "wc"]
-    states.append("alldead")
+    edges, outputs = [], {}
     count, arm, raise_z = map(_parse_updates, ("x:=x+1", "x:=0", "z:=z+1"))
     success = Guard((GuardAtom("x", "z"),))
     failure = Guard((GuardAtom("x", "z", negated=True),))
@@ -1192,17 +1188,17 @@ def build_kpair_sequential(k):
         steps = [(sym, kind, j, new, [i + 1 for i, c in enumerate(new) if c != "D"])
                  for sym, kind, j, new in _pair_steps(sa, statuses)]
         for t in range(1, k + 1):
-            for ph in "wc":
+            # a dead pair is never awaited, and only a pending one is counted
+            for ph in {"I": "w", "P": "wc", "D": ""}[statuses[t - 1]]:
                 st = f"{statuses}_t{t}_{ph}"
                 outputs[st] = out
-                counting = ph == "c" and statuses[t - 1] == "P"
                 for sym, kind, j, new, alive in steps:
                     if not alive:
                         edges.append(Edge(st, sym, TRUE_GUARD, (), "alldead"))
-                    elif counting and j != t:
+                    elif ph == "c" and j != t:
                         # only req t and ack t change t's status
                         edges.append(Edge(st, sym, TRUE_GUARD, count, f"{new}_t{t}_c"))
-                    elif counting and kind == "ack":
+                    elif ph == "c" and kind == "ack":
                         # completion: success advances the cycle, failure re-arms
                         t_ok, wrapped = _next_alive(alive, t)
                         edges.append(Edge(st, sym, success, raise_z if wrapped else (),
@@ -1217,7 +1213,7 @@ def build_kpair_sequential(k):
                         edges.append(Edge(st, sym, TRUE_GUARD, (), f"{new}_t{t2}_w"))
     outputs["alldead"] = out_tuple(*[OUT_INF] * k)
     edges += [Edge("alldead", a, TRUE_GUARD, (), "alldead") for a in alphabet]
-    return RegisterMachine(f"Mkseq{k}", ("z", "x"), tuple(states), alphabet,
+    return RegisterMachine(f"Mkseq{k}", ("z", "x"), tuple(outputs), alphabet,
                            f"{'I' * k}_t1_w", edges, outputs, InstructionSet.COUNTER,
                            dom.product(dom.NATINF, k))
 

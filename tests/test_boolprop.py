@@ -427,8 +427,7 @@ class TestClassifyModality:
         suite.append(parse_lasso("req ack req other ack ; other", server))
         report = bp.classify_modality(qp.mrt_verdict(), qp.art_property(),
                                       Side.ABOVE, suite, budget=SMALL,
-                                      existential_prefix_len=1,
-                                      continuation_stems=1, continuation_loops=1)
+                                      existential_prefix_len=1)
         assert report.approximate_ok
         assert report.existential_ok
         assert not report.universal_ok  # witness: max 2 vs average 3/2

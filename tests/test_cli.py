@@ -238,15 +238,32 @@ class TestRun:
         assert proc.stdout.split() == ["0", "1", "1", "1", "2"]
 
     def test_streaming_unknown_symbol_exits_2(self):
-        mspec = pathlib.Path(__file__).resolve().parents[1] / "demos/machines/mmax.mspec"
+        mspec = DEMOS / "machines/mmax.mspec"
         proc = subprocess.run(
             [sys.executable, "-m", "quantmon.cli", "run", str(mspec), "--stdin"],
             input="req\nbogus\n", capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stdout.splitlines() == ["0"]
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("error:") and "'bogus'" in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: standard input line 2: symbol 'bogus' is outside machine {mspec}'s "
+            "alphabet"]
 
+    @pytest.mark.parametrize("events,answered,line", [
+        (b"req\n\n# note\nack\n  \nbogus # x\nreq\n", 2, 6),
+        (b"req\nack\n" * 5000 + b"# note\nbogus\n", 10000, 10002),  # past the first read
+        (b"req\nack\nbogus", 2, 3),  # no newline after the last line
+    ], ids=["comments", "later-read", "unterminated"])
+    def test_streaming_unknown_symbol_names_its_line(self, events, answered, line):
+        # lines are counted over the whole input, comment and blank ones too
+        mspec = DEMOS / "machines/mmax.mspec"
+        proc = subprocess.run(
+            [sys.executable, "-m", "quantmon.cli", "run", str(mspec), "--stdin"],
+            input=events, capture_output=True)
+        assert proc.returncode == 2
+        assert len(proc.stdout.decode().splitlines()) == answered
+        assert proc.stderr.decode().splitlines() == [
+            f"error: standard input line {line}: symbol 'bogus' is outside machine "
+            f"{mspec}'s alphabet"]
 
     def test_closed_stdout_exits_141_quietly(self, tmp_path):
         # a reader that stops after one line, as ``| head -1`` does; the

@@ -416,9 +416,9 @@ class TestMachineLanguage:
             (mc.build_binary_pk, (2, 3, 4, 5))) for k in ks]
         builders += [partial(mc.build_pk_approx, 4, 2), partial(mc.build_pk_approx, 4, 3)]
         text = "".join(mc.render_machine(build()) for build in builders).encode()
-        assert len(text) == 928140
+        assert len(text) == 760015
         assert hashlib.sha256(text).hexdigest() == \
-            "4dab07a5a189f61b89397640c773a2220d20e9d40c5cebe738e4618c65c54563"
+            "76e2fd6a3d6a55eb4e73a9a89488862cef45a3f16b8001acc3a074ea33538733"
 
 
 class TestMmax:
@@ -499,6 +499,33 @@ class TestFiniteState:
         assert lo(witness) == 2 < hi(witness) == 3
         for s in all_finite_traces(server, 5):
             assert dom.NATINF.le(lo(s), hi(s))
+
+    @pytest.mark.parametrize("cap", range(1, 7))
+    def test_minimal_and_exact_up_to_the_budget(self, server, cap):
+        """(cap+1)(cap+2)/2 states, no two of which a trace tells apart, and
+        the verdict min(mrt, cap) after every trace of length <= 8."""
+        m = mc.build_finite_state_mrt(cap)
+        assert len(m.states) == (cap + 1) * (cap + 2) // 2
+        assert m.registers == () and len(m.edges) == len(m.states) * len(server)
+        assert moore_classes(m) == len(m.states)
+        v = mc.generated_verdict(m)
+        for s in all_finite_traces(server, 8):
+            assert v(s) == min(qp.mrt(s), cap), s.symbols
+
+
+def moore_classes(machine):
+    """The number of classes of states of a machine without registers that
+    no trace tells apart: Moore partition refinement over outputs and
+    successors, until a round splits no class."""
+    succ = {(e.source, e.symbol): e.target for e in machine.edges}
+    block = {q: machine.outputs[q] for q in machine.states}
+    while True:
+        key = {q: (block[q], *(block[succ[q, a]] for a in machine.alphabet))
+               for q in machine.states}
+        ids = {k: i for i, k in enumerate(dict.fromkeys(key.values()))}
+        if len(ids) == len(set(block.values())):
+            return len(ids)
+        block = {q: ids[key[q]] for q in machine.states}
 
 
 class TestKPair:
@@ -601,9 +628,9 @@ class TestKPair:
         ("Mkgrp3", "2e5036dc70481b873f5a2e55865fa59857693d3ce1d7a17d6f608087024ddc47"),
         ("Mkgrp4", "dbc4fa1beeebaa63bf32ff888c96b18e3e89ef962f3ea83dc19b19c0f277d1a1"),
         ("Mkgrp5", "5965daf942e39bd6bc462fa908a02c75b2fa541a99c3684c1fa8d39a3af3de8d"),
-        ("Mkseq2", "fcd808bb44f852649096d95db7bfaf000c2892466f72357612443f28034f6dcc"),
-        ("Mkseq3", "abe95766b9de28065c5f6980e84a7b4b94d1c01ec0f2068f58ba5ac52a4238a9"),
-        ("Mkseq4", "ec2edc9885606a85e1735d6e4e73630a86c6b59897c2d1ff151f5e3633e478e3"),
+        ("Mkseq2", "00c1acfc3d5f4bfbb1d71c0cdae37b70dad08c64cd0c57cc0f40f70ff8810805"),
+        ("Mkseq3", "7382ba5c6bb6eacfdd7142d207a69d566d11d1aee316d30977b409839f7b377f"),
+        ("Mkseq4", "a2ee206477833b34d75dbdb1088c29d354c9002e68c79df54dd58b00e346af3f"),
         ("Mmax", "8a3d111c0c2fac5c9f43eb6a1c76029971d8190bf31220b1f2051ee8c0d8c03d"),
         ("Mcount", "417d3a63c3da018d838f3ebfff1c524fd08ca325379a6ac04c26288acc194f37"),
     ])
@@ -1029,9 +1056,9 @@ output: r = 2*y
 # per machine: the edges whose arm keeps the value, and all edges
 KEPT_ARMS = {
     "Madd": (2, 7), "Mavg": (5, 9), "Mavg2": (5, 9), "Mbin3": (18, 20), "Mcount": (2, 3),
-    "Mfin1": (18, 21), "Mfin2": (29, 39), "Mfin3": (42, 63), "Mfin4": (57, 93),
+    "Mfin1": (6, 9), "Mfin2": (11, 18), "Mfin3": (18, 30), "Mfin4": (27, 45),
     "Mkgrp3": (162, 303), "Mkpair2": (39, 72), "Mkpair3": (162, 400),
-    "Mkprio3": (162, 303), "Mkseq3": (993, 1168), "Mkseq4": (5045, 5949),
+    "Mkprio3": (162, 303), "Mkseq3": (480, 601), "Mkseq4": (2453, 3033),
     "Mmax": (8, 11), "Mpk4": (8, 11), "Mpk4l2": (8, 9), "Mpk4l3": (8, 10),
     "mavg.mspec": (5, 9), "mmax.mspec": (8, 11),
 }
@@ -1135,15 +1162,33 @@ class TestQuotients:
             check(run)
 
 
+class TestReachability:
+    @pytest.mark.parametrize("name", sorted(BUILT_MACHINES) + ["Mkseq2"])
+    def test_every_state_is_reachable(self, name):
+        """Every state is reached along edges from the initial state."""
+        machine = (BUILT_MACHINES.get(name) or partial(mc.build_kpair_sequential, 2))()
+        succ = {}
+        for e in machine.edges:
+            succ.setdefault(e.source, []).append(e.target)
+        reached, frontier = {machine.initial}, [machine.initial]
+        while frontier:
+            new = set(succ.get(frontier.pop(), ())) - reached
+            reached |= new
+            frontier += new
+        assert set(machine.states) - reached == set()
+
+
 class TestRendering:
     @pytest.mark.parametrize("name", sorted(BUILT_MACHINES))
     def test_render_load_round_trip(self, name):
-        """The loaded rendering gives the same verdict after every trace of
-        length <= 6; runs that reach the same pair of configurations are
-        stepped on once, since configurations fix every later value."""
+        """The loaded rendering has the builder's domain, read off its
+        instruction set and outputs, and gives the same verdict after every
+        trace of length <= 6; runs that reach the same pair of configurations
+        are stepped on once, since configurations fix every later value."""
         machine, _ = _built(name)
         text = mc.render_machine(machine)
-        again = mc.load_machine(text, output_domain=machine.output_domain)
+        again = mc.load_machine(text)
+        assert again.output_domain == machine.output_domain
         assert mc.render_machine(again) == text
         frontier = {None: (mc.MachineRun(machine), mc.MachineRun(again))}
         for depth in range(7):
