@@ -6,19 +6,17 @@ the observations after the request up to and including the acknowledgement,
 so an immediately acknowledged request has response time 1.
 
 Each property carries a lasso evaluator (its exact value on an ultimately
-periodic trace) and, where a closed form exists, the best/worst-continuation
-functionals used by the continuity checks; otherwise those are approximated
-by a bounded search over lasso continuations.
+periodic trace) and, where the property has them, the closed forms of its
+best/worst-continuation functionals used by the continuity checks.
 """
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import domain as dom
 from .boolprop import AcceptanceKind, check_transition_table, read_transition_table
-from .errors import AcceptanceKindError, AutomatonError, DomainMismatchError
-from .trace import Alphabet, all_lassos, lasso, random_lasso
+from .errors import AcceptanceKindError, AutomatonError, DomainMismatchError, InputError
+from .trace import Alphabet, all_lassos, lasso
 from .verdict import FunctionStepper, VerdictFunction
 
 
@@ -342,51 +340,32 @@ def load_weighted_automaton(text):
 
 @dataclass
 class QuantitativeProperty:
-    """A lasso evaluator with optional closed-form continuation functionals."""
+    """A lasso evaluator over an alphabet, with the closed-form continuation
+    functionals where the property has them."""
     name: str
     codomain: dom.ValueDomain
     eval_lasso: object
-    alphabet: Alphabet = None
+    alphabet: Alphabet
     nu_at: object = None
     mu_at: object = None
 
 
-@dataclass(frozen=True)
-class LassoSearchBudget:
-    max_stem: int = 3
-    max_loop: int = 3
-    samples: int = 1000
-    seed: int = 42
+def _functional(p, at, side):
+    """``at``, one of the continuation functionals of ``p``; an InputError
+    when ``p`` has none on that side."""
+    if at is None:
+        raise InputError(f"property {p.name} has no {side}-continuation functional")
+    return at
 
 
-DEFAULT_SEARCH = LassoSearchBudget()
+def nu(p, s):
+    """sup of the property over all continuations of ``s``."""
+    return _functional(p, p.nu_at, "best")(s)
 
 
-def _continuations(alphabet, search):
-    if len(alphabet) <= 3:
-        yield from all_lassos(alphabet, search.max_stem, search.max_loop)
-    else:
-        rng = random.Random(search.seed)
-        for _ in range(search.samples):
-            yield random_lasso(rng, alphabet, search.max_stem, search.max_loop)
-
-
-def nu(p, s, search=DEFAULT_SEARCH):
-    """sup of the property over all continuations of ``s``: closed form when
-    available, otherwise a bounded-search lower bound of the true sup."""
-    if p.nu_at is not None:
-        return p.nu_at(s)
-    values = [p.eval_lasso(g.prepend(s)) for g in _continuations(s.alphabet, search)]
-    return p.codomain.sup(values)
-
-
-def mu(p, s, search=DEFAULT_SEARCH):
-    """inf of the property over all continuations of ``s``: closed form when
-    available, otherwise a bounded-search upper bound of the true inf."""
-    if p.mu_at is not None:
-        return p.mu_at(s)
-    values = [p.eval_lasso(g.prepend(s)) for g in _continuations(s.alphabet, search)]
-    return p.codomain.inf(values)
+def mu(p, s):
+    """inf of the property over all continuations of ``s``."""
+    return _functional(p, p.mu_at, "worst")(s)
 
 
 def mrt_property():
@@ -463,13 +442,13 @@ def energy_property(A):
 
 @dataclass
 class ContinuityReport:
-    """Outcome of the two independent sampled checks.
+    """Outcome of the two independent checks over a finite suite.
 
-    ``continuity_witness`` (trace, limit-estimate, property-value) is set
-    when the best-continuation limit provably exceeds the property value on
-    some suite trace; dually for ``cocontinuity_witness``.  A None witness
-    means the suite is consistent with the respective notion, which is
-    evidence, not proof.
+    ``continuity_witness`` (trace, stalled functional value, property value)
+    is set when the best-continuation functional stalls above the property
+    value on some suite trace; dually for ``cocontinuity_witness``.  A None
+    witness means the suite is consistent with the respective notion, which
+    is evidence, not proof.
     """
     continuous_consistent: bool
     continuity_witness: object
@@ -478,30 +457,43 @@ class ContinuityReport:
 
 
 def _stalled_gap(d, values, pv, above):
-    """The functional's last three values agree and sit strictly on the
-    wrong side of the property value.  Requiring the stall keeps a sequence
-    that is still converging toward the value from being mistaken for a gap."""
-    tail = values[-3:]
-    if any(x != tail[0] for x in tail[1:]):
+    """The functional's values agree and sit strictly on the wrong side of
+    the property value.  Requiring the stall keeps a sequence that is still
+    converging toward the value from being mistaken for a gap."""
+    if any(x != values[0] for x in values[1:]):
         return False
-    return d.lt(pv, tail[0]) if above else d.lt(tail[0], pv)
+    return d.lt(pv, values[0]) if above else d.lt(values[0], pv)
 
 
 def check_continuity(p, suite):
-    d = p.codomain
+    """Look for a continuity and a co-continuity witness among the lassos of
+    ``suite``.
+
+    A lasso is a witness when the best- (worst-) continuation functional
+    takes one value on its prefixes of 4, 5 and 6 symbols, and that value
+    lies above (below) the property value.  This stall rule gives evidence,
+    not proof: a functional can stall and move on, or settle late.  Only a
+    property with both functionals is accepted, and only lassos over its
+    alphabet; any other property raises InputError, and any other lasso
+    raises DomainMismatchError.
+    """
+    nu_at = _functional(p, p.nu_at, "best")
+    mu_at = _functional(p, p.mu_at, "worst")
+    symbols = set(p.alphabet.symbols)
     continuity_witness = None
     cocontinuity_witness = None
     for t in suite:
+        if set(t.alphabet.symbols) != symbols:
+            raise DomainMismatchError(
+                f"lasso {t.render()!r} is not over the alphabet of property {p.name}")
         pv = p.eval_lasso(t)
-        # the functionals on the prefixes of up to 6 symbols
-        nus = [nu(p, t.prefix(i)) for i in range(7)]
-        mus = [mu(p, t.prefix(i)) for i in range(7)]
-        if continuity_witness is None and _stalled_gap(d, nus, pv, above=True):
+        prefixes = [t.prefix(i) for i in (4, 5, 6)]
+        nus = [nu_at(s) for s in prefixes]
+        mus = [mu_at(s) for s in prefixes]
+        if continuity_witness is None and _stalled_gap(p.codomain, nus, pv, above=True):
             continuity_witness = (t, nus[-1], pv)
-        if cocontinuity_witness is None and _stalled_gap(d, mus, pv, above=False):
+        if cocontinuity_witness is None and _stalled_gap(p.codomain, mus, pv, above=False):
             cocontinuity_witness = (t, mus[-1], pv)
-        if continuity_witness and cocontinuity_witness:
-            break
     return ContinuityReport(continuity_witness is None, continuity_witness,
                             cocontinuity_witness is None, cocontinuity_witness)
 

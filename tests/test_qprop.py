@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -8,7 +7,7 @@ import pytest
 from quantmon import boolprop as bp
 from quantmon import domain as dom
 from quantmon import qprop as qp
-from quantmon.errors import AcceptanceKindError, AutomatonError, DomainMismatchError
+from quantmon.errors import AcceptanceKindError, AutomatonError, DomainMismatchError, InputError
 from quantmon.trace import (Alphabet, FiniteTrace, all_finite_traces, all_lassos, lasso,
                             parse_lasso)
 from quantmon.verdict import eval_limsup, verdict_sequence
@@ -34,6 +33,14 @@ def simulate_art_limit(t, periods=100):
     values = [qp.art(t.prefix(i))
               for i in range(len(t.stem) + periods * len(t.loop) + 1)]
     return min(values[-3 * len(t.loop):])
+
+
+def brute_force_functionals(p, s, bound):
+    """The sup and the inf of the property over every lasso continuation of
+    ``s`` with stem and loop of at most ``bound`` symbols: the reference for
+    the closed-form functionals nu and mu."""
+    values = [p.eval_lasso(g.prepend(s)) for g in all_lassos(s.alphabet, bound, bound)]
+    return p.codomain.sup(values), p.codomain.inf(values)
 
 
 class TestMrt:
@@ -133,15 +140,13 @@ class TestDiscounted:
         safeties = [never_b] + [bp.random_safety_automaton(rng, ab) for _ in range(15)]
         cosafeties = [eventually_a] + [bp.random_cosafety_automaton(rng, ab)
                                        for _ in range(15)]
-        search = qp.LassoSearchBudget(max_stem=3, max_loop=3)
         properties = [qp.discounted_safety_property(P) for P in safeties] + \
             [qp.discounted_cosafety_property(P) for P in cosafeties]
         checked = 0
         for p in properties:
-            bounded = dataclasses.replace(p, nu_at=None, mu_at=None)
             for s in all_finite_traces(ab, 3):
-                assert p.nu_at(s) == qp.nu(bounded, s, search), (p.name, s.symbols)
-                assert p.mu_at(s) == qp.mu(bounded, s, search), (p.name, s.symbols)
+                assert (qp.nu(p, s), qp.mu(p, s)) == brute_force_functionals(p, s, 3), \
+                    (p.name, s.symbols)
                 checked += 1
         assert checked == 480
 
@@ -280,48 +285,32 @@ class TestContinuationFunctionals:
             assert qp.nu(p, FiniteTrace(tuple(text.split()), server)) == dom.INF
 
     def test_bounded_search_agrees_with_analytic(self, server):
-        p_analytic = qp.mrt_property()
-        p_search = qp.QuantitativeProperty("mrt-search", dom.NATINF, qp.eval_mrt,
-                                           alphabet=server)
-        search = qp.LassoSearchBudget(max_stem=2, max_loop=2)
+        p = qp.mrt_property()
         for text in ("", "req", "req ack", "req other"):
             s = FiniteTrace(tuple(text.split()), server)
-            assert qp.nu(p_search, s, search) == p_analytic.nu_at(s)
-            assert qp.mu(p_search, s, search) == p_analytic.mu_at(s)
-
-    def test_nu_dominates_every_sampled_continuation(self, server):
-        p = qp.QuantitativeProperty("mrt-search", dom.NATINF, qp.eval_mrt,
-                                    alphabet=server)
-        s = FiniteTrace(("req", "ack"), server)
-        search = qp.LassoSearchBudget(max_stem=2, max_loop=2)
-        bound = qp.nu(p, s, search)
-        for g in itertools.islice(all_lassos(server, 2, 2), 0, None, 7):
-            assert dom.NATINF.le(qp.eval_mrt(g.prepend(s.symbols)), bound)
-
-    def test_sampled_search_over_more_than_three_symbols(self):
-        # five symbols: the search draws seeded lassos instead of listing them
-        p = qp.kpair_property(2)
-        search = qp.QuantitativeProperty("kmrt:2-search", p.codomain, p.eval_lasso,
-                                         alphabet=p.alphabet)
-        s = FiniteTrace(("req1", "other", "other"), p.alphabet)
-        sampled = [qp.mu(p, s, qp.LassoSearchBudget(samples=n)) for n in (1, 5, 50)]
-        # the first n draws are a prefix of the first 50; pair 1 waits at least 3
-        assert sampled == [(dom.INF, dom.INF), (3, 0), (3, 0)]
-        assert qp.mu(p, s, qp.LassoSearchBudget(samples=50, seed=3)) == (3, 0)
-        assert qp.nu(search, s, qp.LassoSearchBudget(samples=5)) == (dom.INF, dom.INF)
+            assert (qp.nu(p, s), qp.mu(p, s)) == brute_force_functionals(p, s, 2)
 
     def test_art_mu_values(self, server):
         p = qp.art_property()
         assert p.mu_at(FiniteTrace((), server)) == 0
         assert p.mu_at(FiniteTrace(("req",), server)) == 1
         assert p.mu_at(FiniteTrace(("req", "req"), server)) == dom.INF
-        # bounded search reproduces the closed form
-        p_search = qp.QuantitativeProperty("art-search", dom.RATINF, qp.eval_art,
-                                           alphabet=server)
-        search = qp.LassoSearchBudget(max_stem=2, max_loop=2)
+        # the brute force over continuations reproduces the closed form
         for text in ("", "req", "req ack other"):
             s = FiniteTrace(tuple(text.split()), server)
-            assert qp.mu(p_search, s, search) == p.mu_at(s)
+            assert qp.mu(p, s) == brute_force_functionals(p, s, 2)[1]
+
+    @pytest.mark.parametrize("build, functional, side", [
+        (lambda: qp.kpair_property(2), qp.mu, "worst"),
+        (lambda: qp.energy_property(qp.load_weighted_automaton(
+            (DEMO_DIR / "automata/energy.waut").read_text())), qp.nu, "best"),
+    ], ids=["kmrt:2", "energy"])
+    def test_missing_functional_is_an_input_error(self, build, functional, side):
+        p = build()
+        with pytest.raises(InputError, match=f"{p.name} has no {side}-continuation"):
+            functional(p, FiniteTrace((), p.alphabet))
+        with pytest.raises(InputError, match=f"{p.name} has no"):
+            qp.check_continuity(p, qp.continuity_suite(p.alphabet))
 
 
 @pytest.fixture(scope="module")
@@ -343,18 +332,38 @@ class TestContinuity:
         assert not rep.continuous_consistent
         assert not rep.cocontinuous_consistent
 
-    def test_art_cocontinuity_witness_via_search(self, server):
-        # the closed-form refutation is reproduced by the bounded search
-        p = qp.QuantitativeProperty("art-search", dom.RATINF, qp.eval_art,
-                                    alphabet=server)
-        witness = parse_lasso("; req other ack", server)
-        rep = qp.check_continuity(p, [witness])
-        assert not rep.cocontinuous_consistent
-        assert rep.cocontinuity_witness[0] == witness
-
     def test_discounted_directions(self, never_b, eventually_a, ab):
         suite = qp.continuity_suite(ab)
         rep = qp.check_continuity(qp.discounted_safety_property(never_b), suite)
         assert rep.continuous_consistent
         rep = qp.check_continuity(qp.discounted_cosafety_property(eventually_a), suite)
         assert rep.cocontinuous_consistent
+
+    def test_rejects_a_lasso_over_another_alphabet(self, server, never_b, ab):
+        with pytest.raises(DomainMismatchError, match="'; a' is not over .* mrt"):
+            qp.check_continuity(qp.mrt_property(), qp.continuity_suite(ab))
+        with pytest.raises(DomainMismatchError, match="'; req' is not over .* disc-safe"):
+            qp.check_continuity(qp.discounted_safety_property(never_b),
+                                qp.continuity_suite(server))
+
+
+# art's worst-continuation side on lassos where the prefix-4-to-6 stall rule
+# misjudges: whether the rule reports a co-continuity witness, mu on
+# prefixes 0-6, and the limit that mu has reached from prefix 7 on
+KNOWN_WRONG_CONTINUITY = {
+    "ack ; other other req": (True, "0 0 0 0 1 1 1", dom.INF),
+    "ack ack ; other ack req": (False, "0 0 0 0 0 1 1", 1),
+}
+
+
+@pytest.mark.parametrize("text", sorted(KNOWN_WRONG_CONTINUITY))
+def test_known_wrong_continuity_is_pinned(server, text):
+    reported, early, limit = KNOWN_WRONG_CONTINUITY[text]
+    p, t = qp.art_property(), parse_lasso(text, server)
+    rep = qp.check_continuity(p, [t])
+    assert (rep.cocontinuity_witness is not None) is reported
+    assert " ".join(dom.render_value(qp.mu(p, t.prefix(i))) for i in range(7)) == early
+    # mu reads only the mode of art's state, which repeats with the loop
+    assert {qp.mu(p, t.prefix(i)) for i in range(7, 40)} == {limit}
+    # a true witness has mu's limit below the property value
+    assert dom.RATINF.lt(limit, qp.eval_art(t)) is not reported

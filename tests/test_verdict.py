@@ -104,6 +104,16 @@ class TestLimits:
                 assert evaluate(v, t, LimitBudget(iters)) == \
                     LimitResult(None, LimitKind.UNDETERMINED, iters)
 
+    def test_long_ramp_is_misread_as_divergence(self):
+        # a pinned wrong answer: mod 19 climbs by one step over all 18
+        # iterations of the final window, so the escape rule reads it as
+        # divergence, though its limsup is 18 and its liminf 0; mod 18
+        # wraps inside the window and stays undetermined
+        t = lasso((), ("a",), A)
+        for evaluate in (eval_limsup, eval_liminf):
+            assert evaluate(_counter_mod(19), t).render() == "diverged-to-top,inf"
+            assert evaluate(_counter_mod(18), t).kind is LimitKind.UNDETERMINED
+
     def test_flat_boolean_switching_is_undetermined(self):
         # infinitely switching values on the flat domain have no limit
         v = length_function(dom.B, lambda n: n % 2 == 0, name="altB")
