@@ -384,7 +384,7 @@ class RegisterMachine:
         for q in self.outputs:
             if q not in sid:
                 raise _OutputError(q, f"output for unknown state {q!r}")
-        symbols = set(self.alphabet)
+        own = self.alphabet._own
         lowered, reads = {}, {}
         outs = tuple(self._lower_output(q, rid, lowered, reads) for q in self.states)
         rows = [{} for _ in self.states]
@@ -401,7 +401,9 @@ class RegisterMachine:
                 src, dst = sid[e.source], sid[e.target]
             except KeyError:
                 raise _edge_error(e, f"edge {e.render()} references unknown states") from None
-            if e.symbol not in symbols:
+            # rows are keyed by the alphabet's objects, which parsed traces hold
+            a = own.get(e.symbol)
+            if a is None:
                 raise _edge_error(e, f"edge {e.render()} uses symbol outside the alphabet")
             atoms = tuple(tested.get(atom) or self._lower_atom(e, atom, rid, tested)
                           for atom in e.guard.atoms) if e.guard.atoms else ()
@@ -422,8 +424,8 @@ class RegisterMachine:
                 arm = arms.get((dst, update))
                 if arm is None:
                     arm = arms[dst, update] = (dst, rows[dst], update, out)
-            groups.setdefault((src, e.symbol), []).append((e, atoms, arm))
-        if len(groups) != len(rows) * len(symbols):
+            groups.setdefault((src, a), []).append((e, atoms, arm))
+        if len(groups) != len(rows) * len(own):
             for q in self.states:
                 for a in self.alphabet:
                     if (sid[q], a) not in groups:

@@ -2,14 +2,15 @@
 
 A lasso ``u ; v`` stands for the infinite trace u v v v ...  Trace files are
 whitespace-tokenized, ``#`` starts a comment, and a single ``;`` separates
-the stem from the loop in lasso files.  The parsers check each distinct
-token once against the alphabet; no trace built from checked symbols is
-checked again.
+the stem from the loop in lasso files.  Each token of a parsed or built
+trace becomes the alphabet's own symbol object, so a trace stores one shared
+string per symbol; no trace built from such symbols is checked again.
 """
 
 import itertools
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InputError, TraceParseError
 
@@ -29,6 +30,7 @@ class Alphabet:
         for s in self.symbols:
             if not _TOKEN_RE.fullmatch(s):
                 raise InputError(f"bad alphabet token {s!r}")
+        object.__setattr__(self, "_own", {s: s for s in self.symbols})
 
     def __iter__(self):
         return iter(self.symbols)
@@ -39,16 +41,14 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class FiniteTrace:
-    """A finite word over ``alphabet``; each distinct symbol is checked
-    once when the trace is built."""
+    """A finite word over ``alphabet``, held as the alphabet's own symbol
+    objects."""
 
     symbols: tuple
     alphabet: Alphabet
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        for s in dict.fromkeys(self.symbols):
-            _check_symbol(s, self.alphabet)
+        object.__setattr__(self, "symbols", _own_symbols(tuple(self.symbols), self.alphabet))
 
     def __len__(self):
         return len(self.symbols)
@@ -102,7 +102,7 @@ class LassoTrace:
         symbols of a FiniteTrace over this alphabet were checked when it was
         built; any other sequence is checked here."""
         alphabet = self.alphabet
-        if isinstance(finite, FiniteTrace) and finite.alphabet == alphabet:
+        if isinstance(finite, FiniteTrace) and finite.alphabet is alphabet:
             stem = _checked_trace(finite.symbols + self.stem.symbols, alphabet)
         else:
             stem = FiniteTrace(tuple(finite) + self.stem.symbols, alphabet)
@@ -112,14 +112,26 @@ class LassoTrace:
         return (self.stem.render() + " ; " + self.loop.render()).strip()
 
 
-def _check_symbol(symbol, alphabet):
-    if symbol not in alphabet.symbols:
-        raise ValueError(f"symbol {symbol!r} not in alphabet")
+def _own_symbols(tokens, alphabet, offset=None):
+    """The tuple of ``alphabet``'s own objects for ``tokens``.  The first
+    token outside the alphabet raises a TraceParseError naming its position
+    in parsed text, where the tokens start at ``offset``, or a ValueError
+    when there is no offset."""
+    own = alphabet._own
+    try:
+        # one C call; itemgetter of a single key returns the bare value
+        return itemgetter(*tokens)(own) if len(tokens) > 1 else tuple(own[t] for t in tokens)
+    except KeyError:
+        pos, tok = next((pos, tok) for pos, tok in enumerate(tokens) if tok not in own)
+    if offset is None:
+        raise ValueError(f"symbol {tok!r} not in alphabet")
+    raise TraceParseError(f"unknown token {tok!r} at position {offset + pos}",
+                          position=offset + pos)
 
 
 def _checked_trace(symbols, alphabet):
-    """The FiniteTrace of a tuple whose symbols are already known to lie in
-    ``alphabet``, built without checking them again."""
+    """The FiniteTrace of a tuple of ``alphabet``'s own symbol objects,
+    built without checking them again."""
     t = object.__new__(FiniteTrace)
     object.__setattr__(t, "symbols", symbols)
     object.__setattr__(t, "alphabet", alphabet)
@@ -141,15 +153,6 @@ def _tokenize(text):
     return out
 
 
-def _check_tokens(tokens, alphabet):
-    """Raise on the first token that is neither ``;`` nor in ``alphabet``;
-    the tokens are scanned for it only when some token is unknown."""
-    unknown = set(tokens).difference(alphabet.symbols, (";",))
-    if unknown:
-        pos, tok = next((pos, tok) for pos, tok in enumerate(tokens) if tok in unknown)
-        raise TraceParseError(f"unknown token {tok!r} at position {pos}", position=pos)
-
-
 def parse_lasso(text, alphabet):
     """Parse ``u ; v`` lasso text; the loop must be non-empty."""
     tokens = _tokenize(text)
@@ -160,9 +163,9 @@ def parse_lasso(text, alphabet):
         seps = [i for i, t in enumerate(tokens) if t == ";"]
         raise TraceParseError(f"more than one ';' separator (positions {seps})",
                               position=seps[1])
-    _check_tokens(tokens, alphabet)
     cut = tokens.index(";")
-    stem, loop = tuple(tokens[:cut]), tuple(tokens[cut + 1:])
+    stem = _own_symbols(tokens[:cut], alphabet, 0)
+    loop = _own_symbols(tokens[cut + 1:], alphabet, cut + 1)
     if not loop:
         raise TraceParseError("empty lasso loop")
     return LassoTrace(_checked_trace(stem, alphabet), _checked_trace(loop, alphabet))
@@ -174,8 +177,7 @@ def parse_finite(text, alphabet):
     if ";" in tokens:
         raise TraceParseError("finite trace text must not contain ';'",
                               position=tokens.index(";"))
-    _check_tokens(tokens, alphabet)
-    return _checked_trace(tuple(tokens), alphabet)
+    return _checked_trace(_own_symbols(tokens, alphabet, 0), alphabet)
 
 
 def read_sections(text, required, error, optional=()):

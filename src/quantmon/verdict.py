@@ -78,7 +78,9 @@ class FunctionStepper:
 
     ``init`` is the start state, ``step_fn(state, symbol) -> state``, and
     ``out_fn(state) -> value``.  States are the run configurations, so they
-    must be hashable.
+    must be hashable.  When ``step_fn`` returns its state object unchanged,
+    the stepper keeps the value object it has without calling ``out_fn``,
+    which is sound because ``out_fn`` must be pure.
     """
 
     def __init__(self, init, step_fn, out_fn):
@@ -88,8 +90,10 @@ class FunctionStepper:
         self.value = out_fn(init)
 
     def step(self, symbol):
-        self._state = self._step_fn(self._state, symbol)
-        self.value = self._out_fn(self._state)
+        state = self._step_fn(self._state, symbol)
+        if state is not self._state:
+            self._state = state
+            self.value = self._out_fn(state)
         return self.value
 
     def config(self):

@@ -142,6 +142,13 @@ class TestFileFormat:
         assert verdict_sequence(mc.generated_verdict(again), fig) == \
             verdict_sequence(mc.generated_verdict(m), fig)
 
+    def test_rows_are_keyed_by_the_alphabets_objects(self):
+        # each edge line splits into its own string, and a parsed trace
+        # holds the alphabet's, so the rows must be keyed by the latter
+        m = mc.load_machine((DEMO_MACHINES / "mmax.mspec").read_text())
+        own = dict(zip(m.alphabet.symbols, m.alphabet.symbols))
+        assert all(a is own[a] for row in m._rows for a in row)
+
     def test_load_errors(self):
         with pytest.raises(MachineError, match="missing"):
             mc.load_machine("registers: x\nstates: q\ninitial: q\n")

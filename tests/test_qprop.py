@@ -76,6 +76,13 @@ class TestArt:
                     Fraction(4, 3), Fraction(4, 3)]
         assert verdict_sequence(qp.art_verdict(), s) == expected
 
+    def test_an_unchanged_state_keeps_its_value_object(self):
+        stepper = qp.art_verdict().stepper()
+        for sym in "req ack req other ack".split():
+            stepper.step(sym)
+        first, second = stepper.step("other"), stepper.step("other")
+        assert first == Fraction(3, 2) and first is second
+
     def test_periodic_pair_average(self, server):
         t = parse_lasso("; req ack", server)
         assert qp.eval_art(t) == 1
@@ -259,17 +266,19 @@ class TestKPair:
             qp.eval_kpair_mrt(parse_lasso("; req ack", server), 2)
 
     def test_projection_matches_scalar(self):
-        sa2 = qp.server_alphabet(2).alphabet
+        sa1, sa2 = qp.server_alphabet(1).alphabet, qp.server_alphabet(2).alphabet
         rng = random.Random(3)
         for _ in range(30):
             t = lasso(tuple(rng.choice(sa2.symbols) for _ in range(rng.randint(0, 4))),
                       tuple(rng.choice(sa2.symbols) for _ in range(rng.randint(1, 3))),
                       sa2)
             v1, v2 = qp.eval_kpair_mrt(t, 2)
-            rename1 = ["req" if s == "req1" else "ack" if s == "ack1" else "other"
-                       for s in t.prefix(len(t.stem)).symbols]
-            del rename1  # the projection itself is exercised through eval_kpair_mrt
-            assert dom.NATINF.contains(v1) and dom.NATINF.contains(v2)
+            # pair i alone: its own request and ack, every other event idle
+            for i, value in ((1, v1), (2, v2)):
+                rename = {f"req{i}": "req", f"ack{i}": "ack"}
+                pair = lasso([rename.get(s, "other") for s in t.stem],
+                             [rename.get(s, "other") for s in t.loop], sa1)
+                assert value == qp.eval_mrt(pair), (t.render(), i)
 
 
 class TestContinuationFunctionals:

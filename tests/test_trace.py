@@ -1,10 +1,12 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from quantmon.errors import InputError, TraceParseError
+from quantmon.qprop import server_alphabet
 from quantmon.trace import (Alphabet, FiniteTrace, LassoTrace, _tokenize, all_lassos,
                             all_finite_traces, lasso, parse_finite, parse_lasso,
                             random_finite_trace, random_lasso)
@@ -166,6 +168,12 @@ def parsed(parse, text):
         return str(exc), exc.position
 
 
+def symbols(result):
+    if isinstance(result, LassoTrace):
+        return result.stem.symbols + result.loop.symbols
+    return result.symbols if isinstance(result, FiniteTrace) else ()
+
+
 def alphabets(result):
     if isinstance(result, LassoTrace):
         return (result.stem.alphabet, result.loop.alphabet)
@@ -200,6 +208,8 @@ class TestParserAgainstReference:
             got, want = parsed(parse, text), parsed(reference, text)
             assert got == want
             assert all(a is SERVER for a in alphabets(got))
+            own = dict(zip(SERVER.symbols, SERVER.symbols))
+            assert all(s is own[s] for s in symbols(got) + symbols(want))
 
     def test_unknown_last_token_of_a_long_trace(self):
         body = " ".join(["req", "ack"] * 9999 + ["other", "boom"])
@@ -207,6 +217,21 @@ class TestParserAgainstReference:
                 PARSERS, (body, "; " + body), (19999, 20000)):
             want = (f"unknown token 'boom' at position {position}", position)
             assert parsed(parse, text) == parsed(reference, text) == want
+
+    def test_a_parsed_event_holds_one_pointer(self):
+        # the alphabet's own strings stand for the tokens, which are freed
+        alphabet = server_alphabet(1).alphabet
+        rng = random.Random(5)
+        text = " ".join(rng.choice(alphabet.symbols) for _ in range(100_000))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = parse_finite(text, alphabet)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 100_000
+        assert retained / len(trace) <= 16
 
     def test_the_earlier_of_two_unknown_tokens_is_named(self):
         for (parse, reference), text in zip(PARSERS, ("req zap ack boom zap boom",
