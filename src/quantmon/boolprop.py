@@ -6,7 +6,8 @@ omega-semantics.  Safety/co-safety determining sets must be traps (closed
 under transitions) so that the reached state alone carries the history.
 
 Determination, classical monitorability, and lasso membership all reduce to
-reachability and cycle analysis on the (tiny) transition graph.
+reachability and cycle analysis on the (tiny) transition graph.  The
+modality checks take their approximation side, ``Side``, from ``verdict``.
 """
 
 import enum
@@ -17,7 +18,7 @@ from . import domain as dom
 from .errors import AcceptanceKindError, AutomatonError, UnsupportedDomainError
 from .trace import Alphabet, all_finite_traces, all_lassos, read_sections
 from .verdict import (
-    FunctionStepper, VerdictFunction,
+    FunctionStepper, Side, VerdictFunction,
     DEFAULT_BUDGET, _derived, eval_liminf, eval_limsup,
 )
 
@@ -36,16 +37,6 @@ _DUAL_KIND = {
     AcceptanceKind.BUCHI: AcceptanceKind.COBUCHI,
     AcceptanceKind.COBUCHI: AcceptanceKind.BUCHI,
 }
-
-
-class Side(enum.Enum):
-    BELOW = "below"
-    ABOVE = "above"
-
-    def covers(self, d, estimate, target):
-        """Does ``estimate`` approximate ``target`` from this side in ``d``:
-        at most it from below, at least it from above?"""
-        return d.le(estimate, target) if self is Side.BELOW else d.le(target, estimate)
 
 
 class BooleanPropertyAutomaton:

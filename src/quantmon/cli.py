@@ -26,7 +26,7 @@ from . import precision as pr
 from . import qprop as qp
 from .errors import InputError, MachineError, QuantmonError, TraceParseError
 from .trace import parse_finite, parse_lasso
-from .verdict import (DEFAULT_BUDGET, LimitBudget, constant_verdict, count_switches,
+from .verdict import (DEFAULT_BUDGET, LimitBudget, Side, constant_verdict, count_switches,
                       eval_liminf, eval_limsup, verdict_csv_lines, verdict_sequence)
 
 
@@ -228,7 +228,7 @@ def cmd_compare(args):
     if alphabet is None:
         raise QuantmonError("at least one verdict selector must fix an alphabet")
     suite = _suite_for(args.suite, alphabet, args.seed)
-    side = bp.Side(args.side)
+    side = Side(args.side)
     report = pr.compare(v1, v2, suite, side, LimitBudget(args.budget_iters))
     _emit(pr.report_jsonl(report, args.verdict1, args.verdict2), args.output)
     return 0
@@ -269,7 +269,7 @@ def cmd_classify(args):
         print(f"classically-monitorable: {bp.classically_monitorable(P)}")
     # the existential check extends every trace of up to 3 symbols
     prefix_len = 3 if args.modality == "existential" else None
-    report = bp.classify_modality(monitor, prop, bp.Side.BELOW, suite, budget=budget,
+    report = bp.classify_modality(monitor, prop, Side.BELOW, suite, budget=budget,
                                   existential_prefix_len=prefix_len)
     print(f"{label}: {report.summary()}")
     wanted_ok = getattr(report, f"{args.modality}_ok")

@@ -82,9 +82,8 @@ from fractions import Fraction
 
 from . import domain as dom
 from .errors import MachineError
-from .qprop import QuantitativeProperty, server_alphabet
-from .trace import Alphabet, read_sections
-from .verdict import VerdictFunction, _fold
+from .trace import Alphabet, read_sections, server_alphabet
+from .verdict import QuantitativeProperty, VerdictFunction, _fold
 
 
 class InstructionSet(enum.Enum):

@@ -11,10 +11,9 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .boolprop import Side
 from .errors import InputError, UnsupportedDomainError
 from .trace import all_lassos, random_lasso
-from .verdict import DEFAULT_BUDGET, eval_liminf, eval_limsup
+from .verdict import DEFAULT_BUDGET, Side, eval_liminf, eval_limsup
 
 
 class PrecisionRelation(enum.Enum):

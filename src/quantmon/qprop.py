@@ -1,13 +1,13 @@
 """Ground-truth evaluators for quantitative trace properties on lassos.
 
-The request/acknowledgement properties run over a server alphabet with
-(req, ack) pairs plus a neutral token.  The response time of a pair counts
-the observations after the request up to and including the acknowledgement,
-so an immediately acknowledged request has response time 1.
+The request/acknowledgement properties run over ``trace.server_alphabet``.
+The response time of a pair counts the observations after the request up
+to and including the acknowledgement, so an immediately acknowledged
+request has response time 1.
 
-Each property carries a lasso evaluator (its exact value on an ultimately
-periodic trace) and, where the property has them, the closed forms of its
-best/worst-continuation functionals used by the continuity checks.
+Each property, a ``QuantitativeProperty``, carries a lasso evaluator (its
+exact value on a lasso) and, where the property has them, the closed forms
+of its best/worst-continuation functionals used by the continuity checks.
 """
 
 from dataclasses import dataclass
@@ -16,35 +16,8 @@ from fractions import Fraction
 from . import domain as dom
 from .boolprop import AcceptanceKind, check_transition_table, read_transition_table
 from .errors import AcceptanceKindError, AutomatonError, DomainMismatchError, InputError
-from .trace import Alphabet, all_lassos, lasso
-from .verdict import FunctionStepper, VerdictFunction
-
-
-@dataclass(frozen=True)
-class ServerAlphabet:
-    req_tokens: tuple
-    ack_tokens: tuple
-    other_token = "other"
-
-    def __post_init__(self):
-        if len(self.req_tokens) != len(self.ack_tokens) or not self.req_tokens:
-            raise ValueError("request and acknowledgement token lists must pair up")
-
-    @property
-    def alphabet(self):
-        tokens = []
-        for r, a in zip(self.req_tokens, self.ack_tokens):
-            tokens.extend((r, a))
-        tokens.append(self.other_token)
-        return Alphabet(tuple(tokens))
-
-
-def server_alphabet(k=1):
-    """The standard server alphabet: req/ack for one pair, req1/ack1/... beyond."""
-    if k == 1:
-        return ServerAlphabet(("req",), ("ack",))
-    return ServerAlphabet(tuple(f"req{i}" for i in range(1, k + 1)),
-                          tuple(f"ack{i}" for i in range(1, k + 1)))
+from .trace import all_lassos, lasso, server_alphabet
+from .verdict import FunctionStepper, QuantitativeProperty, VerdictFunction
 
 
 # -- maximal response time ----------------------------------------------
@@ -336,18 +309,6 @@ def load_weighted_automaton(text):
 
 
 # -- properties and continuation functionals -----------------------------
-
-
-@dataclass
-class QuantitativeProperty:
-    """A lasso evaluator over an alphabet, with the closed-form continuation
-    functionals where the property has them."""
-    name: str
-    codomain: dom.ValueDomain
-    eval_lasso: object
-    alphabet: Alphabet
-    nu_at: object = None
-    mu_at: object = None
 
 
 def _functional(p, at, side):

@@ -1,5 +1,7 @@
 """Alphabets, finite traces, and lasso (ultimately periodic) traces.
 
+The response-time server alphabet pairs req/ack tokens and adds ``other``.
+
 A lasso ``u ; v`` stands for the infinite trace u v v v ...  Trace files are
 whitespace-tokenized, ``#`` starts a comment, and a single ``;`` separates
 the stem from the loop in lasso files.  Each token of a parsed or built
@@ -37,6 +39,33 @@ class Alphabet:
 
     def __len__(self):
         return len(self.symbols)
+
+
+@dataclass(frozen=True)
+class ServerAlphabet:
+    req_tokens: tuple
+    ack_tokens: tuple
+    other_token = "other"
+
+    def __post_init__(self):
+        if len(self.req_tokens) != len(self.ack_tokens) or not self.req_tokens:
+            raise ValueError("request and acknowledgement token lists must pair up")
+        pairs = itertools.chain(*zip(self.req_tokens, self.ack_tokens))
+        object.__setattr__(self, "alphabet", Alphabet((*pairs, self.other_token)))
+
+
+_SERVER_ALPHABETS = {}
+
+
+def server_alphabet(k=1):
+    """The standard server alphabet: req/ack for one pair, req1/ack1/... beyond.
+    It is one object per k, so its traces hold the symbols keying its machines."""
+    if k not in _SERVER_ALPHABETS:
+        # setdefault keeps the first object when two threads build one
+        ids = [""] if k == 1 else range(1, k + 1)
+        _SERVER_ALPHABETS.setdefault(k, ServerAlphabet(tuple(f"req{i}" for i in ids),
+                                                       tuple(f"ack{i}" for i in ids)))
+    return _SERVER_ALPHABETS[k]
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ prefix, whose ``step(symbol)`` returns the next ``value`` and whose
 the symbols it is fed, so it needs no alphabet.  A finite trace is stepped
 one way, by ``verdict_sequence``; calling a verdict gives its last value.
 
-The monitor's estimate for an infinite trace is the limsup (or liminf) of
-the verdict values along its prefixes.  On a lasso ``u ; v`` the engine
+A ``QuantitativeProperty`` maps infinite traces into a domain; a monitor
+estimates it by the limsup (``Side`` below) or liminf (above) of the
+verdict values along the prefixes.  On a lasso ``u ; v`` the engine
 watches the verdict values produced inside consecutive loop iterations and
 resolves the limit three ways, in order of preference:
 
@@ -65,6 +66,7 @@ from fractions import Fraction
 
 from . import domain as dom
 from .errors import InputError, InvalidFunctionError, NoBoundError, UnsupportedDomainError
+from .trace import Alphabet
 
 
 class Monotonicity(enum.Enum):
@@ -119,6 +121,29 @@ class VerdictFunction:
 
     def __repr__(self):
         return f"<verdict {self.name} on {self.codomain.name}>"
+
+
+@dataclass
+class QuantitativeProperty:
+    """A lasso evaluator over an alphabet, with the closed-form continuation
+    functionals where the property has them."""
+    name: str
+    codomain: dom.ValueDomain
+    eval_lasso: object
+    alphabet: Alphabet
+    nu_at: object = None
+    mu_at: object = None
+
+
+class Side(enum.Enum):
+    """The approximation side: below by the limsup, above by the liminf."""
+    BELOW = "below"
+    ABOVE = "above"
+
+    def covers(self, d, estimate, target):
+        """Does ``estimate`` approximate ``target`` from this side in ``d``:
+        at most it from below, at least it from above?"""
+        return d.le(estimate, target) if self is Side.BELOW else d.le(target, estimate)
 
 
 def constant_verdict(codomain, value):
@@ -444,14 +469,14 @@ def _monotonicity_samples(d):
         return [t for t in itertools.product(inner, repeat=d.arity)]
     if isinstance(d, dom.InverseDomain):
         return _monotonicity_samples(d.inner)
-    return []
+    raise UnsupportedDomainError(f"cannot check monotonicity over {d.name}: no sample grid")
 
 
 def map_continuous(verdict, fn):
     """Compose a verdict with a monotone unary function on its codomain.
 
-    Monotonicity of ``fn`` is checked on a sample grid; a witnessed
-    violation raises InvalidFunctionError.
+    Monotonicity of ``fn`` is checked on a sample grid of the codomain,
+    which must have one; a witnessed violation raises InvalidFunctionError.
     """
     d = verdict.codomain
     if not d.is_lattice:

@@ -638,6 +638,21 @@ class TestInputErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("argv,error", [
+        (["compare", "foo", "mrt", "--suite", "exhaustive:1:1"],
+         "unknown verdict selector 'foo'"),
+        (["compare", "mrt", "mrt", "--suite", "bogus:1"], "unknown suite spec 'bogus:1'"),
+        (["compare", "const:natinf:0", "const:natinf:1", "--suite", "exhaustive:1:1"],
+         "at least one verdict selector must fix an alphabet"),
+        (["classify", "--obligation", "{work}/never_b.aut"],
+         "obligation pair must be 'safety.aut:cosafety.aut', got '{work}/never_b.aut'"),
+    ], ids=["verdict", "suite", "alphabet", "obligation"])
+    def test_input_check_names_the_fault(self, workdir, argv, error, capsys):
+        code, out, err = run_cli([a.format(work=workdir) for a in argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {error.format(work=workdir)}\n"
+
     @pytest.mark.parametrize("name,text,argv,error", [
         ("states.mspec", MMAX_SPEC.read_text().replace("states:", "states: idle\nstates:"),
          ["run", "{file}", "{work}/fig.trace", "--finite"], "line 4: second 'states:' line"),
@@ -794,11 +809,15 @@ class TestClassify:
 
 
 _CORE_MODULES = {"domain", "errors", "trace", "verdict"}
-# the package modules each import loads in a fresh interpreter: boolprop,
-# qprop and precision come only from machine.py and cli.py
+# the package modules each import loads in a fresh interpreter: machine and
+# precision stand on the core alone, qprop stands on boolprop, and only
+# cli.py loads them all
 IMPORTED_MODULES = {
     "quantmon": _CORE_MODULES,
-    "quantmon.machine": _CORE_MODULES | {"boolprop", "machine", "qprop"},
+    "quantmon.machine": _CORE_MODULES | {"machine"},
+    "quantmon.precision": _CORE_MODULES | {"precision"},
+    "quantmon.boolprop": _CORE_MODULES | {"boolprop"},
+    "quantmon.qprop": _CORE_MODULES | {"boolprop", "qprop"},
     "quantmon.cli": _CORE_MODULES | {"boolprop", "cli", "machine", "precision", "qprop"},
 }
 

@@ -48,6 +48,16 @@ class TestValidation:
                                {"q": mc.OUT_ZERO}, mc.InstructionSet.COUNTER,
                                dom.NATINF)
 
+    def test_edge_on_a_symbol_outside_the_alphabet_rejected(self):
+        a = Alphabet(("a",))
+        edges = [mc.Edge("q", "a", mc.TRUE_GUARD, (), "q"),
+                 mc.Edge("q", "b", mc.TRUE_GUARD, (), "q")]
+        with pytest.raises(MachineError) as exc:
+            mc.RegisterMachine("bad", (), ("q",), a, "q", edges,
+                               {"q": mc.OUT_ZERO}, mc.InstructionSet.COUNTER,
+                               dom.NATINF)
+        assert str(exc.value) == f"edge {edges[1].render()} uses symbol outside the alphabet"
+
     def test_missing_case_rejected(self):
         ab = Alphabet(("a", "b"))
         edges = [mc.Edge("q", "a", mc.TRUE_GUARD, (), "q")]
@@ -554,6 +564,15 @@ class TestKPair:
             res = eval_limsup(v, t, LimitBudget(max_loop_iterations=96))
             if res.is_determined:
                 assert res.value == qp.eval_kpair_mrt(t, 2), t.render()
+
+    def test_parsed_symbols_key_the_rows(self):
+        # one server alphabet per pair count, so a trace parsed over it
+        # holds the very objects that key the monitor's rows
+        m = mc.build_kpair_monitor(3)
+        assert m.alphabet is qp.server_alphabet(3).alphabet
+        t = parse_finite("req1 ack1 req2 req3 other ack3 ack2", qp.server_alphabet(3).alphabet)
+        keys = {id(a) for row in m._rows for a in row}
+        assert all(id(sym) in keys for sym in t)
 
     def test_priority_underapproximates_componentwise(self):
         m = mc.build_kpair_priority(2)

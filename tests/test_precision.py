@@ -42,6 +42,13 @@ def abc_suite():
     return pr.default_suite(ABC)
 
 
+def test_suite_traces_share_an_alphabet():
+    mixed = (parse_lasso("a ; b", ABC), parse_lasso("a ; b", Alphabet(("a", "b"))))
+    with pytest.raises(ValueError) as exc:
+        pr.LassoSuite(mixed)
+    assert str(exc.value) == "suite traces must share an alphabet"
+
+
 class TestCompare:
     def test_wider_watchlist_is_more_precise(self, eventually_family, abc_suite):
         report = pr.compare(eventually_family["ab"], eventually_family["a"],

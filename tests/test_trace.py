@@ -1,15 +1,16 @@
 import itertools
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from quantmon.errors import InputError, TraceParseError
-from quantmon.qprop import server_alphabet
-from quantmon.trace import (Alphabet, FiniteTrace, LassoTrace, _tokenize, all_lassos,
-                            all_finite_traces, lasso, parse_finite, parse_lasso,
-                            random_finite_trace, random_lasso)
+from quantmon.trace import (Alphabet, FiniteTrace, LassoTrace, ServerAlphabet, _tokenize,
+                            all_lassos, all_finite_traces, lasso, parse_finite, parse_lasso,
+                            random_finite_trace, random_lasso, server_alphabet)
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +31,57 @@ class TestAlphabet:
         # no trace file can hold "a\n", which a `$` anchor lets through
         with pytest.raises(InputError, match=r"bad alphabet token 'a\\n'"):
             Alphabet(("a\n", "b"))
+
+
+class TestServerAlphabet:
+    def test_one_object_per_pair_count(self):
+        assert server_alphabet() is server_alphabet(1) is server_alphabet(k=1)
+        assert server_alphabet(3) is server_alphabet(3)
+        assert server_alphabet(3).alphabet is server_alphabet(3).alphabet
+        assert server_alphabet(3).alphabet.symbols == \
+            ("req1", "ack1", "req2", "ack2", "req3", "ack3", "other")
+
+    def test_threads_share_one_object(self):
+        # threads released together ask for a pair count no other test builds
+        barrier, got = threading.Barrier(8), []
+
+        def ask():
+            barrier.wait(timeout=10)
+            got.append(server_alphabet(23))
+
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8 and all(sa is got[0] for sa in got)
+
+    @pytest.mark.parametrize("reqs,acks", [(("req1", "req2"), ("ack1",)), ((), ())],
+                             ids=["unpaired", "empty"])
+    def test_token_lists_must_pair_up(self, reqs, acks):
+        with pytest.raises(ValueError) as exc:
+            ServerAlphabet(reqs, acks)
+        assert str(exc.value) == "request and acknowledgement token lists must pair up"
+
+
+class TestLassoChecks:
+    def test_stem_and_loop_share_an_alphabet(self, ra):
+        stem = FiniteTrace(("req",), ra)
+        loop = FiniteTrace(("a",), Alphabet(("a", "b")))
+        with pytest.raises(ValueError) as exc:
+            LassoTrace(stem, loop)
+        assert str(exc.value) == "stem and loop must share an alphabet"
+
+    def test_loop_is_non_empty(self, ra):
+        with pytest.raises(ValueError) as exc:
+            LassoTrace(FiniteTrace(("req",), ra), FiniteTrace((), ra))
+        assert str(exc.value) == "lasso loop must be non-empty"
 
 
 class TestPrefix:

@@ -363,6 +363,25 @@ class TestCombinators:
             combine_sum(constant_verdict(dom.BT, True), constant_verdict(dom.BT, True))
 
 
+class _Chain3(dom.ValueDomain):
+    """The chain 0 < 1 < 2: a lattice that no monotonicity sample grid knows."""
+    name = "chain3"
+    is_lattice = True
+    bottom, top = 0, 2
+
+    def contains(self, v):
+        return v in (0, 1, 2) and not isinstance(v, bool)
+
+    def leq(self, a, b):
+        return a <= b
+
+    def sup(self, vs):
+        return max(vs, default=0)
+
+    def inf(self, vs):
+        return min(vs, default=2)
+
+
 class TestMapContinuous:
     def test_doubling(self, server):
         fig = FiniteTrace(tuple("req ack req other ack".split()), server)
@@ -382,6 +401,13 @@ class TestMapContinuous:
     def test_non_monotone_function_rejected(self):
         with pytest.raises(InvalidFunctionError):
             map_continuous(length_verdict(), lambda x: 0 if x == dom.INF else dom.INF)
+
+    def test_codomain_without_a_sample_grid_rejected(self):
+        # the antitone 2 - x must not pass for monotone unchecked
+        v = constant_verdict(_Chain3(), 0)
+        with pytest.raises(UnsupportedDomainError) as exc:
+            map_continuous(v, lambda x: 2 - x)
+        assert str(exc.value) == "cannot check monotonicity over chain3: no sample grid"
 
     @pytest.mark.parametrize("codomain,monotone,antitone", [
         (dom.BT, lambda v: True, lambda v: not v),
