@@ -296,12 +296,6 @@ def _contains_intinf(v):
         or (isinstance(v, Fraction) and v.denominator == 1)
 
 
-def _contains_ratinf(v):
-    if isinstance(v, bool):
-        return False
-    return isinstance(v, (int, Fraction)) or v == INF or v == NEG_INF
-
-
 #: Truth values with T and F incomparable.  Not a lattice: {T, F} is unbounded.
 B = BooleanDomain("B", (True, False), strict=())
 
@@ -325,7 +319,7 @@ NATINF = NumericDomain("natinf", _contains_natinf, bottom=0, top=INF)
 INTINF = NumericDomain("intinf", _contains_intinf, bottom=NEG_INF, top=INF)
 
 #: Exact rationals with both infinities.
-RATINF = NumericDomain("ratinf", _contains_ratinf, bottom=NEG_INF, top=INF)
+RATINF = NumericDomain("ratinf", is_numeric, bottom=NEG_INF, top=INF)
 
 BOOLEAN_DOMAINS = (B, BBOT, BT, BF)
 

@@ -17,36 +17,39 @@ state's row maps a symbol to its lone edge's arm or, for a guarded group,
 to a function of the values tuple giving the group's sign pattern plus a
 table from pattern to arm.  An arm is ``(target, row, update, output or
 None)``: the target's id and row, the update builder (None for an edge
-without updates) and the target's output function.  The output is None
-when the step cannot change the value: the source state has the same
-output function (outputs of one source text share one function) and the
-update writes none of the registers that function reads.  A run then
-keeps its value object, so a reader can tell an unchanged value by
+without updates) and the target's output function.  Arms are shared per
+target, update and kept-ness, where an arm is kept when its source state
+has the same output function (outputs of one source text share one
+function).  A kept arm's output is None when its update writes none of the
+registers that function reads, so the step cannot change the value.  A run
+then keeps its value object, so a reader can tell an unchanged value by
 identity; an accelerated jump sets the value afresh.  Updates, guard
 atoms and affine outputs share one lowered form: integer coefficients in
 ``registers`` order plus a constant.  An update's form is the assigned
 value, an atom's is ``left - right`` (or ``left - const``), tested for
-``>= 0``.  Each distinct update list becomes one tuple builder and each
-output one function of the values tuple.  Their Python source is written
-from forms, never from names in the input, and is compiled once per
-distinct source text.  The source ``Edge``/``Guard``/``Update`` objects
-stay in ``edges`` for parsing, rendering and tests.
+``>= 0``.  The registers an output reads, and an update writes, are read
+off these forms.  Each distinct update list becomes one tuple builder and
+each output one function of the values tuple.  Their Python source is
+written from forms, never from names in the input, and is compiled once
+per distinct source text.  The source ``Edge``/``Guard``/``Update``
+objects stay in ``edges`` for parsing, rendering and tests.
 
 The flat form also keeps the forms of each update builder and each
 sign-pattern function.  From them ``MachineRun.accelerate`` composes one
 lasso-loop iteration symbolically.  An arm path lists per step the state
 id, the symbol and the sign pattern taken.  Along a path every register
-value, guard atom and output reads as a form of the iteration's start
-values (``_compose``).  When the composed update sets some
+value and guard atom reads as a form of the iteration's start values
+(``_compose``).  When the composed update sets some
 registers to constants and maps every other register to itself plus a
 constant and plus multiples of the set ones, then, as the iteration before
 took the same path, the set registers start every iteration at their
 constants, each other register moves by a fixed shift, and the start of
 the n-th iteration along the path is ``start + n * shift``.  So each form
 changes by a fixed slope per iteration.  Then each atom's sign flips at a
-computable iteration, and each output position tends to its value, to
-±inf, or to a ratio of slopes (taken through ``max`` and componentwise in
-a tuple).
+computable iteration.  When none flips, the limit of each loop position
+reads the position's ``OutputSpec``: it composes each affine leaf over the
+position's register forms, and the output tends to its value, to ±inf, or
+to a ratio of slopes (taken through ``max`` and componentwise in a tuple).
 
 Instruction sets are the cost model.  Each update must be one of the six
 instructions of ``_INSTRUCTIONS`` (set to 0 or to 1, increment, decrement,
@@ -291,12 +294,6 @@ _CODE_GLOBALS = {"__builtins__": {}, "Fraction": Fraction, "fraction": dom.fract
 
 
 @functools.lru_cache(maxsize=1024)
-def _read_mask(source):
-    """The mask of the registers that ``source`` reads: bit i for ``v[i]``."""
-    return sum(1 << i for i in set(map(int, re.findall(r"v\[(\d+)\]", source))))
-
-
-@functools.lru_cache(maxsize=1024)
 def _compile(source):
     """The function that ``source``, a lambda over the values tuple ``v``
     written from register indices and integer literals, denotes."""
@@ -310,6 +307,14 @@ def _affine_form(out, rid):
     for r, c in out.parts:
         form[rid[r]] += c
     return tuple(form)
+
+
+def _read_mask(out, rid):
+    """The mask of the registers that ``out`` reads: bit i where register i
+    has a nonzero coefficient in one of its affine forms."""
+    if out.kind == "affine":
+        return sum(1 << i for i, c in enumerate(_affine_form(out, rid)[:-1]) if c)
+    return functools.reduce(operator.or_, (_read_mask(p, rid) for p in out.parts), 0)
 
 
 def _form_source(form):
@@ -391,10 +396,11 @@ class RegisterMachine:
         # update builder keeps the forms it assigns and the mask of the
         # registers it writes
         tested, builders, self._assigned, writes = {}, {(): None}, {None: ()}, {None: 0}
-        # arms by (target, update), apart for edges whose source has the
-        # target's output function: there an update that writes no register
-        # the output reads cannot change the value, and the arm's output is None
-        arms, kept, groups = {}, {}, {}
+        # arms by (target, update, kept), where kept says that the source
+        # has the target's output function: there an update that writes no
+        # register the output reads cannot change the value, and the arm's
+        # output is None
+        arms, groups = {}, {}
         for e in self.edges:
             try:
                 src, dst = sid[e.source], sid[e.target]
@@ -414,15 +420,11 @@ class RegisterMachine:
                 self._assigned[update] = assigned
                 writes[update] = sum(1 << t for t, _ in assigned)
             out = outs[dst]
-            if out is outs[src]:
-                arm = kept.get((dst, update))
-                if arm is None:
-                    arm = kept[dst, update] = (dst, rows[dst], update,
-                                               out if writes[update] & reads[out] else None)
-            else:
-                arm = arms.get((dst, update))
-                if arm is None:
-                    arm = arms[dst, update] = (dst, rows[dst], update, out)
+            kept = out is outs[src]
+            arm = arms.get((dst, update, kept))
+            if arm is None:
+                stays = kept and not writes[update] & reads[out]
+                arm = arms[dst, update, kept] = (dst, rows[dst], update, None if stays else out)
             groups.setdefault((src, a), []).append((e, atoms, arm))
         if len(groups) != len(rows) * len(own):
             for q in self.states:
@@ -459,7 +461,8 @@ class RegisterMachine:
             raise _OutputError(q, f"dividing output of {q!r} needs the extended "
                                   "instruction set")
         lowered[id(out)] = fn = _compile(f"lambda v: {source}")
-        reads[fn] = _read_mask(source)
+        if fn not in reads:
+            reads[fn] = _read_mask(out, rid)
         return fn
 
     def _lower_atom(self, edge, atom, rid, tested):
@@ -546,9 +549,9 @@ class RegisterMachine:
         constant or moves it by a constant plus multiples of the registers
         it sets.  Otherwise returns ``(shift, atoms, outputs)``: the
         per-iteration shift of each register (0 for a set one), each guard
-        atom on the path as ``(form, slope, holds)``, and each step's output
-        composed by ``_compose_output``.  A form's slope is its change per
-        iteration.
+        atom on the path as ``(form, slope, holds)``, and each step's
+        ``OutputSpec`` with the register forms after that step.  A form's
+        slope is its change per iteration.
         """
         width = len(self.registers)
         forms = [tuple(int(i == j) for j in range(width)) + (0,) for i in range(width)]
@@ -577,11 +580,9 @@ class RegisterMachine:
                 shift.append(form[-1] + sum(form[j] * c for j, c in fixed.items()))
             else:
                 return None
-        slope = lambda form: sum(map(operator.mul, form, shift))
-        rid = self._register_ids
         return (tuple(shift),
-                tuple((form, slope(form), holds) for form, holds in atoms),
-                tuple(_compose_output(out, forms, rid, slope) for out, forms in outputs))
+                tuple((form, _slope(form, shift), holds) for form, holds in atoms),
+                outputs)
 
     def __repr__(self):
         return (f"<machine {self.name}: {len(self.registers)} registers, "
@@ -604,40 +605,40 @@ def _at(form, values):
     return sum(map(operator.mul, form, values)) + form[-1]
 
 
-def _compose_output(out, forms, rid, slope):
-    """``out`` read at a step whose register forms are ``forms``, as
-    ``(kind, parts)``: an affine leaf's parts are its ``(form, slope)``,
-    every other output's parts are its composed sub-outputs."""
-    if out.kind == "affine":
-        form = _compose(_affine_form(out, rid), forms)
-        return "affine", (form, slope(form))
-    return out.kind, tuple(_compose_output(p, forms, rid, slope) for p in out.parts)
+def _slope(form, shift):
+    """The change of ``form`` per iteration when the registers move by
+    ``shift``."""
+    return sum(map(operator.mul, form, shift))
 
 
-def _position_limit(output, start):
-    """The limit of one loop position's composed output over the iterations
-    from ``start`` on, and whether it diverges; for a tuple, both
-    componentwise."""
-    kind, parts = output
-    if kind == "inf":
+def _position_limit(out, forms, shift, start, rid):
+    """The limit of ``out`` read at a loop position whose register forms
+    are ``forms``, over the iterations from ``start`` on, and whether it
+    diverges; for a tuple, both componentwise.  Each affine leaf is
+    composed over ``forms`` as its limit is taken."""
+    def leaf(affine):
+        """The leaf's value at ``start`` and its slope."""
+        form = _compose(_affine_form(affine, rid), forms)
+        return _at(form, start), _slope(form, shift)
+
+    if out.kind == "inf":
         return dom.INF, False
-    if kind == "affine":
-        form, slope = parts
+    if out.kind == "affine":
+        value, slope = leaf(out)
         if slope:
             return (dom.INF if slope > 0 else dom.NEG_INF), True
-        return _at(form, start), False
-    if kind == "div":
-        (_, (form, slope)), (_, (den_form, den_slope)) = parts
+        return value, False
+    if out.kind == "div":
+        (num, slope), (den, den_slope) = map(leaf, out.parts)
         if den_slope:
             return Fraction(slope, den_slope), False
-        den = _at(den_form, start)
         if not den:
             return Fraction(0), False
         if not slope:
-            return Fraction(_at(form, start), den), False
+            return Fraction(num, den), False
         return (dom.INF if (slope > 0) == (den > 0) else dom.NEG_INF), True
-    limits = [_position_limit(p, start) for p in parts]
-    if kind == "tuple":
+    limits = [_position_limit(p, forms, shift, start, rid) for p in out.parts]
+    if out.kind == "tuple":
         return tuple(v for v, _ in limits), tuple(d for _, d in limits)
     # the max diverges only when every operand attaining it diverges
     value, escaped = _fold(max, limits)
@@ -722,7 +723,8 @@ class MachineRun:
                 continue
             flip = n if flip is None else min(flip, n)
         if flip is None:
-            return values, [_position_limit(out, start) for out in outputs]
+            return values, [_position_limit(out, forms, shift, start, m._register_ids)
+                            for out, forms in outputs]
         if flip > 1:
             self._values = jumped = tuple(x + flip * c for x, c in zip(start, shift))
             self.value = m._outputs[self._state](jumped)
@@ -946,6 +948,26 @@ def _guarded_edges(source, symbol, target, gadgets, extra=()):
     return edges
 
 
+def _server_machine(name, registers, start, pending, outputs, instruction_set):
+    """A one-pair response-time monitor over states idle, pending and an
+    infinity sink.  A req in idle updates by ``start`` and opens a request,
+    idle ignores ack and other, and a second req while pending jumps to the
+    sink; ``pending`` lists the pending state's ack and other edges, and
+    ``outputs`` maps idle and pending to their outputs."""
+    alphabet = server_alphabet(1).alphabet
+    edges = [
+        Edge("idle", "req", TRUE_GUARD, _parse_updates(start), "pending"),
+        Edge("idle", "ack", TRUE_GUARD, (), "idle"),
+        Edge("idle", "other", TRUE_GUARD, (), "idle"),
+        Edge("pending", "req", TRUE_GUARD, (), "sink"),
+        *pending,
+        *(Edge("sink", a, TRUE_GUARD, (), "sink") for a in alphabet),
+    ]
+    return RegisterMachine(name, registers, ("idle", "pending", "sink"), alphabet, "idle",
+                           edges, {**outputs, "sink": OUT_INF}, instruction_set,
+                           dom.RATINF if _SETS[instruction_set].divides else dom.NATINF)
+
+
 def build_mmax():
     """Two-counter maximal-response-time monitor.
 
@@ -954,20 +976,12 @@ def build_mmax():
     both advance, so y tracks the running maximum.  A second request before
     the acknowledgement jumps to an infinity sink.
     """
-    alphabet = server_alphabet(1).alphabet
-    edges = [
-        Edge("idle", "req", TRUE_GUARD, _parse_updates("x:=0"), "pending"),
-        Edge("idle", "ack", TRUE_GUARD, (), "idle"),
-        Edge("idle", "other", TRUE_GUARD, (), "idle"),
-        Edge("pending", "req", TRUE_GUARD, (), "sink"),
-    ]
     count = [_max_tracking("x", "y")]
-    edges += _guarded_edges("pending", "ack", "idle", count)
-    edges += _guarded_edges("pending", "other", "pending", count)
-    edges += [Edge("sink", a, TRUE_GUARD, (), "sink") for a in alphabet]
-    outputs = {"idle": out_reg("y"), "pending": out_reg("y"), "sink": OUT_INF}
-    return RegisterMachine("Mmax", ("x", "y"), ("idle", "pending", "sink"), alphabet,
-                           "idle", edges, outputs, InstructionSet.COUNTER, dom.NATINF)
+    pending = (_guarded_edges("pending", "ack", "idle", count)
+               + _guarded_edges("pending", "other", "pending", count))
+    return _server_machine("Mmax", ("x", "y"), "x:=0", pending,
+                           {"idle": out_reg("y"), "pending": out_reg("y")},
+                           InstructionSet.COUNTER)
 
 
 def build_mavg():
@@ -977,23 +991,15 @@ def build_mavg():
     requests, and ``burst`` the response time of the open request measured
     inclusively, so the pending output is (total + burst - 1) / (count + 1).
     """
-    alphabet = server_alphabet(1).alphabet
-    edges = [
-        Edge("idle", "req", TRUE_GUARD, _parse_updates("burst:=1"), "pending"),
-        Edge("idle", "ack", TRUE_GUARD, (), "idle"),
-        Edge("idle", "other", TRUE_GUARD, (), "idle"),
-        Edge("pending", "req", TRUE_GUARD, (), "sink"),
+    pending = [
         Edge("pending", "other", TRUE_GUARD, _parse_updates("burst:=burst+1"), "pending"),
         Edge("pending", "ack", TRUE_GUARD,
              _parse_updates("total:=total+burst, count:=count+1, burst:=0"), "idle"),
     ]
-    edges += [Edge("sink", a, TRUE_GUARD, (), "sink") for a in alphabet]
     outputs = {"idle": out_div("total", "count"),
-               "pending": _parse_output("(total+burst-1)/(count+1)"),
-               "sink": OUT_INF}
-    return RegisterMachine("Mavg", ("total", "count", "burst"),
-                           ("idle", "pending", "sink"), alphabet, "idle", edges,
-                           outputs, InstructionSet.EXTENDED, dom.RATINF)
+               "pending": _parse_output("(total+burst-1)/(count+1)")}
+    return _server_machine("Mavg", ("total", "count", "burst"), "burst:=1", pending,
+                           outputs, InstructionSet.EXTENDED)
 
 
 def build_mavg_running():
@@ -1004,22 +1010,14 @@ def build_mavg_running():
     counts requests as they arrive, so every state outputs rtotal/rcount.
     Generates the same verdict function as ``build_mavg``.
     """
-    alphabet = server_alphabet(1).alphabet
-    edges = [
-        Edge("idle", "req", TRUE_GUARD, _parse_updates("rcount:=rcount+1"), "pending"),
-        Edge("idle", "ack", TRUE_GUARD, (), "idle"),
-        Edge("idle", "other", TRUE_GUARD, (), "idle"),
-        Edge("pending", "req", TRUE_GUARD, (), "sink"),
+    pending = [
         Edge("pending", "other", TRUE_GUARD, _parse_updates("rtotal:=rtotal+1"), "pending"),
         Edge("pending", "ack", TRUE_GUARD, _parse_updates("rtotal:=rtotal+1"), "idle"),
     ]
-    edges += [Edge("sink", a, TRUE_GUARD, (), "sink") for a in alphabet]
-    outputs = {"idle": out_div("rtotal", "rcount"),
-               "pending": out_div("rtotal", "rcount"),
-               "sink": OUT_INF}
-    return RegisterMachine("Mavg2", ("rtotal", "rcount"), ("idle", "pending", "sink"),
-                           alphabet, "idle", edges, outputs, InstructionSet.EXTENDED,
-                           dom.RATINF)
+    return _server_machine("Mavg2", ("rtotal", "rcount"), "rcount:=rcount+1", pending,
+                           {"idle": out_div("rtotal", "rcount"),
+                            "pending": out_div("rtotal", "rcount")},
+                           InstructionSet.EXTENDED)
 
 
 def build_finite_state_mrt(cap):

@@ -127,15 +127,9 @@ class LassoTrace:
         return _checked_trace((stem + loop * unrollings)[:i], self.alphabet)
 
     def prepend(self, finite):
-        """The lasso for ``finite`` followed by this infinite trace.  The
-        symbols of a FiniteTrace over this alphabet were checked when it was
-        built; any other sequence is checked here."""
-        alphabet = self.alphabet
-        if isinstance(finite, FiniteTrace) and finite.alphabet is alphabet:
-            stem = _checked_trace(finite.symbols + self.stem.symbols, alphabet)
-        else:
-            stem = FiniteTrace(tuple(finite) + self.stem.symbols, alphabet)
-        return LassoTrace(stem, self.loop)
+        """The lasso for ``finite`` followed by this infinite trace."""
+        return LassoTrace(FiniteTrace(tuple(finite) + self.stem.symbols, self.alphabet),
+                          self.loop)
 
     def render(self):
         return (self.stem.render() + " ; " + self.loop.render()).strip()

@@ -157,6 +157,19 @@ class TestRun:
         assert lines[-2] == "limsup,exact,2"
         assert lines[-1] == "liminf,exact,2"
 
+    def test_shipped_lassos_give_the_pinned_limits(self, capsys, monkeypatch):
+        # both shipped machines on both shipped lassos, the same bytes CI pins
+        monkeypatch.chdir(DEMOS.parent)
+        out = ""
+        for spec in sorted(DEMOS.glob("machines/*.mspec")):
+            for lasso in ("fig", "periodic"):
+                code, text, _ = run_cli(["run", spec.relative_to(DEMOS.parent),
+                                         f"demos/traces/{lasso}.lasso", "--lasso"], capsys)
+                assert code == 0
+                out += text
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "de572eb6db5677d8e7295ed9b307f1fa0852b3c57ce4c9ff95749765782ac256"
+
     def test_tuple_output_machine_gets_a_product_domain(self, capsys, tmp_path):
         # a rendered k-pair machine names no domain; its tuple outputs need prod:natinf:2
         machine, trace = tmp_path / "kpair2.mspec", tmp_path / "kpair2.lasso"
@@ -557,6 +570,15 @@ class TestCompare:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "63914007ec251b59a1d7996257f8833e19cd30bd566a3d065a0bdec4a57aa54b"
 
+    def test_mrt_selector_gives_the_pinned_report(self, capsys, monkeypatch):
+        # the same report, byte for byte, as the packaging check in CI
+        monkeypatch.chdir(DEMOS.parent)
+        code, out, _ = run_cli(["compare", "machine:demos/machines/mmax.mspec", "mrt",
+                                "--suite", "exhaustive:2:3"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "6938e0654f318f5b0810951e249bdce95f87974c76430351e74f5a643aefb562"
+
 
 class TestInputErrors:
     """Bad input ends in exit 2 with a one-line error and no output."""
@@ -792,6 +814,19 @@ class TestClassify:
                                         "universal=pass existential=pass")
         _, out, _ = run_cli(["classify", DEMOS / "automata/never_b.aut"], capsys)
         assert "existential" not in out
+
+    def test_shipped_automata_give_the_pinned_reports(self, capsys, monkeypatch):
+        # both modalities over the shipped automata, the same bytes CI pins
+        monkeypatch.chdir(DEMOS.parent)
+        out = ""
+        for automaton in sorted(DEMOS.glob("automata/*.aut")):
+            path = automaton.relative_to(DEMOS.parent)
+            for modality in ([], ["--modality", "existential"]):
+                code, text, _ = run_cli(["classify", path, *modality], capsys)
+                assert code == 0
+                out += text
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "24af042c311dbe859cbc6e1243412809f8091b0a48f7ece9888167cecb4befb0"
 
     def test_obligation_switch_bound(self, workdir, capsys):
         pair = f"{workdir / 'never_b.aut'}:{workdir / 'eventually_a.aut'}"
