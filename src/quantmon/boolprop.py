@@ -8,6 +8,10 @@ under transitions) so that the reached state alone carries the history.
 Determination, classical monitorability, and lasso membership all reduce to
 reachability and cycle analysis on the (tiny) transition graph.  The
 modality checks take their approximation side, ``Side``, from ``verdict``.
+
+Each monitor is a zero-register machine built by ``machine.tabulate``, so
+the configuration-cycle rule settles its limits and the window rule never
+sees it.
 """
 
 import enum
@@ -15,12 +19,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import domain as dom
+from . import machine as mc
 from .errors import AcceptanceKindError, AutomatonError, UnsupportedDomainError
 from .trace import Alphabet, all_finite_traces, all_lassos, read_sections
-from .verdict import (
-    FunctionStepper, Side, VerdictFunction,
-    DEFAULT_BUDGET, _derived, eval_liminf, eval_limsup,
-)
+from .verdict import DEFAULT_BUDGET, Side, _derived, eval_liminf, eval_limsup
 
 
 class AcceptanceKind(enum.Enum):
@@ -195,8 +197,8 @@ def characteristic_property(P):
 
 
 def _state_output_verdict(P, out_fn, codomain, name):
-    factory = lambda: FunctionStepper(P.initial, P.step, out_fn)
-    return VerdictFunction(codomain, factory, name)
+    return mc.generated_verdict(mc.tabulate(name, P.initial, P.step, out_fn, P.alphabet,
+                                            codomain))
 
 
 def monitor_safety(P):
@@ -204,8 +206,7 @@ def monitor_safety(P):
     if P.kind is not AcceptanceKind.SAFETY:
         raise AcceptanceKindError("monitor_safety needs a safety automaton")
     neg = P.neg_states
-    return _state_output_verdict(P, lambda q: False if q in neg else True,
-                                 dom.BF, "safety-monitor")
+    return _state_output_verdict(P, lambda q: q not in neg, dom.BF, "safety-monitor")
 
 
 def monitor_cosafety(P):
@@ -305,12 +306,8 @@ class ObligationList(_PairList):
 def _product(automata):
     """Start state and step function of the synchronous product of
     ``automata``: a tuple of their states, one per automaton, in order."""
-    # per symbol, one successor map per automaton
-    rows = {a: [{q: P.transitions[(q, a)] for q in P.states} for P in automata]
-            for a in automata[0].alphabet}
-
     def step(states, symbol):
-        return tuple(map(dict.__getitem__, rows[symbol], states))
+        return tuple(P.transitions[(q, symbol)] for P, q in zip(automata, states))
 
     return tuple(P.initial for P in automata), step
 
@@ -328,9 +325,8 @@ def monitor_obligation(obligation):
         return all(q_s not in neg or q_c in pos
                    for (neg, pos), q_s, q_c in zip(alive, states[0::2], states[1::2]))
 
-    factory = lambda: FunctionStepper(init, step, out)
-    return VerdictFunction(dom.B, stepper_factory=factory,
-                           name=f"obligation-monitor(k={len(pairs)})")
+    return mc.generated_verdict(mc.tabulate(f"obligation-monitor(k={len(pairs)})", init, step,
+                                            out, pairs[0][0].alphabet, dom.B))
 
 
 class ReactivityList(_PairList):
@@ -358,19 +354,14 @@ def monitor_reactivity(reactivity):
     pairs = reactivity.pairs
     k = len(pairs)
     init, product_step = _product([P for pair in pairs for P in pair])
-    acc_r = [r.accepting for r, _ in pairs]
-    pos_r = [r.pos_states for r, _ in pairs]
-    neg_r = [r.neg_states for r, _ in pairs]
-    acc_p = [p.accepting for _, p in pairs]
-    pos_p = [p.pos_states for _, p in pairs]
-    neg_p = [p.neg_states for _, p in pairs]
+    acc_r, pos_r, neg_r = zip(*((r.accepting, r.pos_states, r.neg_states) for r, _ in pairs))
+    acc_p, pos_p, neg_p = zip(*((p.accepting, p.pos_states, p.neg_states) for _, p in pairs))
 
     def step(state, symbol):
         states, phases, fired, _ = state
         states = product_step(states, symbol)
         r_states, p_states = states[0::2], states[1::2]
-        phases = list(phases)
-        fired = list(fired)
+        phases, fired = list(phases), list(fired)
         for i in range(k):
             if phases[i] == _RESP:
                 if r_states[i] in neg_r[i]:
@@ -380,11 +371,9 @@ def monitor_reactivity(reactivity):
                     fired[i] = True
             if phases[i] == _PERS and p_states[i] in pos_p[i]:
                 phases[i] = _DONE
-        if all(fired[i] or phases[i] == _DONE for i in range(k)):
+        emitted_t = all(fired[i] or phases[i] == _DONE for i in range(k))
+        if emitted_t:
             fired = [False] * k
-            emitted_t = True
-        else:
-            emitted_t = False
         return (states, tuple(phases), tuple(fired), emitted_t)
 
     def out(state):
@@ -399,9 +388,8 @@ def monitor_reactivity(reactivity):
         return dom.BOT
 
     start = (init, (_RESP,) * k, (False,) * k, True)
-    factory = lambda: FunctionStepper(start, step, out)
-    return VerdictFunction(dom.BBOT, stepper_factory=factory,
-                           name=f"reactivity-monitor(k={k})")
+    return mc.generated_verdict(mc.tabulate(f"reactivity-monitor(k={k})", start, step, out,
+                                            pairs[0][0].alphabet, dom.BBOT))
 
 
 def smooth_bot(v):

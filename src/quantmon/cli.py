@@ -100,12 +100,39 @@ def _verdict_for(selector):
     raise QuantmonError(f"unknown verdict selector {selector!r}")
 
 
+# the most lassos a suite spec may ask for; a suite holds all of them at once
+MAX_SUITE_LASSOS = 10 ** 6
+
+
+def _exhaustive_count(k, u, v):
+    """The lassos of ``exhaustive:u:v`` over k symbols, stems Σ_{i≤u} kⁱ
+    times loops Σ_{1≤j≤v} kʲ, and whether that is only a lower bound: for
+    k ≥ 2 each bound is cut at 64, where the count is past any bound."""
+    if k == 1:
+        return (u + 1) * v, False
+    cut = min(u, 64), min(v, 64)
+    return ((k ** (cut[0] + 1) - 1) // (k - 1)) * ((k ** (cut[1] + 1) - k) // (k - 1)), \
+        cut != (u, v)
+
+
+def _bounded(spec, count, lower=False):
+    if count > MAX_SUITE_LASSOS:
+        raise InputError(f"suite {spec} asks for {'at least ' if lower else ''}{count} "
+                         f"lassos, more than the {MAX_SUITE_LASSOS} a suite may hold")
+
+
 def _suite_for(spec, alphabet, seed):
+    """The suite of ``spec``; an exhaustive or sampled suite is counted
+    before any lasso is made."""
     if spec.startswith("exhaustive:"):
         u, _, v = spec[len("exhaustive:"):].partition(":")
-        return pr.exhaustive_suite(alphabet, _int(u, "stem bound", 0), _int(v, "loop bound", 1))
+        u, v = _int(u, "stem bound", 0), _int(v, "loop bound", 1)
+        _bounded(spec, *_exhaustive_count(len(alphabet), u, v))
+        return pr.exhaustive_suite(alphabet, u, v)
     if spec.startswith("sample:"):
-        return pr.sampled_suite(alphabet, _int(spec.split(":", 1)[1], "sample size", 1), seed)
+        n = _int(spec.split(":", 1)[1], "sample size", 1)
+        _bounded(spec, n)
+        return pr.sampled_suite(alphabet, n, seed)
     if spec.startswith("file:"):
         lassos = []
         for lineno, line in enumerate(_read(spec.split(":", 1)[1]).splitlines(), 1):
@@ -345,7 +372,7 @@ def _build_parser():
 
     p = sub.add_parser("classify", help="determination and modality report")
     p.add_argument("automaton", nargs="?")
-    p.add_argument("--obligation", nargs="+", default=None,
+    p.add_argument("--obligation", nargs="+", action="extend", default=None,
                    metavar="SAFETY.aut:COSAFETY.aut")
     p.add_argument("--suite", default="exhaustive:2:3")
     p.add_argument("--modality", choices=("universal", "existential", "approximate"),
@@ -368,8 +395,8 @@ def main(argv=None):
             parser.error("run needs either a trace file or --stdin")
         if args.command == "run" and args.unroll is not None and not args.lasso:
             parser.error("--unroll applies only to --lasso")
-        if args.command == "classify" and not args.obligation and args.automaton is None:
-            parser.error("classify needs an automaton file or --obligation pairs")
+        if args.command == "classify" and (args.obligation is None) == (args.automaton is None):
+            parser.error("classify needs either an automaton file or --obligation pairs")
         return args.fn(args)
     except QuantmonError as exc:
         print(f"error: {exc}", file=sys.stderr)

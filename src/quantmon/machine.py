@@ -65,13 +65,13 @@ and whether its outputs may divide:
 * ``extended``: all six, any atom, and outputs that divide registers.
 
 Per-state outputs are ``OutputSpec`` expressions in one small grammar, the
-outputs of cost register automata: ``inf``; an affine form, integer
-coefficients over registers plus an integer constant (``0``, ``y``,
-``2*m``); a quotient of two affine forms, 0 where the denominator is 0,
-which needs the extended set (``(total+burst-1)/(count+1)``); ``max(o,
-...)``; and a tuple ``(o, ...)`` of scalar outputs for product codomains.
-Every machine therefore renders to the file format, and every machine's
-loops can be composed for acceleration.
+outputs of cost register automata: a word (``inf``, ``T``, ``F``, ``bot``);
+an affine form, integer coefficients over registers plus an integer constant
+(``0``, ``y``, ``2*m``); a quotient of two affine forms, 0 where the
+denominator is 0, which needs the extended set (``(total+burst-1)/(count+1)``);
+``max(o, ...)`` of numbers; and a tuple ``(o, ...)`` of scalar outputs for
+product codomains.  Every machine therefore renders to the file format, and
+every machine's loops can be composed for acceleration.
 """
 
 import collections
@@ -196,7 +196,7 @@ class _OutputError(MachineError):
 class OutputSpec:
     """An output expression over the registers, by ``kind``:
 
-    * ``inf``;
+    * ``word``: ``parts`` holds one of the words of ``_WORDS``, a constant;
     * ``affine``: ``parts`` holds ``(register, coefficient)`` terms and the
       value is their sum plus the integer ``const``;
     * ``div``: ``parts`` is two affine outputs, numerator and denominator;
@@ -204,7 +204,8 @@ class OutputSpec:
     * ``max``: the largest of ``parts``;
     * ``tuple``: ``parts`` as a tuple, for product codomains.
 
-    ``max`` and ``tuple`` take scalar outputs only, so tuples do not nest.
+    ``max`` and ``tuple`` take scalar outputs only, so tuples do not nest,
+    and ``max`` orders by Python's ``>``, so its only word is ``inf``.
     """
 
     kind: str
@@ -223,9 +224,10 @@ class OutputSpec:
         elif kind == "div":
             ok = len(parts) == 2 and all(scalar(p) and p.kind == "affine" for p in parts)
         elif kind in ("max", "tuple"):
-            ok = bool(parts) and all(map(scalar, parts))
+            ok = bool(parts) and all(map(scalar, parts)) and (
+                kind == "tuple" or all(p.kind != "word" or p == OUT_INF for p in parts))
         else:
-            ok = kind == "inf" and not parts
+            ok = kind == "word" and len(parts) == 1 and parts[0] in _WORDS
         if not ok:
             raise MachineError(f"malformed {kind!r} output")
 
@@ -235,8 +237,8 @@ class OutputSpec:
             p.divides() for p in self.parts)
 
     def render(self):
-        if self.kind == "inf":
-            return "inf"
+        if self.kind == "word":
+            return self.parts[0]
         if self.kind == "affine":
             text = ""
             for r, c in self.parts:
@@ -254,7 +256,10 @@ def _is_int(c):
     return isinstance(c, int) and not isinstance(c, bool)
 
 
-OUT_INF = OutputSpec("inf")
+# the word constants, each named as ``render_value`` writes its value
+_WORDS = {"inf": dom.INF, "T": True, "F": False, "bot": dom.BOT}
+
+OUT_INF = OutputSpec("word", ("inf",))
 
 
 def out_const(c):
@@ -288,9 +293,9 @@ _SETS = {
 }
 
 
-# the only names generated code can see
+# the only names generated code can see; a word constant is its own name
 _CODE_GLOBALS = {"__builtins__": {}, "Fraction": Fraction, "fraction": dom.fraction,
-                 "INF": dom.INF, "max": max}
+                 "max": max, **_WORDS}
 
 
 @functools.lru_cache(maxsize=1024)
@@ -312,6 +317,8 @@ def _affine_form(out, rid):
 def _read_mask(out, rid):
     """The mask of the registers that ``out`` reads: bit i where register i
     has a nonzero coefficient in one of its affine forms."""
+    if out.kind == "word":
+        return 0
     if out.kind == "affine":
         return sum(1 << i for i, c in enumerate(_affine_form(out, rid)[:-1]) if c)
     return functools.reduce(operator.or_, (_read_mask(p, rid) for p in out.parts), 0)
@@ -335,8 +342,8 @@ def _update_source(width, assigned):
 def _output_source(out, rid):
     """The expression of ``out`` over the values tuple ``v``; raises
     KeyError for a register outside ``rid``."""
-    if out.kind == "inf":
-        return "INF"
+    if out.kind == "word":
+        return out.parts[0]
     if out.kind == "affine":
         return _form_source(_affine_form(out, rid))
     parts = [_output_source(p, rid) for p in out.parts]
@@ -621,8 +628,8 @@ def _position_limit(out, forms, shift, start, rid):
         form = _compose(_affine_form(affine, rid), forms)
         return _at(form, start), _slope(form, shift)
 
-    if out.kind == "inf":
-        return dom.INF, False
+    if out.kind == "word":
+        return _WORDS[out.parts[0]], False
     if out.kind == "affine":
         value, slope = leaf(out)
         if slope:
@@ -746,6 +753,23 @@ def generated_verdict(machine):
     return VerdictFunction(machine.output_domain, lambda: MachineRun(machine), machine.name)
 
 
+def tabulate(name, start, step, out, alphabet, codomain):
+    """The zero-register machine over the finitely many states that the pure
+    ``step`` reaches from ``start``, breadth first: the i-th found is ``s<i>``,
+    with one unguarded edge per symbol and the constant output ``out(state)``,
+    parsed from its ``render_value`` text."""
+    ids, found, edges, outputs = {start: "s0"}, [start], [], {}
+    for q in found:  # grows as the search finds states
+        outputs[ids[q]] = _parse_output(dom.render_value(out(q)))
+        for a in alphabet:
+            if (r := step(q, a)) not in ids:
+                ids[r] = f"s{len(found)}"
+                found.append(r)
+            edges.append(Edge(ids[q], a, TRUE_GUARD, (), ids[r]))
+    return RegisterMachine(name, (), tuple(outputs), alphabet, "s0", edges, outputs,
+                           InstructionSet.COUNTER, codomain)
+
+
 # -- machine text format -------------------------------------------------
 
 
@@ -804,7 +828,7 @@ def _parse_affine(text):
     terms, const, pos = [], 0, 0
     while pos < len(text) or not pos:
         m = _TERM.match(text, pos)
-        if m is None or (pos and not m[1]) or m[3] == "inf":
+        if m is None or (pos and not m[1]) or m[3] in _WORDS:
             raise MachineError(f"malformed affine output {text.strip()!r}")
         sign = -1 if m[1] == "-" else 1
         if m[3]:
@@ -818,8 +842,8 @@ def _parse_affine(text):
 def _parse_output(text):
     """Inverse of ``OutputSpec.render``."""
     text = text.strip()
-    if text == "inf":
-        return OUT_INF
+    if text in _WORDS:
+        return OutputSpec("word", (text,))
     quotient = dom._top_level_parts(text, "/")
     if len(quotient) > 1:
         operands = [p.strip() for p in quotient]
@@ -1075,10 +1099,18 @@ def _pair_steps(sa, statuses):
     yield sa.other_token, "other", None, statuses
 
 
+@functools.lru_cache(maxsize=1024)
+def _kpair_tuple(regs):
+    """The tuple output of each pair's max register in ``regs``, inf for
+    None; one object per distinct tuple, so that a machine's states share
+    their outputs."""
+    return out_tuple(*(OUT_INF if r is None else out_reg(r) for r in regs))
+
+
 def _kpair_output(statuses, max_reg_of):
     """Each pair's max register, inf once the pair is dead."""
-    return out_tuple(*(OUT_INF if c == "D" else out_reg(max_reg_of(i + 1))
-                       for i, c in enumerate(statuses)))
+    return _kpair_tuple(tuple(None if c == "D" else max_reg_of(i + 1)
+                              for i, c in enumerate(statuses)))
 
 
 def build_kpair_monitor(k):
@@ -1210,7 +1242,7 @@ def build_kpair_sequential(k):
                         # (a counted t dies without credit)
                         t2 = t if new[t - 1] != "D" else _next_alive(alive, t)[0]
                         edges.append(Edge(st, sym, TRUE_GUARD, (), f"{new}_t{t2}_w"))
-    outputs["alldead"] = out_tuple(*[OUT_INF] * k)
+    outputs["alldead"] = _kpair_tuple((None,) * k)
     edges += [Edge("alldead", a, TRUE_GUARD, (), "alldead") for a in alphabet]
     return RegisterMachine(f"Mkseq{k}", ("z", "x"), tuple(outputs), alphabet,
                            f"{'I' * k}_t1_w", edges, outputs, InstructionSet.COUNTER,

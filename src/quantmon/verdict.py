@@ -39,13 +39,14 @@ resolves the limit three ways, in order of preference:
     and a ramp that repeats with a period above 18 passes for an escape.
 
 A stepper with ``accelerate`` never reaches rule 3: a register machine's
-limit is proven by rule 1 or 2, or it is undetermined.  The window rule
-judges only the other steppers (opaque ones, and combinations of
-verdicts), and deliberately waits for the full budget: an early window can
-mistake a transient (a counter still climbing toward a guard threshold)
-for settled behaviour.  Every value is checked against the codomain as it
-is stepped, whether or not a rule later reads it.  Everything else is
-reported Undetermined, never guessed.
+limit is proven by rule 1 or 2, or it is undetermined.  The boolean
+monitors of ``boolprop`` are zero-register machines, so rule 1 settles
+them.  The window rule judges only the other steppers (opaque ones, and
+combinations of verdicts), and deliberately waits for the full budget: an
+early window can mistake a transient (a counter still climbing toward a
+guard threshold) for settled behaviour.  Every value is checked against
+the codomain as it is stepped, whether or not a rule later reads it.
+Everything else is reported Undetermined, never guessed.
 
 A suite pass asks for many limits of one verdict, and many of its lassos
 lead to the same run configuration before the same loop.  The caller may

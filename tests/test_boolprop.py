@@ -1,13 +1,17 @@
 import itertools
+import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from quantmon import boolprop as bp
 from quantmon import domain as dom
+from quantmon import machine as mc
 from quantmon import qprop as qp
 from quantmon.boolprop import AcceptanceKind, Side
-from quantmon.errors import AcceptanceKindError, AutomatonError, UnsupportedDomainError
+from quantmon.errors import (AcceptanceKindError, AutomatonError, MachineError,
+                             UnsupportedDomainError)
 from quantmon.trace import (Alphabet, FiniteTrace, all_finite_traces, all_lassos,
                             lasso, parse_lasso)
 from quantmon.verdict import (FunctionStepper, LimitBudget, LimitKind, Monotonicity,
@@ -357,6 +361,14 @@ def _c_switch(accept_after_c):
         AcceptanceKind.COBUCHI, {"after"} if accept_after_c else {"p"})
 
 
+def _random_automaton(rng, alphabet, kind):
+    """A random three-state automaton of ``kind`` that starts in p."""
+    states = ("p", "q", "r")
+    transitions = {(q, a): rng.choice(states) for q in states for a in alphabet}
+    return bp.BooleanPropertyAutomaton(alphabet, states, "p", transitions, kind,
+                                       {q for q in states if rng.random() < 0.5})
+
+
 class TestReactivityDetermination:
     @pytest.mark.parametrize("accept_after_c,text,value", [
         (True, "a c ; a", True),
@@ -378,16 +390,10 @@ class TestReactivityDetermination:
     def test_approximates_from_below_on_random_lists(self, ab):
         rng = random.Random(11)
         suite = list(all_lassos(ab, 2, 2))
-
-        def random_automaton(kind):
-            states = ("p", "q", "r")
-            transitions = {(q, a): rng.choice(states) for q in states for a in ab}
-            return bp.BooleanPropertyAutomaton(ab, states, "p", transitions, kind,
-                                               {q for q in states if rng.random() < 0.5})
-
         for _ in range(60):
             reactivity = bp.ReactivityList(tuple(
-                (random_automaton(AcceptanceKind.BUCHI), random_automaton(AcceptanceKind.COBUCHI))
+                (_random_automaton(rng, ab, AcceptanceKind.BUCHI),
+                 _random_automaton(rng, ab, AcceptanceKind.COBUCHI))
                 for _ in range(rng.randint(1, 2))))
             monitor = bp.monitor_reactivity(reactivity)
             for t in suite:
@@ -531,3 +537,196 @@ class TestFlatDomainLimitations:
             v = constant_verdict(dom.B, const)
             for t in all_lassos(ab, 1, 2):
                 assert eval_limsup(v, t, SMALL).value is const
+
+
+# -- tabulated monitors against the stepper constructions they replaced --
+
+DEMO_AUTOMATA = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos/automata")
+                       .glob("*.aut"))
+
+
+def _reference_product(automata):
+    """The synchronous product step over per-symbol successor rows."""
+    rows = {a: [{q: P.transitions[(q, a)] for q in P.states} for P in automata]
+            for a in automata[0].alphabet}
+
+    def step(states, symbol):
+        return tuple(map(dict.__getitem__, rows[symbol], states))
+
+    return tuple(P.initial for P in automata), step
+
+
+def reference_canonical(P):
+    """The canonical monitor and the existential monitor of P, each as a
+    stepper over P's states with its output function."""
+    pos, neg, acc = P.pos_states, P.neg_states, P.accepting
+    canonical = {
+        AcceptanceKind.SAFETY: (dom.BF, lambda q: False if q in neg else True),
+        AcceptanceKind.COSAFETY: (dom.BT, lambda q: q in pos),
+        AcceptanceKind.BUCHI: (dom.BT, lambda q: q in acc),
+        AcceptanceKind.COBUCHI: (dom.BF, lambda q: q in acc),
+    }[P.kind]
+    return (state_verdict(P, *canonical, name="canonical"),
+            state_verdict(P, dom.BT, lambda q: q in pos, name="existential"))
+
+
+def reference_obligation(obligation):
+    pairs = obligation.pairs
+    init, step = _reference_product([P for pair in pairs for P in pair])
+    alive = [(s.neg_states, c.pos_states) for s, c in pairs]
+
+    def out(states):
+        return all(q_s not in neg or q_c in pos
+                   for (neg, pos), q_s, q_c in zip(alive, states[0::2], states[1::2]))
+
+    return VerdictFunction(dom.B, lambda: FunctionStepper(init, step, out))
+
+
+def reference_reactivity(reactivity):
+    pairs = reactivity.pairs
+    k = len(pairs)
+    init, product_step = _reference_product([P for pair in pairs for P in pair])
+    acc_r, pos_r, neg_r = ([getattr(r, f) for r, _ in pairs]
+                           for f in ("accepting", "pos_states", "neg_states"))
+    acc_p, pos_p, neg_p = ([getattr(p, f) for _, p in pairs]
+                           for f in ("accepting", "pos_states", "neg_states"))
+    resp, pers, done = 0, 1, 2
+
+    def step(state, symbol):
+        states, phases, fired, _ = state
+        states = product_step(states, symbol)
+        r_states, p_states = states[0::2], states[1::2]
+        phases, fired = list(phases), list(fired)
+        for i in range(k):
+            if phases[i] == resp:
+                if r_states[i] in neg_r[i]:
+                    phases[i], fired[i] = pers, False
+                elif r_states[i] in acc_r[i] or r_states[i] in pos_r[i]:
+                    fired[i] = True
+            if phases[i] == pers and p_states[i] in pos_p[i]:
+                phases[i] = done
+        emitted_t = all(fired[i] or phases[i] == done for i in range(k))
+        if emitted_t:
+            fired = [False] * k
+        return (states, tuple(phases), tuple(fired), emitted_t)
+
+    def out(state):
+        states, phases, _fired, emitted_t = state
+        p_states = states[1::2]
+        if any(phases[i] == pers and p_states[i] in neg_p[i] for i in range(k)):
+            return False
+        if emitted_t:
+            return True
+        if any(phases[i] == pers and p_states[i] not in acc_p[i] for i in range(k)):
+            return False
+        return dom.BOT
+
+    start = (init, (resp,) * k, (False,) * k, True)
+    return VerdictFunction(dom.BBOT, lambda: FunctionStepper(start, step, out))
+
+
+def _random_reactivity_lists(alphabet, count):
+    rng = random.Random(13)
+    return [bp.ReactivityList(tuple(
+        (_random_automaton(rng, alphabet, AcceptanceKind.BUCHI),
+         _random_automaton(rng, alphabet, AcceptanceKind.COBUCHI))
+        for _ in range(rng.randint(1, 3)))) for _ in range(count)]
+
+
+def _random_obligation_lists(alphabet, count):
+    """The first lists of criterion 5's generator: seed 42, k = 1..4."""
+    rng = random.Random(42)
+    return [bp.random_obligation_list(rng, alphabet, rng.randint(1, 4)) for _ in range(count)]
+
+
+def _monitor_pairs(ab):
+    """(tabulated monitor, reference) for every constructor: the canonical
+    and existential monitors of the demo automata, 20 random obligation
+    lists and 20 random reactivity lists."""
+    pairs = []
+    for path in DEMO_AUTOMATA:
+        P = bp.load_automaton(path.read_text())
+        canonical, existential = reference_canonical(P)
+        pairs += [(bp.canonical_monitor(P), canonical),
+                  (bp.monitor_any_existential(P), existential)]
+    pairs += [(bp.monitor_obligation(o), reference_obligation(o))
+              for o in _random_obligation_lists(ab, 20)]
+    pairs += [(bp.monitor_reactivity(r), reference_reactivity(r))
+              for r in _random_reactivity_lists(ab, 20)]
+    return pairs
+
+
+def _same_verdicts(v1, v2, alphabet, length=8):
+    """None when v1 and v2 give the same values on every trace of at most
+    ``length`` symbols (the traces of exactly ``length`` hold the others as
+    prefixes), else the first trace where they differ.  Values compare by
+    their text, so 1 and True differ."""
+    for s in all_finite_traces(alphabet, length, min_len=length):
+        texts = [list(map(dom.render_value, verdict_sequence(v, s))) for v in (v1, v2)]
+        if texts[0] != texts[1]:
+            return s.render()
+    return None
+
+
+class TestTabulatedMonitors:
+    def test_equal_to_the_stepper_constructions(self, ab):
+        pairs = _monitor_pairs(ab)
+        assert len(pairs) == 2 * len(DEMO_AUTOMATA) + 40
+        for monitor, reference in pairs:
+            assert monitor.codomain == reference.codomain, monitor.name
+            assert _same_verdicts(monitor, reference, ab) is None, monitor.name
+
+    def test_every_monitor_is_a_zero_register_machine(self, ab):
+        for monitor, _ in _monitor_pairs(ab):
+            run = monitor.stepper()
+            assert isinstance(run, mc.MachineRun) and run._m.registers == ()
+            assert run._m.name == monitor.name
+            assert run._m.output_domain == monitor.codomain
+
+    def test_render_and_load_back(self, ab):
+        for monitor, _ in _monitor_pairs(ab):
+            machine = monitor.stepper()._m
+            text = mc.render_machine(machine)
+            loaded = mc.load_machine(text, output_domain=monitor.codomain)
+            assert mc.render_machine(loaded) == text
+            assert _same_verdicts(mc.generated_verdict(loaded), monitor, ab) is None, \
+                monitor.name
+
+    def test_abc_reactivity_monitors_equal_their_references(self):
+        for accept_after_c in (True, False):
+            reactivity = bp.ReactivityList(((CUT_RESPONSE, _c_switch(accept_after_c)),))
+            assert _same_verdicts(bp.monitor_reactivity(reactivity),
+                                  reference_reactivity(reactivity), ABC, 6) is None
+
+    def test_limits_settle_by_the_configuration_cycle(self, ab):
+        # the cycle rule decides every limit within the automaton's states
+        for monitor, reference in _monitor_pairs(ab)[:2 * len(DEMO_AUTOMATA)]:
+            for t in all_lassos(ab, 2, 3):
+                got, want = eval_limsup(monitor, t, SMALL), eval_limsup(reference, t, SMALL)
+                assert (got.kind, got.iterations_used) == (want.kind, want.iterations_used)
+                assert got.value is want.value
+
+
+class TestTabulate:
+    def test_breadth_first_states(self, ab):
+        # a counter mod 3 that b resets: s0 = 0, s1 = 1 (on a), s2 = 2
+        m = mc.tabulate("mod3", 0, lambda n, sym: (n + 1) % 3 if sym == "a" else 0,
+                        lambda n: n == 2, ab, dom.B)
+        assert m.states == ("s0", "s1", "s2") and m.registers == ()
+        assert [e.render() for e in m.edges] == [
+            "s0 a [true] -> s1", "s0 b [true] -> s0", "s1 a [true] -> s2",
+            "s1 b [true] -> s0", "s2 a [true] -> s0", "s2 b [true] -> s0"]
+        assert [m.outputs[q].render() for q in m.states] == ["F", "F", "T"]
+        v = mc.generated_verdict(m)
+        assert verdict_sequence(v, FiniteTrace(("a", "a", "a", "a", "a", "b"), ab)) == \
+            [False, False, True, False, False, True, False]
+
+    def test_numeric_and_tuple_constants(self, ab):
+        m = mc.tabulate("pair", 0, lambda n, sym: min(n + 1, 2), lambda n: (n, dom.INF),
+                        ab, dom.product(dom.NATINF, 2))
+        assert [m.outputs[q].render() for q in m.states] == ["(0,inf)", "(1,inf)", "(2,inf)"]
+        assert mc.generated_verdict(m)(FiniteTrace(("a",), ab)) == (1, dom.INF)
+
+    def test_a_value_outside_the_grammar_is_rejected(self, ab):
+        with pytest.raises(MachineError, match="malformed"):
+            mc.tabulate("half", 0, lambda n, sym: n, lambda n: Fraction(1, 2), ab, dom.RATINF)

@@ -16,7 +16,7 @@ from quantmon import boolprop as bp
 from quantmon import machine as mc
 from quantmon import domain as dom
 from quantmon import qprop as qp
-from quantmon.cli import _build_parser, _verdict_for, main
+from quantmon.cli import _bounded, _build_parser, _exhaustive_count, _verdict_for, main
 from quantmon.trace import Alphabet, all_lassos
 from quantmon.verdict import DEFAULT_BUDGET, LimitBudget, verdict_sequence
 
@@ -668,7 +668,23 @@ class TestInputErrors:
          "at least one verdict selector must fix an alphabet"),
         (["classify", "--obligation", "{work}/never_b.aut"],
          "obligation pair must be 'safety.aut:cosafety.aut', got '{work}/never_b.aut'"),
-    ], ids=["verdict", "suite", "alphabet", "obligation"])
+        # both inputs of classify: the automaton used to be dropped in silence
+        (["classify", "{work}/never_b.aut", "--obligation",
+          "{work}/never_b.aut:{work}/eventually_a.aut"],
+         "classify needs either an automaton file or --obligation pairs"),
+        # counted before any lasso is made: about 8.7e8 lassos used to run
+        # until killed
+        (["compare", "mrt", "art", "--suite", "exhaustive:9:9"],
+         "suite exhaustive:9:9 asks for 871637052 lassos, more than the 1000000 a "
+         "suite may hold"),
+        (["compare", "mrt", "art", "--suite", "exhaustive:100:1"],
+         "suite exhaustive:100:1 asks for at least "
+         f"{(3 ** 65 - 1) // 2 * 3} lassos, more than the 1000000 a suite may hold"),
+        (["compare", "mrt", "art", "--suite", "sample:1000001"],
+         "suite sample:1000001 asks for 1000001 lassos, more than the 1000000 a "
+         "suite may hold"),
+    ], ids=["verdict", "suite", "alphabet", "obligation", "classify-both", "suite-bound",
+            "suite-bound-cut", "sample-bound"])
     def test_input_check_names_the_fault(self, workdir, argv, error, capsys):
         code, out, err = run_cli([a.format(work=workdir) for a in argv], capsys)
         assert code == 2
@@ -834,6 +850,22 @@ class TestClassify:
         assert code == 0
         assert "bound=4" in out and "ok" in out
 
+    def test_repeated_obligation_flags_keep_every_pair(self, workdir, capsys):
+        # the last flag used to win, printing k=1
+        pair = f"{workdir / 'never_b.aut'}:{workdir / 'eventually_a.aut'}"
+        code, out, _ = run_cli(["classify", "--obligation", pair, "--obligation", pair],
+                               capsys)
+        assert code == 0
+        assert out.splitlines()[:2] == ["obligation k=2", "switches: worst=2 bound=4 ok"]
+
+    def test_suite_counts_and_the_inclusive_bound(self):
+        # the closed forms against enumeration, and a count at the bound passes
+        for k, u, v in ((1, 3, 2), (2, 2, 3), (3, 1, 4)):
+            alphabet = Alphabet(tuple("abc"[:k]))
+            assert _exhaustive_count(k, u, v) == (len(list(all_lassos(alphabet, u, v))), False)
+        assert _exhaustive_count(1, 999_999, 1) == (1_000_000, False)
+        _bounded("sample:1000000", 1_000_000)
+
     def test_obligation_honours_the_modality(self, capsys):
         pair = f"{DEMOS / 'automata/never_b.aut'}:{DEMOS / 'automata/eventually_a.aut'}"
         code, out, _ = run_cli(["classify", "--obligation", pair,
@@ -845,14 +877,14 @@ class TestClassify:
 
 _CORE_MODULES = {"domain", "errors", "trace", "verdict"}
 # the package modules each import loads in a fresh interpreter: machine and
-# precision stand on the core alone, qprop stands on boolprop, and only
-# cli.py loads them all
+# precision stand on the core alone, boolprop on machine, qprop on boolprop,
+# and only cli.py loads them all
 IMPORTED_MODULES = {
     "quantmon": _CORE_MODULES,
     "quantmon.machine": _CORE_MODULES | {"machine"},
     "quantmon.precision": _CORE_MODULES | {"precision"},
-    "quantmon.boolprop": _CORE_MODULES | {"boolprop"},
-    "quantmon.qprop": _CORE_MODULES | {"boolprop", "qprop"},
+    "quantmon.boolprop": _CORE_MODULES | {"boolprop", "machine"},
+    "quantmon.qprop": _CORE_MODULES | {"boolprop", "machine", "qprop"},
     "quantmon.cli": _CORE_MODULES | {"boolprop", "cli", "machine", "precision", "qprop"},
 }
 

@@ -103,7 +103,7 @@ class TestValidation:
                                    mc.InstructionSet.COUNTER, dom.NATINF)
         for kind, parts, const in (("tuple", (mc.out_tuple(mc.OUT_INF),), 0),
                                    ("max", (), 0), ("div", (mc.OUT_INF, mc.OUT_ZERO), 0),
-                                   ("affine", (("x", 1.5),), 0), ("inf", (), 1),
+                                   ("affine", (("x", 1.5),), 0), ("word", ("inf",), 1),
                                    ("affine", (), True), ("sum", (), 0)):
             with pytest.raises(MachineError, match="malformed"):
                 mc.OutputSpec(kind, parts, const)
@@ -269,7 +269,8 @@ class TestFileFormat:
         values = (3, 5, 7, 2, 4, 10, 3, 2, 0)
         rid = {r: i for i, r in enumerate(registers)}
         for text, value in [
-                ("0", 0), ("inf", dom.INF), ("x", 3), ("-3", -3), ("2*m", 8), ("x+x", 6),
+                ("0", 0), ("inf", dom.INF), ("T", True), ("F", False), ("bot", dom.BOT),
+                ("x", 3), ("-3", -3), ("2*m", 8), ("x+x", 6),
                 ("total+burst-1", 12), ("-x+2*y-7", 0), ("(t)/(n)", Fraction(7, 2)),
                 ("(total+burst-1)/(count+1)", 4), ("(x)/(zero)", 0), ("(x)/(n-2)", 0),
                 ("max(2*x,2*y)", 10), ("max(x,(t)/(n),inf)", dom.INF),
@@ -285,7 +286,8 @@ class TestFileFormat:
     @pytest.mark.parametrize("text", [
         "2*", "max()", "(x)/(y)/(z)", "x*y", "1.5*x", '__import__("os")', "", "x y", "2x",
         "x+-1", "(x)/y", "(x,y)/(z)", "((x,y),z)", "max((x,y))", "(inf)/(x)", "inf+1",
-        "()", "(x,)", "max(x", "x)", "v[0]", "lambda v: 0", "x;y",
+        "()", "(x,)", "max(x", "x)", "v[0]", "lambda v: 0", "x;y", "T+1", "max(T,x)",
+        "(bot)/(x)",
     ])
     def test_malformed_outputs_rejected(self, text, monkeypatch):
         compiled = []
@@ -546,6 +548,14 @@ def moore_classes(machine):
 
 
 class TestKPair:
+    @pytest.mark.parametrize("build,k,distinct", [
+        (mc.build_kpair_monitor, 3, 8), (mc.build_kpair_priority, 3, 8),
+        (mc.build_kpair_grouped, 3, 8), (mc.build_kpair_sequential, 4, 16)])
+    def test_states_share_one_output_per_text(self, build, k, distinct):
+        # Mkseq4 held 81 output objects for its 16 texts
+        outputs = build(k).outputs.values()
+        assert len({id(o) for o in outputs}) == len({o.render() for o in outputs}) == distinct
+
     def test_exact_machine_matches_oracle(self):
         m = mc.build_kpair_monitor(2)
         v = mc.generated_verdict(m)
@@ -962,8 +972,8 @@ def _built(name):
 def _reference_output(out, valuation):
     """The value of the output expression ``out`` over the name-keyed
     valuation."""
-    if out.kind == "inf":
-        return dom.INF
+    if out.kind == "word":
+        return dom.parse_value(out.parts[0])
     if out.kind == "affine":
         return sum(c * valuation[r] for r, c in out.parts) + out.const
     parts = [_reference_output(p, valuation) for p in out.parts]
